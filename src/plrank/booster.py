@@ -26,6 +26,7 @@ from .tree import (
     apply_tree,
     fit_tree,
     predict_ensemble_matrix,
+    sort_columns,
 )
 
 TREE_LOSSES = ("plrank", "mart1", "mart2", "cmart1")
@@ -149,6 +150,7 @@ def train(
         width = max(width, config.init_model.num_features)
     X = _feature_matrix(dataset, width)
     n_docs = X.shape[0]
+    column_order = None if config.histogram_bins else sort_columns(X)
 
     if config.init_model is not None:
         scores = predict_ensemble_matrix(config.init_model, X)
@@ -215,7 +217,8 @@ def train(
             responses = targets - scores
 
         tree = fit_tree(
-            X, responses, config.leaves, config.min_leaf_docs, config.histogram_bins
+            X, responses, config.leaves, config.min_leaf_docs, config.histogram_bins,
+            column_order=column_order,
         )
         leaves = tree.leaves()
         assign = apply_tree(tree, X)

@@ -7,6 +7,7 @@ errors, 4 I/O errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -175,9 +176,12 @@ def _load_scores(path: str) -> np.ndarray:
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValidationError(f"bad score {line!r}", lineno) from None
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite score {line!r}", lineno)
+            values.append(value)
     return np.array(values, dtype=np.float64)
 
 

@@ -20,6 +20,7 @@ use the 1-based feature index of the data format.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ParseError, ValidationError
@@ -119,14 +120,20 @@ def parse_ensemble(text: str) -> Ensemble:
             if leaf:
                 records[int(leaf.group(1))] = (
                     "L",
-                    float(leaf.group(2)),
+                    _finite(leaf.group(2), pos + 1),
                     int(leaf.group(3)),
                 )
             elif node:
+                feature = int(node.group(2))
+                if not 1 <= feature <= ensemble.num_features:
+                    raise ValidationError(
+                        f"feature index {feature} outside 1..{ensemble.num_features}",
+                        pos + 1,
+                    )
                 records[int(node.group(1))] = (
                     "N",
-                    int(node.group(2)) - 1,
-                    float(node.group(3)),
+                    feature - 1,
+                    _finite(node.group(3), pos + 1),
                     int(node.group(4)),
                     int(node.group(5)),
                 )
@@ -137,6 +144,16 @@ def parse_ensemble(text: str) -> Ensemble:
     if pos >= len(lines) or lines[pos] != "end":
         raise ParseError("missing 'end' marker", pos + 1)
     return ensemble
+
+
+def _finite(text: str, line: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"bad number {text!r}", line) from None
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite value {text!r}", line)
+    return value
 
 
 def _build_tree(records: dict[int, tuple], pos: int) -> RegressionTree:

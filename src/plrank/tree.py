@@ -2,9 +2,14 @@
 
 Trees grow leaf-wise under a leaf budget: at every step the growable leaf
 whose best split removes the most squared error is split, so small budgets
-spend their leaves where they matter. Candidate thresholds are midpoints
-between consecutive distinct sorted feature values by default; an optional
-uniform-histogram mode trades exactness for speed.
+spend their leaves where they matter.
+
+Each node scores every feature at once, as one features x candidates gain
+matrix. Candidate thresholds are midpoints between consecutive distinct
+sorted feature values by default. The columns are sorted once per training
+run (:func:`sort_columns`) and every split hands each child its share of the
+parent's sorted columns, so no node sorts. An optional uniform-histogram
+mode trades exactness for speed; its bins span each node's own value range.
 """
 
 from __future__ import annotations
@@ -67,100 +72,135 @@ class Ensemble:
     num_features: int = 0
 
 
-def _exact_candidates(
-    values: np.ndarray, ysub: np.ndarray, total: float, min_leaf_docs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Gains at midpoints between consecutive distinct sorted values."""
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    left_cnt = np.arange(1, n, dtype=np.float64)
-    right_cnt = n - left_cnt
-    left_sum = np.cumsum(ysub[order])[:-1]
-    right_sum = total - left_sum
-    gains = left_sum**2 / left_cnt + right_sum**2 / right_cnt - total * total / n
-    valid = (
-        (v[1:] != v[:-1])
-        & (left_cnt >= min_leaf_docs)
-        & (right_cnt >= min_leaf_docs)
-    )
-    if not valid.any():
-        return None
-    return gains, valid, 0.5 * (v[:-1] + v[1:])
+def sort_columns(X: np.ndarray) -> np.ndarray:
+    """Row ids of every column of ``X`` sorted by value, ties by row id.
 
-
-def _binned_candidates(
-    values: np.ndarray, ysub: np.ndarray, total: float, min_leaf_docs: int, bins: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Gains at uniform-histogram boundaries.
-
-    The reported threshold is the largest value in the left bins, so routing
-    by ``value <= threshold`` reproduces the histogram partition exactly.
+    Returns a (features x rows) int32 table. Exact split search sorts once
+    per training run with this and partitions the rows down the tree.
     """
-    n = values.size
-    lo = values.min()
-    hi = values.max()
-    if lo == hi:
+    order = np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
+    return order.astype(np.int32)
+
+
+def _bin_codes(values: np.ndarray, bins: int) -> np.ndarray:
+    """Uniform bins over each row's own range, offset by ``row * bins``.
+
+    Overwrites ``values``. A constant row lands wholly in its first bin.
+    """
+    lo = values.min(axis=1, keepdims=True)
+    span = values.max(axis=1, keepdims=True) - lo
+    span[span == 0.0] = np.inf
+    with np.errstate(over="ignore"):
+        scale = bins / span
+    values -= lo
+    # A range narrower than bins / DBL_MAX overflows the scale: divide first.
+    tiny = np.isinf(scale[:, 0])
+    values[tiny] /= span[tiny]
+    scale[tiny] = bins
+    values *= scale
+    codes = values.astype(np.int64)
+    np.minimum(codes, bins - 1, out=codes)
+    codes += np.arange(0, values.shape[0] * bins, bins)[:, None]
+    return codes
+
+
+def _sse_gains(
+    left_sum: np.ndarray, left_cnt: np.ndarray, total: float, n: int
+) -> np.ndarray:
+    """``left_sum**2 / left_cnt + right_sum**2 / right_cnt - total**2 / n``.
+
+    Computed in place on ``left_sum`` but in that order, so every gain is
+    bit-identical to the formula evaluated for one feature at a time.
+    """
+    right = total - left_sum
+    np.square(left_sum, out=left_sum)
+    left_sum /= left_cnt
+    np.square(right, out=right)
+    right /= n - left_cnt
+    left_sum += right
+    left_sum -= total * total / n
+    return left_sum
+
+
+def _strongest(gains: np.ndarray, blocked: np.ndarray) -> tuple[float, int, int] | None:
+    """(gain, feature, cut) of the largest gain whose cut is not blocked.
+
+    Rows are features and columns cuts in increasing threshold order, so ties
+    go to the lowest feature, then the lowest threshold. Gains at or below
+    ``_GAIN_EPS`` are no split.
+    """
+    # Cap at +inf, or at -inf where blocked: arithmetic, not a masked store,
+    # which branches on every entry. Unlike minimum, fmin also caps the 0/0
+    # gain of a blocked cut with an empty side.
+    cap = 0.5 - blocked
+    cap *= np.inf
+    np.fmin(gains, cap, out=gains)
+    row_best = gains.max(axis=1)
+    feat = int(np.argmax(row_best))
+    gain = float(row_best[feat])
+    if gain <= _GAIN_EPS:
         return None
-    bin_idx = np.minimum(
-        ((values - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1
-    )
-    counts = np.bincount(bin_idx, minlength=bins)
-    sums = np.bincount(bin_idx, weights=ysub, minlength=bins)
-    bin_max = np.full(bins, -np.inf)
-    np.maximum.at(bin_max, bin_idx, values)
-    left_cnt = np.cumsum(counts)[:-1].astype(np.float64)
-    right_cnt = n - left_cnt
-    left_sum = np.cumsum(sums)[:-1]
-    right_sum = total - left_sum
-    valid = (left_cnt >= min_leaf_docs) & (right_cnt >= min_leaf_docs)
-    if not valid.any():
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = (
-            left_sum**2 / left_cnt + right_sum**2 / right_cnt - total * total / n
-        )
-    return gains, valid, np.maximum.accumulate(bin_max)[:-1]
+    return gain, feat, int(np.argmax(gains[feat]))
 
 
 def _best_split(
-    X: np.ndarray,
+    XT: np.ndarray,
     y: np.ndarray,
     idx: np.ndarray,
+    columns: np.ndarray | None,
     min_leaf_docs: int,
     bins: int = 0,
 ) -> tuple[float, int, float] | None:
     """Strongest (gain, feature, threshold) for the documents in ``idx``.
 
-    Gain is the squared-error reduction. Ties resolve to the lowest feature
-    index, then the lowest threshold, so results do not depend on search
-    order.
+    ``XT`` is the (features x documents) matrix and ``idx`` the node's
+    documents in increasing order. Every feature is scored at once in a
+    features x cuts gain matrix; gain is the squared-error reduction. Exact
+    mode (``bins == 0``) reads ``columns``, the node's documents sorted per
+    feature (see :func:`sort_columns`), and cuts between consecutive distinct
+    values at their midpoint.
     """
+    m = XT.shape[0]
     n = idx.size
-    if n < 2 * min_leaf_docs:
+    if n < 2 * min_leaf_docs or not m:
         return None
     ysub = y[idx]
     if ysub.max() == ysub.min():
         return None
     total = ysub.sum()
-    best: tuple[float, int, float] | None = None
-    for feat in range(X.shape[1]):
-        values = X[idx, feat]
-        if bins:
-            found = _binned_candidates(values, ysub, total, min_leaf_docs, bins)
-        else:
-            found = _exact_candidates(values, ysub, total, min_leaf_docs)
+    if bins:
+        codes = _bin_codes(np.take(XT, idx, axis=1), bins)
+        flat = codes.ravel()
+        counts = np.bincount(flat, minlength=m * bins).reshape(m, bins)
+        sums = np.bincount(flat, weights=np.tile(ysub, m), minlength=m * bins)
+        left_cnt = np.cumsum(counts, axis=1)[:, :-1].astype(np.float64)
+        left_sum = np.cumsum(sums.reshape(m, bins), axis=1)[:, :-1]
+        blocked = (left_cnt < min_leaf_docs) | (n - left_cnt < min_leaf_docs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            found = _strongest(_sse_gains(left_sum, left_cnt, total, n), blocked)
         if found is None:
-            continue
-        gains, valid, thresholds = found
-        gains = np.where(valid, gains, -np.inf)
-        pos = int(np.argmax(gains))  # first max = lowest threshold
-        gain = float(gains[pos])
-        if gain <= _GAIN_EPS:
-            continue
-        if best is None or gain > best[0]:
-            best = (gain, feat, float(thresholds[pos]))
-    return best
+            return None
+        gain, feat, pos = found
+        # The largest value in the left bins, so routing by value <= threshold
+        # reproduces the histogram partition exactly.
+        left = XT[feat].take(idx)[codes[feat] <= feat * bins + pos]
+        return gain, feat, float(left.max())
+    # Cut j puts the first j + 1 sorted documents left; lo..hi keeps
+    # min_leaf_docs on each side.
+    lo, hi = min_leaf_docs - 1, n - min_leaf_docs
+    row_starts = np.arange(0, XT.size, XT.shape[1])[:, None]
+    values = XT.take(columns[:, lo : hi + 1] + row_starts)
+    tied = values[:, 1:] == values[:, :-1]
+    del values
+    left_sum = y.take(columns)
+    left_sum = np.cumsum(left_sum, axis=1, out=left_sum)[:, lo:hi]
+    left_cnt = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    found = _strongest(_sse_gains(left_sum, left_cnt, total, n), tied)
+    if found is None:
+        return None
+    gain, feat, pos = found
+    below, above = XT[feat, columns[feat, lo + pos : lo + pos + 2]]
+    return gain, feat, float(0.5 * (below + above))
 
 
 @dataclass
@@ -168,6 +208,7 @@ class _Growable:
     order: int  # creation order, the tie-break across leaves
     leaf: Leaf
     idx: np.ndarray
+    columns: np.ndarray | None  # idx sorted per feature; exact mode only
     split: tuple[float, int, float] | None
     attach: "Split | None"  # parent node; None means root
     side: str = ""
@@ -179,13 +220,19 @@ def fit_tree(
     leaf_limit: int,
     min_leaf_docs: int = 1,
     bins: int = 0,
+    *,
+    column_order: np.ndarray | None = None,
 ) -> RegressionTree:
     """Fit an L-leaf tree to per-document responses by squared-error splits.
 
     Provisional leaf outputs are mean responses; the likelihood booster
-    overwrites them with Newton values afterwards. ``bins > 0`` switches the
-    candidate search from exact threshold enumeration to a uniform histogram
-    with that many bins (a speed knob for wide data, off by default).
+    overwrites them with Newton values afterwards. Exact search walks each
+    column in sorted order: ``column_order`` is :func:`sort_columns` of
+    ``features``, which a caller fitting many trees to the same matrix sorts
+    once; without it the columns are sorted here. A split hands each child
+    its share of the parent's sorted columns, so nothing is sorted again.
+    ``bins > 0`` switches to a uniform histogram with that many bins over
+    each node's own value range (a speed knob for wide data, off by default).
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(responses, dtype=np.float64)
@@ -199,8 +246,15 @@ def fit_tree(
         raise ValidationError("features and responses must align")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 documents to fit a tree")
+    XT = np.ascontiguousarray(X.T)
+    if bins:
+        column_order = None
+    elif column_order is None:
+        column_order = sort_columns(X)
+    elif column_order.shape != XT.shape:
+        raise ValidationError("column order must be sort_columns of the features")
 
-    def make_growable(idx: np.ndarray, order: int, attach: Split | None, side: str):
+    def make_growable(idx, columns, order: int, attach: Split | None, side: str):
         leaf = Leaf(output=float(y[idx].mean()), doc_count=int(idx.size))
         if attach is not None:
             setattr(attach, side, leaf)
@@ -208,13 +262,14 @@ def fit_tree(
             order=order,
             leaf=leaf,
             idx=idx,
-            split=_best_split(X, y, idx, min_leaf_docs, bins),
+            columns=columns,
+            split=_best_split(XT, y, idx, columns, min_leaf_docs, bins),
             attach=attach,
             side=side,
         )
 
     counter = 0
-    root_entry = make_growable(np.arange(X.shape[0]), counter, None, "")
+    root_entry = make_growable(np.arange(X.shape[0]), column_order, counter, None, "")
     root: Node = root_entry.leaf
     frontier = [root_entry] if root_entry.split is not None else []
     leaf_count = 1
@@ -228,10 +283,14 @@ def fit_tree(
             root = node
         else:
             setattr(entry.attach, entry.side, node)
-        mask = X[entry.idx, feat] <= threshold
-        for side, sub in (("left", entry.idx[mask]), ("right", entry.idx[~mask])):
+        goes_left = XT[feat] <= threshold
+        for side, keep in (("left", goes_left), ("right", ~goes_left)):
+            columns = None
+            if entry.columns is not None:
+                kept = keep.take(entry.columns).ravel()
+                columns = np.compress(kept, entry.columns).reshape(XT.shape[0], -1)
             counter += 1
-            child = make_growable(sub, counter, node, side)
+            child = make_growable(entry.idx[keep[entry.idx]], columns, counter, node, side)
             if child.split is not None:
                 frontier.append(child)
         leaf_count += 1

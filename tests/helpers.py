@@ -44,13 +44,19 @@ def thresholded_linear_dataset(
     n_features: int = 10,
     n_grades: int = 5,
     seed: int = 7,
+    decimals: int | None = None,
 ) -> Dataset:
-    """Grades come from a hidden linear scorer cut at within-query quantiles."""
+    """Grades come from a hidden linear scorer cut at within-query quantiles.
+
+    ``decimals`` rounds the features, so columns carry tied values.
+    """
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=n_features)
     queries = []
     for qid in range(1, n_queries + 1):
         X = rng.uniform(-1.0, 1.0, size=(n_docs, n_features))
+        if decimals is not None:
+            X = np.round(X, decimals)
         utility = X @ hidden
         cuts = np.quantile(utility, np.linspace(0, 1, n_grades + 1)[1:-1])
         grades = np.searchsorted(cuts, utility, side="right")

@@ -1,0 +1,92 @@
+"""Reference split search: one feature at a time, each re-sorted per node.
+
+This is the per-feature loop that ``plrank.tree`` used before its split
+search evaluated all features in one gain matrix. It is kept as the oracle
+the fast search must match bit for bit: the same (gain, feature, threshold),
+with ties going to the lowest feature and then the lowest threshold.
+"""
+
+import numpy as np
+
+from plrank.tree import _GAIN_EPS
+
+
+def exact_candidates(values, ysub, total, min_leaf_docs):
+    """Gains at midpoints between consecutive distinct sorted values."""
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    left_cnt = np.arange(1, n, dtype=np.float64)
+    right_cnt = n - left_cnt
+    left_sum = np.cumsum(ysub[order])[:-1]
+    right_sum = total - left_sum
+    gains = left_sum**2 / left_cnt + right_sum**2 / right_cnt - total * total / n
+    valid = (
+        (v[1:] != v[:-1])
+        & (left_cnt >= min_leaf_docs)
+        & (right_cnt >= min_leaf_docs)
+    )
+    if not valid.any():
+        return None
+    return gains, valid, 0.5 * (v[:-1] + v[1:])
+
+
+def binned_candidates(values, ysub, total, min_leaf_docs, bins):
+    """Gains at uniform-histogram boundaries over the node's value range.
+
+    The reported threshold is the largest value in the left bins, so routing
+    by ``value <= threshold`` reproduces the histogram partition exactly.
+    """
+    n = values.size
+    lo = values.min()
+    hi = values.max()
+    if lo == hi:
+        return None
+    bin_idx = np.minimum(
+        ((values - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1
+    )
+    counts = np.bincount(bin_idx, minlength=bins)
+    sums = np.bincount(bin_idx, weights=ysub, minlength=bins)
+    bin_max = np.full(bins, -np.inf)
+    np.maximum.at(bin_max, bin_idx, values)
+    left_cnt = np.cumsum(counts)[:-1].astype(np.float64)
+    right_cnt = n - left_cnt
+    left_sum = np.cumsum(sums)[:-1]
+    right_sum = total - left_sum
+    valid = (left_cnt >= min_leaf_docs) & (right_cnt >= min_leaf_docs)
+    if not valid.any():
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = (
+            left_sum**2 / left_cnt + right_sum**2 / right_cnt - total * total / n
+        )
+    return gains, valid, np.maximum.accumulate(bin_max)[:-1]
+
+
+def reference_best_split(X, y, idx, min_leaf_docs, bins=0):
+    """Strongest (gain, feature, threshold) for the documents in ``idx``."""
+    n = idx.size
+    if n < 2 * min_leaf_docs:
+        return None
+    ysub = y[idx]
+    if ysub.max() == ysub.min():
+        return None
+    total = ysub.sum()
+    best = None
+    for feat in range(X.shape[1]):
+        values = X[idx, feat]
+        if bins:
+            found = binned_candidates(values, ysub, total, min_leaf_docs, bins)
+        else:
+            found = exact_candidates(values, ysub, total, min_leaf_docs)
+        if found is None:
+            continue
+        gains, valid, thresholds = found
+        gains = np.where(valid, gains, -np.inf)
+        pos = int(np.argmax(gains))  # first max = lowest threshold
+        gain = float(gains[pos])
+        if gain <= _GAIN_EPS:
+            continue
+        if best is None or gain > best[0]:
+            best = (gain, feat, float(thresholds[pos]))
+    return best

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,29 @@ def test_exit_code_score_count_mismatch(tmp_path, train_file, capsys):
     scores.write_text("1.0\n2.0\n")
     assert run(["evaluate", "--data", train_file, "--scores", str(scores)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_exit_code_non_finite_score(tmp_path, train_file, capsys, text):
+    lines = ["0.5"] * len(Path(train_file).read_text().splitlines())
+    lines[3] = text
+    scores = tmp_path / "scores.txt"
+    scores.write_text("\n".join(lines) + "\n")
+    assert run(["evaluate", "--data", train_file, "--scores", str(scores)]) == 3
+    assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("node", ["f=0 t=0.5", "f=999 t=0.5", "f=1 t=nan"])
+def test_exit_code_bad_model_node(tmp_path, train_file, capsys, node):
+    model = tmp_path / "model.txt"
+    model.write_text(
+        "plrank-model v1\nloss=plrank\nalpha=0.1\ntopk=10\nfeatures=3\n"
+        f"init=0.0\ntrees=1\ntree 0 nodes=3\nN 0 {node} l=1 r=2\n"
+        "L 1 v=1.0 n=1\nL 2 v=-1.0 n=1\nend\n"
+    )
+    assert run(["predict", "--model", str(model), "--data", train_file,
+                "--out", str(tmp_path / "scores.txt")]) == 3
+    assert "line 9" in capsys.readouterr().err
 
 
 def test_trees_flag_controls_model_size(tmp_path, train_file):

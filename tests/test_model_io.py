@@ -93,3 +93,35 @@ def test_load_model_dispatches_on_header(tmp_path):
     lpath = tmp_path / "l.model"
     save_model(LinearModel(weights=np.array([1.0])), str(lpath))
     assert isinstance(load_model(str(lpath)), LinearModel)
+
+
+def one_split_model(feature="1", threshold="0.5", value="0.25", features=3):
+    return (
+        f"plrank-model v1\nloss=plrank\nalpha=0.1\ntopk=10\nfeatures={features}\n"
+        f"init=0.0\ntrees=1\ntree 0 nodes=3\nN 0 f={feature} t={threshold} l=1 r=2\n"
+        f"L 1 v={value} n=3\nL 2 v=-0.5 n=7\nend\n"
+    )
+
+
+def test_one_split_model_parses():
+    tree = parse_ensemble(one_split_model()).trees[0]
+    assert (tree.root.feature, tree.root.threshold) == (0, 0.5)
+
+
+@pytest.mark.parametrize("feature", ["0", "4", "999"])
+def test_feature_index_outside_header_rejected(feature):
+    # f=0 once became column -1 and routed on the last column.
+    with pytest.raises(ValidationError, match="line 9"):
+        parse_ensemble(one_split_model(feature=feature))
+
+
+@pytest.mark.parametrize("field", ["threshold", "value"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_node_numbers_rejected(field, text):
+    with pytest.raises(ValidationError, match="non-finite"):
+        parse_ensemble(one_split_model(**{field: text}))
+
+
+def test_unreadable_node_number_rejected():
+    with pytest.raises(ParseError):
+        parse_ensemble(one_split_model(threshold="0.5x"))

@@ -160,6 +160,8 @@ def test_fit_validates_inputs():
         fit_tree(np.zeros((1, 1)), np.zeros(1), 2)
     with pytest.raises(ValidationError):
         fit_tree(X, np.zeros(4), 2)
+    with pytest.raises(ValidationError):
+        fit_tree(X, np.zeros(3), 2, column_order=np.zeros((1, 2), dtype=np.int32))
 
 
 def test_predict_single_leaf_any_row():
@@ -241,3 +243,11 @@ def test_ensemble_arithmetic():
         init_score=2.0,
     )
     assert predict_ensemble(two, [0.0]) == pytest.approx(2.0)
+
+
+def test_binned_mode_splits_a_range_too_narrow_to_scale():
+    # 64 / 3e-310 overflows a float64, which once crashed the bin coding.
+    X = np.array([[0.0], [1e-310], [2e-310], [3e-310]])
+    tree = fit_tree(X, np.array([0.0, 0.0, 1.0, 1.0]), 2, bins=64)
+    assert tree.root.threshold == 1e-310
+    assert tree_sse(tree, X, np.array([0.0, 0.0, 1.0, 1.0])) == 0.0
