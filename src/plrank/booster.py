@@ -8,8 +8,7 @@ per-document scores by the learning rate times the tree output.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -21,6 +20,7 @@ from .metrics import dcg_at_k, evaluate
 from .permutation import build_permutations
 from .pl_objective import QueryContexts, newton_leaf_outputs, response_from_workspace
 from .tree import (
+    TREE_LOSSES,
     Ensemble,
     RegressionTree,
     apply_tree,
@@ -28,8 +28,6 @@ from .tree import (
     predict_ensemble_matrix,
     sort_columns,
 )
-
-TREE_LOSSES = ("plrank", "mart1", "mart2", "cmart1")
 
 
 @dataclass
@@ -120,13 +118,6 @@ def _feature_matrix(dataset: Dataset, width: int) -> np.ndarray:
     for group in dataset.groups:
         X[group.doc_ids] = dense_features(group, width)
     return X
-
-
-def _rescaled_copy(tree: RegressionTree, factor: float) -> RegressionTree:
-    clone = copy.deepcopy(tree)
-    for leaf in clone.leaves():
-        leaf.output *= factor
-    return clone
 
 
 def train(
@@ -220,14 +211,13 @@ def train(
             X, responses, config.leaves, config.min_leaf_docs, config.histogram_bins,
             column_order=column_order,
         )
-        leaves = tree.leaves()
+        leaves = tree.feature < 0
         assign = apply_tree(tree, X)
         if config.loss == "plrank":
-            outputs = newton_leaf_outputs(assign, len(leaves), queries, responses)
-            for leaf, value in zip(leaves, outputs):
-                leaf.output = float(value)
+            outputs = newton_leaf_outputs(assign, tree.leaf_count, queries, responses)
+            tree.value[leaves] = outputs
         else:
-            outputs = np.array([leaf.output for leaf in leaves], dtype=np.float64)
+            outputs = tree.value[leaves]
 
         scores = scores + config.learning_rate * outputs[assign]
         new_trees.append(tree)
@@ -245,7 +235,7 @@ def train(
     init_score = 0.0
     if config.init_model is not None:
         factor = config.init_model.learning_rate / config.learning_rate
-        trees = [_rescaled_copy(t, factor) for t in config.init_model.trees] + trees
+        trees = [replace(t, value=t.value * factor) for t in config.init_model.trees] + trees
         init_score = config.init_model.init_score
 
     ensemble = Ensemble(

@@ -1,8 +1,10 @@
 """Text serialization of tree ensembles and linear models.
 
-One node per line, ids assigned in preorder. Floats are written with
-``repr`` so a write/read/write cycle is byte-identical. Internal node lines
-use the 1-based feature index of the data format.
+An ensemble file is a header, then each tree's node table
+(:class:`~plrank.tree.RegressionTree`), one line per row with ids in
+preorder. Floats are written with ``repr`` so a write/read/write cycle is
+byte-identical. Internal node lines use the 1-based feature index of the
+data format.
 
     plrank-model v1
     loss=plrank
@@ -16,33 +18,30 @@ use the 1-based feature index of the data format.
     L 1 v=0.25 n=3
     L 2 v=-0.5 n=7
     end
+
+The reader accepts only preorder numbering: ids run 0..n-1 in line order,
+an internal node's left child is the next line, and its right child is the
+line after its left subtree. So every node is reachable exactly once and
+each line reads straight into one table row. It also accepts only what
+saving writes (the header keys in this order, numbers as ``repr`` spells
+them, ``\n`` line ends), so saving a loaded model rewrites its file byte
+for byte.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import zip_longest
 
 from .errors import ParseError, ValidationError
 from .linear import LinearModel
-from .tree import Ensemble, Leaf, Node, RegressionTree, Split
+from .tree import TREE_LOSSES, Ensemble, RegressionTree
 
 import numpy as np
 
 ENSEMBLE_MAGIC = "plrank-model v1"
 LINEAR_MAGIC = "linear"
-
-
-def _walk_preorder(root: Node) -> list[Node]:
-    out: list[Node] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, Split):
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
 
 
 def dumps_ensemble(ensemble: Ensemble) -> str:
@@ -56,17 +55,16 @@ def dumps_ensemble(ensemble: Ensemble) -> str:
         f"trees={len(ensemble.trees)}",
     ]
     for t, tree in enumerate(ensemble.trees):
-        nodes = _walk_preorder(tree.root)
-        ids = {id(node): i for i, node in enumerate(nodes)}
-        lines.append(f"tree {t} nodes={len(nodes)}")
-        for i, node in enumerate(nodes):
-            if isinstance(node, Leaf):
-                lines.append(f"L {i} v={node.output!r} n={node.doc_count}")
+        lines.append(f"tree {t} nodes={tree.feature.size}")
+        rows = zip(
+            tree.feature.tolist(), tree.threshold.tolist(), tree.right.tolist(),
+            tree.value.tolist(), tree.count.tolist(),
+        )
+        for i, (feature, threshold, right, value, count) in enumerate(rows):
+            if feature < 0:
+                lines.append(f"L {i} v={value!r} n={count}")
             else:
-                lines.append(
-                    f"N {i} f={node.feature + 1} t={node.threshold!r} "
-                    f"l={ids[id(node.left)]} r={ids[id(node.right)]}"
-                )
+                lines.append(f"N {i} f={feature + 1} t={threshold!r} l={i + 1} r={right}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -104,46 +102,95 @@ def parse_ensemble(text: str) -> Ensemble:
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad model header: {exc}") from None
 
+    if ensemble.loss not in TREE_LOSSES:
+        raise ValidationError(f"unknown loss {ensemble.loss!r} in model header")
+
     for t in range(tree_count):
         match = _TREE_RE.match(lines[pos]) if pos < len(lines) else None
         if not match or int(match.group(1)) != t:
             raise ParseError(f"expected 'tree {t}' record", pos + 1)
         node_count = int(match.group(2))
         pos += 1
-        records: dict[int, tuple] = {}
-        for _ in range(node_count):
-            if pos >= len(lines):
-                raise ParseError("truncated tree block", pos + 1)
-            line = lines[pos]
-            leaf = _LEAF_RE.match(line)
-            node = _NODE_RE.match(line)
-            if leaf:
-                records[int(leaf.group(1))] = (
-                    "L",
-                    _finite(leaf.group(2), pos + 1),
-                    int(leaf.group(3)),
-                )
-            elif node:
-                feature = int(node.group(2))
-                if not 1 <= feature <= ensemble.num_features:
-                    raise ValidationError(
-                        f"feature index {feature} outside 1..{ensemble.num_features}",
-                        pos + 1,
-                    )
-                records[int(node.group(1))] = (
-                    "N",
-                    feature - 1,
-                    _finite(node.group(3), pos + 1),
-                    int(node.group(4)),
-                    int(node.group(5)),
-                )
-            else:
-                raise ParseError(f"bad node record {line!r}", pos + 1)
-            pos += 1
-        ensemble.trees.append(_build_tree(records, pos))
+        if pos + node_count > len(lines):
+            raise ParseError("truncated tree block", len(lines) + 1)
+        ensemble.trees.append(
+            _parse_tree(lines[pos : pos + node_count], pos, ensemble.num_features)
+        )
+        pos += node_count
     if pos >= len(lines) or lines[pos] != "end":
         raise ParseError("missing 'end' marker", pos + 1)
+    canonical = dumps_ensemble(ensemble)
+    if canonical != text:
+        # Header order, number spellings, line ends, trailing lines: every
+        # file accepted here is exactly what saving its model writes.
+        pairs = enumerate(zip_longest(text.split("\n"), canonical.split("\n")))
+        line, got, wanted = next((i, a, b) for i, (a, b) in pairs if a != b)
+        if wanted:
+            expected = repr(wanted)
+        else:
+            expected = "a final line break" if got is None else "the end of the file"
+        raise ValidationError(f"not in canonical v1 form: expected {expected}", line + 1)
     return ensemble
+
+
+def _parse_tree(block: list[str], offset: int, num_features: int) -> RegressionTree:
+    """One tree's node lines (file lines ``offset + 1`` on) as its table.
+
+    Rejects any numbering but preorder, so each line is one table row.
+    """
+    feature, threshold, right, value, count = [], [], [], [], []
+    pending: list[tuple[int, int]] = []  # (node, right child) still to come
+    complete = False
+    for i, line in enumerate(block):
+        lineno = offset + i + 1
+        if complete:
+            raise ValidationError(f"node {i} is unreachable: the tree ends at node {i - 1}",
+                                  lineno)
+        leaf = _LEAF_RE.match(line)
+        node = leaf or _NODE_RE.match(line)
+        if not node:
+            raise ParseError(f"bad node record {line!r}", lineno)
+        if int(node.group(1)) != i:
+            raise ValidationError(
+                f"node id {node.group(1)} where preorder numbering expects {i}", lineno
+            )
+        if leaf:
+            feature.append(-1)
+            threshold.append(0.0)
+            right.append(-1)
+            value.append(_finite(leaf.group(2), lineno))
+            count.append(int(leaf.group(3)))
+            if not pending:
+                complete = True
+            elif pending[-1][1] != i + 1:
+                parent, child = pending[-1]
+                raise ValidationError(
+                    f"node {parent} has right child {child}; preorder puts it at {i + 1}",
+                    lineno,
+                )
+            else:
+                pending.pop()
+            continue
+        index = int(node.group(2))
+        if not 1 <= index <= num_features:
+            raise ValidationError(f"feature index {index} outside 1..{num_features}", lineno)
+        if int(node.group(4)) != i + 1:
+            raise ValidationError(
+                f"node {i} has left child {node.group(4)}; preorder puts it at {i + 1}",
+                lineno,
+            )
+        feature.append(index - 1)
+        threshold.append(_finite(node.group(3), lineno))
+        right.append(int(node.group(5)))
+        value.append(0.0)
+        count.append(0)
+        pending.append((i, right[-1]))
+    if not complete:
+        raise ValidationError(
+            f"{len(block)} nodes end before every split has both children", offset
+        )
+    return RegressionTree(feature=feature, threshold=threshold, right=right,
+                          value=value, count=count)
 
 
 def _finite(text: str, line: int) -> float:
@@ -154,40 +201,6 @@ def _finite(text: str, line: int) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"non-finite value {text!r}", line)
     return value
-
-
-def _build_tree(records: dict[int, tuple], pos: int) -> RegressionTree:
-    # Iterative bottom-up assembly: recursion would cap the tree depth, and a
-    # malformed file with cyclic ids must fail instead of looping.
-    built: dict[int, Node] = {}
-    expanding: set[int] = set()
-    stack = [0]
-    while stack:
-        node_id = stack[-1]
-        if node_id in built:
-            stack.pop()
-            continue
-        if node_id not in records:
-            raise ParseError(f"dangling node reference {node_id}", pos)
-        rec = records[node_id]
-        if rec[0] == "L":
-            built[node_id] = Leaf(output=rec[1], doc_count=rec[2])
-            stack.pop()
-        elif node_id in expanding:
-            left = built.get(rec[3])
-            right = built.get(rec[4])
-            if left is None or right is None:
-                raise ParseError(f"cyclic node references at {node_id}", pos)
-            built[node_id] = Split(
-                feature=rec[1], threshold=rec[2], left=left, right=right
-            )
-            stack.pop()
-        else:
-            expanding.add(node_id)
-            stack.append(rec[4])
-            stack.append(rec[3])
-    leaf_count = sum(1 for rec in records.values() if rec[0] == "L")
-    return RegressionTree(root=built[0], leaf_count=leaf_count)
 
 
 def dumps_linear(model: LinearModel) -> str:
@@ -226,7 +239,7 @@ def save_model(model: Ensemble | LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> Ensemble | LinearModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     first = text.splitlines()[0] if text.splitlines() else ""
     if first.startswith(LINEAR_MAGIC + " "):

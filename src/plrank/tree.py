@@ -6,15 +6,21 @@ spend their leaves where they matter.
 
 Each node scores every feature at once, as one features x candidates gain
 matrix. Candidate thresholds are midpoints between consecutive distinct
-sorted feature values by default. The columns are sorted once per training
-run (:func:`sort_columns`) and every split hands each child its share of the
-parent's sorted columns, so no node sorts. An optional uniform-histogram
-mode trades exactness for speed; its bins span each node's own value range.
+sorted feature values by default (the lower value where the midpoint would
+overflow or round onto the upper one). The columns are sorted once per
+training run (:func:`sort_columns`) and every split hands each child its
+share of the parent's sorted columns, so no node sorts. An optional
+uniform-histogram mode trades exactness for speed; its bins span each node's
+own value range.
+
+A tree is one preorder node table (:class:`RegressionTree`): fitting emits
+it, the model file is it line for line, and prediction routes every row
+through all trees of an ensemble together, one depth level per step. Every
+prediction path rejects NaN in its input.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,41 +31,85 @@ from .errors import ValidationError
 # constant responses).
 _GAIN_EPS = 1e-12
 
+TREE_LOSSES = ("plrank", "mart1", "mart2", "cmart1")
 
-@dataclass
+
+@dataclass(frozen=True)
 class Leaf:
+    """Read-only view of a leaf row of a :class:`RegressionTree`."""
+
     output: float
     doc_count: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Split:
+    """Read-only view of an internal row; ``left`` and ``right`` view its children."""
+
     feature: int  # 0-based dense column
     threshold: float
-    left: "Leaf | Split"
-    right: "Leaf | Split"
+    tree: "RegressionTree" = field(repr=False)
+    index: int = field(repr=False)
+
+    @property
+    def left(self) -> "Leaf | Split":
+        return self.tree.node(self.index + 1)
+
+    @property
+    def right(self) -> "Leaf | Split":
+        return self.tree.node(int(self.tree.right[self.index]))
 
 
 Node = Leaf | Split
 
 
-@dataclass
+@dataclass(eq=False)
 class RegressionTree:
-    root: Node
-    leaf_count: int
+    """One tree as a preorder node table: one entry per node, root first.
 
-    def leaves(self) -> list[Leaf]:
-        """Leaves in preorder; the order used by apply_tree and the model file."""
-        out: list[Leaf] = []
-        stack: list[Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+    An internal node ``i`` routes a row left when ``row[feature[i]] <=
+    threshold[i]``; its right child is ``right[i]``, the node after the left
+    subtree, and its left child is node ``i + 1``, which preorder fixes, so
+    no column stores it. A leaf has ``feature == -1`` and ``right == -1``,
+    and carries its output in ``value`` and its training document count in
+    ``count`` (both 0 on internal nodes). The v1 model file is this table,
+    one line per node.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.feature = np.asarray(self.feature, dtype=np.intp)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.right = np.asarray(self.right, dtype=np.intp)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        self.count = np.asarray(self.count, dtype=np.int64)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RegressionTree):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("feature", "threshold", "right", "value", "count")
+        )
+
+    @property
+    def leaf_count(self) -> int:
+        return int(np.count_nonzero(self.feature < 0))
+
+    @property
+    def root(self) -> Node:
+        return self.node(0)
+
+    def node(self, i: int) -> Node:
+        """Read-only view of node ``i``."""
+        if self.feature[i] < 0:
+            return Leaf(output=float(self.value[i]), doc_count=int(self.count[i]))
+        return Split(int(self.feature[i]), float(self.threshold[i]), self, i)
 
 
 @dataclass
@@ -199,19 +249,21 @@ def _best_split(
     if found is None:
         return None
     gain, feat, pos = found
-    below, above = XT[feat, columns[feat, lo + pos : lo + pos + 2]]
-    return gain, feat, float(0.5 * (below + above))
+    below, above = XT[feat, columns[feat, lo + pos : lo + pos + 2]].tolist()
+    # The midpoint overflows to inf above DBL_MAX / 2 and rounds up to
+    # ``above`` between adjacent doubles; ``below`` cuts the same partition.
+    threshold = 0.5 * (below + above)
+    if not below <= threshold < above:
+        threshold = below
+    return gain, feat, threshold
 
 
 @dataclass
 class _Growable:
-    order: int  # creation order, the tie-break across leaves
-    leaf: Leaf
+    node: int  # creation order, the tie-break across leaves
     idx: np.ndarray
     columns: np.ndarray | None  # idx sorted per feature; exact mode only
-    split: tuple[float, int, float] | None
-    attach: "Split | None"  # parent node; None means root
-    side: str = ""
+    split: tuple[float, int, float]
 
 
 def fit_tree(
@@ -233,6 +285,8 @@ def fit_tree(
     its share of the parent's sorted columns, so nothing is sorted again.
     ``bins > 0`` switches to a uniform histogram with that many bins over
     each node's own value range (a speed knob for wide data, off by default).
+    Nodes are numbered in creation order while the tree grows and renumbered
+    into the preorder table once it is done.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(responses, dtype=np.float64)
@@ -254,105 +308,184 @@ def fit_tree(
     elif column_order.shape != XT.shape:
         raise ValidationError("column order must be sort_columns of the features")
 
-    def make_growable(idx, columns, order: int, attach: Split | None, side: str):
-        leaf = Leaf(output=float(y[idx].mean()), doc_count=int(idx.size))
-        if attach is not None:
-            setattr(attach, side, leaf)
-        return _Growable(
-            order=order,
-            leaf=leaf,
-            idx=idx,
-            columns=columns,
-            split=_best_split(XT, y, idx, columns, min_leaf_docs, bins),
-            attach=attach,
-            side=side,
-        )
+    # Creation-order columns of the table; a split's children are created
+    # together, so node k's right child is first_child[k] + 1.
+    feature: list[int] = []
+    threshold: list[float] = []
+    first_child: list[int] = []
+    value: list[float] = []
+    count: list[int] = []
 
-    counter = 0
-    root_entry = make_growable(np.arange(X.shape[0]), column_order, counter, None, "")
-    root: Node = root_entry.leaf
-    frontier = [root_entry] if root_entry.split is not None else []
+    def grow(idx: np.ndarray, columns: np.ndarray | None) -> _Growable | None:
+        feature.append(-1)
+        threshold.append(0.0)
+        first_child.append(-1)
+        value.append(float(y[idx].mean()))
+        count.append(int(idx.size))
+        split = _best_split(XT, y, idx, columns, min_leaf_docs, bins)
+        return None if split is None else _Growable(len(value) - 1, idx, columns, split)
+
+    root = grow(np.arange(X.shape[0]), column_order)
+    frontier = [root] if root is not None else []
     leaf_count = 1
 
     while leaf_count < leaf_limit and frontier:
-        pick = min(range(len(frontier)), key=lambda i: (-frontier[i].split[0], frontier[i].order))
+        pick = min(range(len(frontier)), key=lambda i: (-frontier[i].split[0], frontier[i].node))
         entry = frontier.pop(pick)
-        gain, feat, threshold = entry.split
-        node = Split(feature=feat, threshold=threshold, left=entry.leaf, right=entry.leaf)
-        if entry.attach is None:
-            root = node
-        else:
-            setattr(entry.attach, entry.side, node)
-        goes_left = XT[feat] <= threshold
-        for side, keep in (("left", goes_left), ("right", ~goes_left)):
+        _, feat, cut = entry.split
+        k = entry.node
+        feature[k], threshold[k], first_child[k] = feat, cut, len(value)
+        value[k], count[k] = 0.0, 0
+        goes_left = XT[feat] <= cut
+        for keep in (goes_left, ~goes_left):
             columns = None
             if entry.columns is not None:
                 kept = keep.take(entry.columns).ravel()
                 columns = np.compress(kept, entry.columns).reshape(XT.shape[0], -1)
-            counter += 1
-            child = make_growable(entry.idx[keep[entry.idx]], columns, counter, node, side)
-            if child.split is not None:
+            child = grow(entry.idx[keep[entry.idx]], columns)
+            if child is not None:
                 frontier.append(child)
         leaf_count += 1
 
-    return RegressionTree(root=root, leaf_count=leaf_count)
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        order.append(k)
+        if first_child[k] >= 0:
+            stack += (first_child[k] + 1, first_child[k])
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    first = np.array(first_child)[order]
+    return RegressionTree(
+        feature=np.array(feature)[order],
+        threshold=np.array(threshold)[order],
+        right=np.where(first >= 0, position[first + 1], -1),
+        value=np.array(value)[order],
+        count=np.array(count)[order],
+    )
+
+
+# Tree x row pairs routed at once by predict_ensemble_matrix: a query
+# against a few hundred trees is one block, and a large batch keeps a working
+# set of a few MB.
+_BLOCK_PAIRS = 1 << 15
+
+
+def _feature_rows(X: np.ndarray) -> np.ndarray:
+    """``X`` as a C-ordered float matrix; every prediction path rejects NaN."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValidationError(f"feature matrix must be 2-D, got {X.ndim}-D")
+    if X.size and np.isnan(X.min()):  # min propagates NaN
+        row = int(np.flatnonzero(np.isnan(X).any(axis=1))[0])
+        raise ValidationError(f"NaN in feature row {row}")
+    return X
+
+
+@dataclass
+class _Routing:
+    """The trees' tables end to end, as routing reads them.
+
+    Leaves loop back to themselves, so pairs that reach a leaf early stay
+    there while deeper ones finish. ``child[2 * i + 1]`` is node ``i``'s
+    left child and ``child[2 * i]`` its right one.
+    """
+
+    split: np.ndarray  # bool, internal nodes
+    column: np.ndarray  # routed column, 0 at leaves
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+    @classmethod
+    def of(cls, trees: list[RegressionTree]) -> "_Routing":
+        sizes = np.array([tree.feature.size for tree in trees])
+        roots = np.cumsum(sizes) - sizes
+        feature = np.concatenate([tree.feature for tree in trees])
+        split = feature >= 0
+        own = np.arange(feature.size)
+        right = np.concatenate([tree.right for tree in trees]) + np.repeat(roots, sizes)
+        child = np.empty(2 * feature.size, dtype=np.intp)
+        child[0::2] = np.where(split, right, own)
+        child[1::2] = np.where(split, own + 1, own)
+        return cls(
+            split=split,
+            column=np.where(split, feature, 0),
+            threshold=np.concatenate([tree.threshold for tree in trees]),
+            child=child,
+            value=np.concatenate([tree.value for tree in trees]),
+            roots=roots,
+        )
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node reached by every (tree, row) pair, as a trees x rows table.
+
+        Every pair takes one step per depth level. Whenever at most half of
+        the pairs being stepped still sit on internal nodes, those already at
+        a leaf are set aside, so the work follows the depth each row reaches
+        rather than the deepest leaf.
+        """
+        n, m = X.shape
+        if self.split.any() and int(self.column.max()) >= m:
+            raise ValidationError(
+                f"model routes on feature {int(self.column.max()) + 1}, rows have {m}"
+            )
+        node = np.repeat(self.roots, n)
+        row_start = np.tile(np.arange(n) * m, self.roots.size)
+        live, at = np.arange(node.size), node
+        flat = X.ravel()
+        while True:
+            inner = self.split.take(at)
+            routed = np.count_nonzero(inner)
+            if not routed:
+                break
+            if 2 * routed <= at.size:
+                node[live] = at
+                live, at, row_start = live[inner], at[inner], row_start[inner]
+            goes_left = flat.take(row_start + self.column.take(at)) <= self.threshold.take(at)
+            at = self.child.take(2 * at + goes_left)
+        node[live] = at
+        return node.reshape(self.roots.size, n)
 
 
 def apply_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Leaf position (index into ``tree.leaves()``) for every row of X.
-
-    Explicit stack in preorder, mirroring :meth:`RegressionTree.leaves`;
-    recursion would cap the tree depth.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    out = np.zeros(X.shape[0], dtype=np.intp)
-    next_leaf = 0
-    stack: list[tuple[Node, np.ndarray]] = [(tree.root, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if isinstance(node, Leaf):
-            out[rows] = next_leaf
-            next_leaf += 1
-            continue
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.right, rows[~mask]))
-        stack.append((node.left, rows[mask]))
-    return out
+    """Leaf position (index among the leaves, in preorder) for every row of X."""
+    nodes = _Routing.of([tree]).leaves(_feature_rows(X))[0]
+    return (np.cumsum(tree.feature < 0) - 1).take(nodes)
 
 
 def predict_tree(tree: RegressionTree, features_row: np.ndarray) -> float:
     """Output of the unique leaf the row routes to (value <= threshold goes left)."""
-    row = np.asarray(features_row, dtype=np.float64)
-    node = tree.root
-    while isinstance(node, Split):
-        value = float(row[node.feature])
-        if math.isnan(value):
-            raise ValidationError(f"NaN in routed feature column {node.feature}")
-        node = node.left if value <= node.threshold else node.right
-    return node.output
+    row = np.reshape(np.asarray(features_row, dtype=np.float64), (1, -1))
+    return float(tree.value[tree.feature < 0][apply_tree(tree, row)[0]])
 
 
 def predict_ensemble(ensemble: Ensemble, features_row: np.ndarray) -> float:
-    score = ensemble.init_score
-    for tree in ensemble.trees:
-        score += ensemble.learning_rate * predict_tree(tree, features_row)
-    return score
-
-
-def predict_tree_matrix(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    leaves = tree.leaves()
-    outputs = np.array([leaf.output for leaf in leaves], dtype=np.float64)
-    return outputs[apply_tree(tree, X)]
+    row = np.reshape(np.asarray(features_row, dtype=np.float64), (1, -1))
+    return float(predict_ensemble_matrix(ensemble, row)[0])
 
 
 def predict_ensemble_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
-    """Vectorized ensemble prediction; accumulates tree by tree like training."""
-    X = np.asarray(X, dtype=np.float64)
+    """Ensemble scores for every row of X.
+
+    All trees are routed together one depth level at a time, in blocks of
+    rows. Scores accumulate ``learning_rate * output`` tree by tree in
+    ensemble order, as training does, so they are bit-identical to adding
+    the trees one at a time.
+    """
+    X = _feature_rows(X)
     scores = np.full(X.shape[0], ensemble.init_score, dtype=np.float64)
-    for tree in ensemble.trees:
-        scores += ensemble.learning_rate * predict_tree_matrix(tree, X)
+    if not ensemble.trees:
+        return scores
+    routing = _Routing.of(ensemble.trees)
+    step = max(1, _BLOCK_PAIRS // len(ensemble.trees))
+    for start in range(0, X.shape[0], step):
+        nodes = routing.leaves(X[start : start + step])
+        terms = np.empty((nodes.shape[0] + 1, nodes.shape[1]), dtype=np.float64)
+        terms[0] = ensemble.init_score
+        np.multiply(routing.value.take(nodes), ensemble.learning_rate, out=terms[1:])
+        # add.accumulate sums strictly in order, unlike add.reduce.
+        scores[start : start + step] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     return scores
-
-
-def tree_sse(tree: RegressionTree, X: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum((np.asarray(y) - predict_tree_matrix(tree, X)) ** 2))

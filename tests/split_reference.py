@@ -28,7 +28,11 @@ def exact_candidates(values, ysub, total, min_leaf_docs):
     )
     if not valid.any():
         return None
-    return gains, valid, 0.5 * (v[:-1] + v[1:])
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (v[:-1] + v[1:])
+    # A midpoint that overflows or rounds up onto the upper value cuts at
+    # the lower value instead.
+    return gains, valid, np.where((v[:-1] <= mid) & (mid < v[1:]), mid, v[:-1])
 
 
 def binned_candidates(values, ysub, total, min_leaf_docs, bins):

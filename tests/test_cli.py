@@ -133,6 +133,40 @@ def test_exit_code_bad_model_node(tmp_path, train_file, capsys, node):
     assert "line 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loss, nodes", [
+    ("plrank", "N 0 f=1 t=0.5 l=1 r=2\nL 1 v=1.0 n=1\nL 1 v=2.0 n=1\nL 2 v=-1.0 n=1"),
+    ("plrank", "N 0 f=1 t=0.5 l=1 r=2\nL 1 v=1.0 n=1\nL 2 v=-1.0 n=1\nL 3 v=0.0 n=1"),
+    ("plrank", "N 0 f=1 t=0.5 l=2 r=1\nL 1 v=1.0 n=1\nL 2 v=-1.0 n=1"),
+    ("bogus", "N 0 f=1 t=0.5 l=1 r=2\nL 1 v=1.0 n=1\nL 2 v=-1.0 n=1"),
+], ids=["duplicate", "unreachable", "not-preorder", "unknown-loss"])
+def test_exit_code_malformed_model_structure(tmp_path, train_file, capsys, loss, nodes):
+    model = tmp_path / "model.txt"
+    model.write_text(
+        f"plrank-model v1\nloss={loss}\nalpha=0.1\ntopk=10\nfeatures=3\ninit=0.0\n"
+        f"trees=1\ntree 0 nodes={nodes.count(chr(10)) + 1}\n{nodes}\nend\n"
+    )
+    assert run(["predict", "--model", str(model), "--data", train_file,
+                "--out", str(tmp_path / "scores.txt")]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("low, high", [("1e+308", "1.7e+308"),
+                                       ("-924.4724690594363", "-924.4724690594362")])
+def test_train_between_extreme_neighbours_writes_loadable_model(tmp_path, capsys, low, high):
+    # The split midpoint once overflowed to t=inf (or landed on the upper
+    # value), which the model reader then refused.
+    data = tmp_path / "train.txt"
+    data.write_text(f"0 qid:1 1:{low}\n0 qid:1 1:{low}\n1 qid:1 1:{high}\n"
+                    f"1 qid:1 1:{high}\n")
+    model = tmp_path / "model.txt"
+    assert run(["train", "--train", str(data), "--trees", "1", "--leaves", "2",
+                "--loss", "mart2", "--out", str(model)]) == 0
+    assert f"t={float(low)!r}" in model.read_text()
+    assert run(["predict", "--model", str(model), "--data", str(data),
+                "--out", str(tmp_path / "scores.txt")]) == 0
+    capsys.readouterr()
+
+
 def test_trees_flag_controls_model_size(tmp_path, train_file):
     model = tmp_path / "model.txt"
     run(["train", "--train", train_file, "--trees", "1", "--out", str(model)])

@@ -23,6 +23,7 @@ GOLDEN = {
     ("--bins", "0", "--loss", "mart1", "--min-leaf", "3"):
         "845a7128fd4f779e7fb93a4e4d9450043a395d5947aab881c39e6a3bcd0ecc50",
 }
+WARM_START = "58f5e1d249040bcf80c43e92dde727d7cb9175e53264d45684b723404ed4ca63"
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +44,14 @@ def test_model_bytes_pinned(tmp_path, train_file, flags, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN[flags]
+
+
+def test_warm_start_bytes_pinned(tmp_path, train_file, capsys):
+    """``--init-model`` rescales the carried trees' leaves by the lr ratio."""
+    base, warm = tmp_path / "base.txt", tmp_path / "warm.txt"
+    common = ["train", "--train", train_file, "--leaves", "8", "--seed", "3"]
+    assert main([*common, "--trees", "6", "--lr", "0.3", "--out", str(base)]) == 0
+    assert main([*common, "--trees", "4", "--lr", "0.07", "--init-model", str(base),
+                 "--out", str(warm)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(warm.read_bytes()).hexdigest() == WARM_START

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plrank import LinearModel, TrainConfig, train
 from plrank.errors import ParseError, ValidationError
@@ -14,6 +16,7 @@ from plrank.model_io import (
 from plrank.tree import Ensemble, predict_ensemble
 
 from helpers import separable_dataset
+from tree_reference import build_tree
 
 
 def trained_ensemble():
@@ -125,3 +128,107 @@ def test_non_finite_node_numbers_rejected(field, text):
 def test_unreadable_node_number_rejected():
     with pytest.raises(ParseError):
         parse_ensemble(one_split_model(threshold="0.5x"))
+
+
+def tree_model(*nodes, loss="plrank"):
+    return (
+        f"plrank-model v1\nloss={loss}\nalpha=0.1\ntopk=10\nfeatures=3\ninit=0.0\n"
+        f"trees=1\ntree 0 nodes={len(nodes)}\n" + "".join(f"{n}\n" for n in nodes) + "end\n"
+    )
+
+
+@pytest.mark.parametrize("nodes, message", [
+    # a duplicate id whose children both still exist
+    (["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3", "L 1 v=0.5 n=3", "L 2 v=-0.5 n=7"],
+     "node id 1 where preorder numbering expects 2"),
+    # an unreachable node, once counted as a third leaf
+    (["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3", "L 2 v=-0.5 n=7", "L 3 v=1.0 n=1"],
+     "node 3 is unreachable"),
+    # ids out of preorder, once renumbered on save
+    (["N 0 f=1 t=0.5 l=2 r=1", "L 1 v=0.25 n=3", "L 2 v=-0.5 n=7"],
+     "node 0 has left child 2"),
+    (["N 0 f=1 t=0.5 l=1 r=4", "N 1 f=2 t=0.0 l=2 r=4", "L 2 v=1.0 n=1", "L 3 v=2.0 n=1",
+      "L 4 v=3.0 n=1"], "node 1 has right child 4; preorder puts it at 3"),
+    (["N 0 f=1 t=0.5 l=1 r=3", "L 1 v=0.25 n=3", "L 2 v=-0.5 n=7"],
+     "node 0 has right child 3; preorder puts it at 2"),
+    # a split whose children the block does not hold
+    (["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3"], "before every split has both children"),
+    ([], "before every split has both children"),
+])
+def test_non_preorder_tree_rejected(nodes, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_ensemble(tree_model(*nodes))
+
+
+def test_unknown_loss_rejected():
+    good = ["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3", "L 2 v=-0.5 n=7"]
+    parse_ensemble(tree_model(*good, loss="mart2"))
+    with pytest.raises(ValidationError, match="unknown loss 'bogus'"):
+        parse_ensemble(tree_model(*good, loss="bogus"))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("t=0.5", "t=0.50"),
+    lambda t: t.replace("n=3", "n=03"),
+    lambda t: t.replace("alpha=0.1\n", "alpha=0.1\nextra=1\n"),
+    lambda t: t.replace("topk=10\nfeatures=3\n", "features=3\ntopk=10\n"),
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t + "trailing\n",
+    lambda t: t[:-1],
+])
+def test_non_canonical_spelling_rejected(edit):
+    text = one_split_model()
+    assert dumps_ensemble(parse_ensemble(text)) == text
+    with pytest.raises(ValidationError, match="canonical"):
+        parse_ensemble(edit(text))
+
+
+def test_crlf_model_file_rejected_on_load(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(one_split_model().replace("\n", "\r\n").encode())
+    with pytest.raises(ValidationError, match="canonical"):
+        load_model(str(path))
+
+
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.7e308]), st.floats(allow_nan=False,
+                                                                         allow_infinity=False))
+LEAF = st.tuples(FINITE, st.integers(0, 10**6))
+
+
+@st.composite
+def ensembles(draw):
+    features = draw(st.integers(1, 5))
+    specs = st.recursive(
+        LEAF,
+        lambda kids: st.tuples(st.integers(0, features - 1), FINITE, kids, kids),
+        max_leaves=10,
+    )
+    return Ensemble(
+        trees=[build_tree(spec) for spec in draw(st.lists(specs, max_size=4))],
+        learning_rate=draw(FINITE),
+        init_score=draw(FINITE),
+        loss=draw(st.sampled_from(["plrank", "mart1", "mart2", "cmart1"])),
+        top_k=draw(st.integers(1, 100)),
+        num_features=features,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(ensembles(), st.data())
+def test_round_trip_property(ensemble, data):
+    """Every table survives save -> load, and every file the reader accepts,
+    a one-line edit of a saved file included, is what saving it writes."""
+    text = dumps_ensemble(ensemble)
+    assert parse_ensemble(text) == ensemble
+    lines = text.split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = data.draw(st.one_of(
+        st.sampled_from(lines),
+        st.text(alphabet="LN 0123456789.-+eftlrvn=", max_size=30),
+    ))
+    edited = "\n".join(lines)
+    try:
+        loaded = parse_ensemble(edited)
+    except (ParseError, ValidationError):
+        return
+    assert dumps_ensemble(loaded) == edited

@@ -7,9 +7,12 @@ from plrank import (
     apply_tree,
     fit_tree,
     predict_ensemble,
+    predict_ensemble_matrix,
     predict_tree,
 )
-from plrank.tree import Leaf, RegressionTree, Split, predict_tree_matrix, tree_sse
+from plrank.tree import Split
+
+from tree_reference import build_tree, predict_tree_matrix, tree_sse
 
 
 def brute_force_best_split(X, y, min_leaf=1):
@@ -56,7 +59,7 @@ def test_step_responses_split_midpoint():
     assert tree.root.threshold == pytest.approx(2.5)
     # parent SSE 100 drops to 0: reduction is the full 100
     assert tree_sse(tree, X, y) == pytest.approx(0.0)
-    single = RegressionTree(root=Leaf(float(y.mean()), 4), leaf_count=1)
+    single = build_tree((float(y.mean()), 4))
     assert tree_sse(single, X, y) == pytest.approx(100.0)
 
 
@@ -111,7 +114,7 @@ def test_every_split_reduces_sse():
     tree = fit_tree(X, y, 8)
 
     def check(node, rows):
-        if isinstance(node, Leaf):
+        if not isinstance(node, Split):
             return
         sse = lambda v: float(np.sum((v - v.mean()) ** 2)) if len(v) else 0.0
         mask = X[rows, node.feature] <= node.threshold
@@ -128,11 +131,11 @@ def test_leaf_doc_counts_partition():
     X = rng.normal(size=(50, 3))
     y = rng.normal(size=50)
     tree = fit_tree(X, y, 6)
-    leaves = tree.leaves()
-    assert sum(leaf.doc_count for leaf in leaves) == 50
+    leaf_counts = tree.count[tree.feature < 0]
+    assert leaf_counts.sum() == 50
     assign = apply_tree(tree, X)
-    counts = np.bincount(assign, minlength=len(leaves))
-    assert counts.tolist() == [leaf.doc_count for leaf in leaves]
+    counts = np.bincount(assign, minlength=tree.leaf_count)
+    assert counts.tolist() == leaf_counts.tolist()
 
 
 def test_min_leaf_docs_respected():
@@ -140,7 +143,7 @@ def test_min_leaf_docs_respected():
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
     tree = fit_tree(X, y, 10, min_leaf_docs=5)
-    assert all(leaf.doc_count >= 5 for leaf in tree.leaves())
+    assert (tree.count[tree.feature < 0] >= 5).all()
 
 
 def test_deterministic_refit():
@@ -165,7 +168,7 @@ def test_fit_validates_inputs():
 
 
 def test_predict_single_leaf_any_row():
-    tree = RegressionTree(root=Leaf(2.5, 1), leaf_count=1)
+    tree = build_tree(2.5)
     assert predict_tree(tree, [123.0, -4.0]) == 2.5
 
 
@@ -178,6 +181,46 @@ def test_nan_in_routed_feature_rejected():
     tree = fit_tree(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]), 2)
     with pytest.raises(ValidationError):
         predict_tree(tree, [float("nan")])
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("path", ["predict_tree", "predict_ensemble", "apply_tree",
+                                  "predict_ensemble_matrix", "empty_ensemble"])
+def test_nan_anywhere_rejected_on_every_path(path, column):
+    # Column 1 is never routed on; the matrix paths once sent NaN right.
+    tree = fit_tree(np.array([[0.0, 5.0], [1.0, 5.0]]), np.array([-1.0, 1.0]), 2)
+    X = np.array([[0.2, 0.3], [0.9, 0.3]])
+    X[1, column] = np.nan
+    call = {
+        "predict_tree": lambda: predict_tree(tree, X[1]),
+        "predict_ensemble": lambda: predict_ensemble(Ensemble(trees=[tree]), X[1]),
+        "apply_tree": lambda: apply_tree(tree, X),
+        "predict_ensemble_matrix": lambda: predict_ensemble_matrix(Ensemble(trees=[tree]), X),
+        "empty_ensemble": lambda: predict_ensemble_matrix(Ensemble(), X),
+    }[path]
+    with pytest.raises(ValidationError, match="NaN in feature row"):
+        call()
+
+
+def test_rows_narrower_than_routed_feature_rejected():
+    # Flat indexing would read the next row's value instead of failing.
+    tree = fit_tree(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([-1.0, 1.0]), 2)
+    with pytest.raises(ValidationError, match="routes on feature 2, rows have 1"):
+        predict_ensemble_matrix(Ensemble(trees=[tree]), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("low, high", [
+    (1.0e308, 1.7e308),  # the midpoint overflows to inf
+    (-924.4724690594363, np.nextafter(-924.4724690594363, np.inf)),  # rounds up to high
+])
+def test_split_between_extreme_neighbours_cuts_at_lower_value(low, high):
+    # Either midpoint once sent all four documents left, leaving an empty leaf.
+    X = np.array([[low], [low], [high], [high]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    tree = fit_tree(X, y, 2)
+    assert tree.root.threshold == low
+    assert tree.count[tree.feature < 0].tolist() == [2, 2]
+    assert tree_sse(tree, X, y) == 0.0
 
 
 def test_predict_matrix_matches_scalar():
@@ -214,8 +257,8 @@ def test_binned_mode_respects_min_leaf_and_reduces_sse():
     X = rng.normal(size=(80, 3))
     y = rng.normal(size=80)
     tree = fit_tree(X, y, 8, min_leaf_docs=6, bins=16)
-    assert all(leaf.doc_count >= 6 for leaf in tree.leaves())
-    single = RegressionTree(root=Leaf(float(y.mean()), 80), leaf_count=1)
+    assert (tree.count[tree.feature < 0] >= 6).all()
+    single = build_tree((float(y.mean()), 80))
     assert tree_sse(tree, X, y) < tree_sse(single, X, y)
 
 
@@ -235,10 +278,10 @@ def test_large_constant_responses_stay_single_leaf():
 
 def test_ensemble_arithmetic():
     assert predict_ensemble(Ensemble(trees=[], init_score=0.0), [1.0]) == 0.0
-    one = Ensemble(trees=[RegressionTree(Leaf(3.0, 1), 1)], learning_rate=0.1)
+    one = Ensemble(trees=[build_tree(3.0)], learning_rate=0.1)
     assert predict_ensemble(one, [0.0]) == pytest.approx(0.3)
     two = Ensemble(
-        trees=[RegressionTree(Leaf(1.0, 1), 1), RegressionTree(Leaf(-1.0, 1), 1)],
+        trees=[build_tree(1.0), build_tree(-1.0)],
         learning_rate=0.5,
         init_score=2.0,
     )

@@ -1,0 +1,94 @@
+"""Reference tree routing: one stack walk per tree over the node views.
+
+This is how ``plrank.tree`` routed rows while trees were ``Leaf``/``Split``
+object graphs, before they became preorder tables routed one depth level at
+a time across the whole ensemble. It walks ``RegressionTree.root`` and is
+kept as the oracle the level-wise path must match bit for bit.
+
+Also here: small helpers only tests use (building a tree from a nested spec,
+per-tree prediction, squared error).
+"""
+
+import numpy as np
+
+from plrank.tree import Leaf, RegressionTree, apply_tree
+
+
+def reference_apply(tree, X):
+    """Leaf position (index among the leaves, in preorder) for every row."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros(X.shape[0], dtype=np.intp)
+    next_leaf = 0
+    stack = [(tree.root, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if isinstance(node, Leaf):
+            out[rows] = next_leaf
+            next_leaf += 1
+            continue
+        mask = X[rows, node.feature] <= node.threshold
+        stack.append((node.right, rows[~mask]))
+        stack.append((node.left, rows[mask]))
+    return out
+
+
+def reference_predict_tree(tree, row):
+    """Output of the leaf one row routes to, walking node by node."""
+    node = tree.root
+    while not isinstance(node, Leaf):
+        node = node.left if float(row[node.feature]) <= node.threshold else node.right
+    return node.output
+
+
+def reference_predict_ensemble_matrix(ensemble, X):
+    """Scores accumulated tree by tree, each tree routed by its own walk."""
+    X = np.asarray(X, dtype=np.float64)
+    scores = np.full(X.shape[0], ensemble.init_score, dtype=np.float64)
+    for tree in ensemble.trees:
+        scores += ensemble.learning_rate * leaf_outputs(tree)[reference_apply(tree, X)]
+    return scores
+
+
+def leaf_outputs(tree):
+    """Leaf outputs in preorder: the order ``apply_tree`` positions index."""
+    return tree.value[tree.feature < 0]
+
+
+def predict_tree_matrix(tree, X):
+    return leaf_outputs(tree)[apply_tree(tree, X)]
+
+
+def tree_sse(tree, X, y):
+    return float(np.sum((np.asarray(y) - predict_tree_matrix(tree, X)) ** 2))
+
+
+def build_tree(spec):
+    """A tree from a nested spec, written out in preorder.
+
+    A leaf is ``value`` or ``(value, doc_count)``; an internal node is
+    ``(feature, threshold, left_spec, right_spec)`` with a 0-based feature.
+    """
+    feature, threshold, right, value, count = [], [], [], [], []
+    stack = [(spec, None)]  # (spec, the row whose right child it is)
+    while stack:
+        node, parent = stack.pop()
+        row = len(feature)
+        if parent is not None:
+            right[parent] = row
+        if isinstance(node, tuple) and len(node) == 4:
+            feat, thr, left_spec, right_spec = node
+            feature.append(feat)
+            threshold.append(thr)
+            right.append(-1)
+            value.append(0.0)
+            count.append(0)
+            stack += [(right_spec, row), (left_spec, None)]
+        else:
+            out, docs = node if isinstance(node, tuple) else (node, 1)
+            feature.append(-1)
+            threshold.append(0.0)
+            right.append(-1)
+            value.append(float(out))
+            count.append(docs)
+    return RegressionTree(feature=feature, threshold=threshold, right=right,
+                          value=value, count=count)
