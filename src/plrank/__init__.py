@@ -28,7 +28,6 @@ from .permutation import (
 from .pl_objective import (
     PLWorkspace,
     QueryContexts,
-    build_workspace,
     conditional_probs,
     leaf_newton_stats,
     leaf_newton_value,
@@ -67,7 +66,6 @@ __all__ = [
     "ValidationError",
     "apply_tree",
     "build_permutations",
-    "build_workspace",
     "compression_ratio",
     "conditional_probs",
     "dcg_at_k",

@@ -149,21 +149,21 @@ def train(
         scores = np.zeros(n_docs, dtype=np.float64)
 
     if config.loss == "plrank":
-        queries = []
-        for group in dataset.groups:
-            rng = np.random.default_rng([config.seed, group.query_id])
-            pset = build_permutations(group, config.top_k, config.objectives, rng)
-            if pset.contexts:
-                queries.append(QueryContexts.create(group.doc_ids, pset))
-        if not queries:
+        psets = (
+            build_permutations(
+                group, config.top_k, config.objectives,
+                np.random.default_rng([config.seed, group.query_id]),
+            )
+            for group in dataset.groups
+        )
+        contexts = QueryContexts.stack([p for p in psets if p.num_contexts])
+        if not contexts.lengths.size:
             raise ConfigError(
                 "likelihood loss needs at least one query with 2+ documents"
             )
 
         def objective() -> float:
-            return sum(
-                pl_objective.log_likelihood(scores[q.doc_ids], q.pset) for q in queries
-            )
+            return pl_objective.log_likelihood(scores, contexts)
 
         trace = TrainTrace("loglik", objective(), config.top_k)
     else:
@@ -200,10 +200,8 @@ def train(
     new_trees: list[RegressionTree] = []
     for it in range(1, config.trees + 1):
         if config.loss == "plrank":
-            responses = np.zeros(n_docs, dtype=np.float64)
-            for q in queries:
-                q.refresh(scores)
-                responses[q.doc_ids] = response_from_workspace(q.workspace, q.pset)
+            # objective() last refreshed at these scores: its softmax is reused.
+            responses = response_from_workspace(contexts.refresh(scores), contexts)
         else:
             responses = targets - scores
 
@@ -214,7 +212,7 @@ def train(
         leaves = tree.feature < 0
         assign = apply_tree(tree, X)
         if config.loss == "plrank":
-            outputs = newton_leaf_outputs(assign, tree.leaf_count, queries, responses)
+            outputs = newton_leaf_outputs(assign, tree.leaf_count, contexts, responses)
             tree.value[leaves] = outputs
         else:
             outputs = tree.value[leaves]

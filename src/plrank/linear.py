@@ -16,7 +16,8 @@ from scipy.optimize import minimize
 
 from .data import Dataset, dense_features
 from .errors import ConfigError
-from .permutation import PermutationSet, build_permutations
+from .permutation import build_permutations
+from .pl_objective import QueryContexts, log_likelihood, pseudo_response
 
 GRADIENT_TOL = 1e-6
 
@@ -29,36 +30,30 @@ class LinearModel:
         return np.asarray(X, dtype=np.float64)[:, : self.weights.size] @ self.weights
 
 
-def _query_terms(
+def _query_contexts(
     dataset: Dataset, k: int, objectives: int, seed: int, width: int
-) -> list[tuple[np.ndarray, PermutationSet]]:
-    terms = []
+) -> tuple[np.ndarray, QueryContexts]:
+    """Feature rows by global document id, and every query's context table.
+
+    Rows of queries without contexts stay zero: no likelihood term reads them.
+    """
+    X = np.zeros((dataset.num_documents, width), dtype=np.float64)
+    psets = []
     for group in dataset.groups:
         rng = np.random.default_rng([seed, group.query_id])
         pset = build_permutations(group, k, objectives, rng)
-        if pset.contexts:
-            terms.append((dense_features(group, width), pset))
-    return terms
+        if pset.num_contexts:
+            X[group.doc_ids] = dense_features(group, width)
+            psets.append(pset)
+    return X, QueryContexts.stack(psets)
 
 
 def _objective_and_gradient(
-    weights: np.ndarray, terms: list[tuple[np.ndarray, PermutationSet]]
+    weights: np.ndarray, X: np.ndarray, contexts: QueryContexts
 ) -> tuple[float, np.ndarray]:
-    objective = 0.0
-    gradient = np.zeros_like(weights)
-    for X, pset in terms:
-        scores = X @ weights
-        for ctx in pset.contexts:
-            members = np.asarray(ctx.member_indices, dtype=np.intp)
-            member_scores = scores[members]
-            high = member_scores.max()
-            exps = np.exp(member_scores - high)
-            total = exps.sum()
-            objective += scores[ctx.champion_index] - high - np.log(total)
-            probs = exps / total
-            gradient += X[ctx.champion_index] - probs @ X[members]
-    objective -= 0.5 * float(weights @ weights)
-    gradient -= weights
+    scores = X @ weights
+    objective = log_likelihood(scores, contexts) - 0.5 * float(weights @ weights)
+    gradient = X.T @ pseudo_response(scores, contexts) - weights
     return objective, gradient
 
 
@@ -80,8 +75,8 @@ def linear_objective_and_gradient(
             f"weight vector of length {weights.size} cannot cover "
             f"{dataset.max_feature_index} features"
         )
-    terms = _query_terms(dataset, k, objectives, seed, weights.size)
-    return _objective_and_gradient(weights, terms)
+    X, contexts = _query_contexts(dataset, k, objectives, seed, weights.size)
+    return _objective_and_gradient(weights, X, contexts)
 
 
 def train_linear(
@@ -103,10 +98,10 @@ def train_linear(
     width = dataset.max_feature_index
     if width == 0:
         return LinearModel(weights=np.zeros(0, dtype=np.float64))
-    terms = _query_terms(dataset, k, objectives, seed, width)
+    X, contexts = _query_contexts(dataset, k, objectives, seed, width)
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
-        obj, grad = _objective_and_gradient(w, terms)
+        obj, grad = _objective_and_gradient(w, X, contexts)
         return -obj, -grad
 
     count = [0]
@@ -114,7 +109,7 @@ def train_linear(
     def callback(w: np.ndarray) -> None:
         count[0] += 1
         if on_iteration is not None:
-            obj, _ = _objective_and_gradient(w, terms)
+            obj, _ = _objective_and_gradient(w, X, contexts)
             on_iteration(f"iter={count[0]} objective={obj:.6f}")
 
     result = minimize(

@@ -228,7 +228,7 @@ def parse_linear(text: str) -> LinearModel:
         wmatch = _WEIGHT_RE.match(line)
         if not wmatch or int(wmatch.group(1)) != i:
             raise ParseError(f"bad weight record {line!r}", i + 1)
-        weights[i - 1] = float(wmatch.group(2))
+        weights[i - 1] = _finite(wmatch.group(2), i + 1)
     return LinearModel(weights=weights)
 
 

@@ -133,6 +133,15 @@ def test_exit_code_bad_model_node(tmp_path, train_file, capsys, node):
     assert "line 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_exit_code_non_finite_linear_weight(tmp_path, train_file, capsys, weight):
+    model = tmp_path / "model.txt"
+    model.write_text(f"linear M=2\nw[1]={weight}\nw[2]=0.5\n")
+    assert run(["predict", "--model", str(model), "--data", train_file,
+                "--out", str(tmp_path / "scores.txt")]) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("loss, nodes", [
     ("plrank", "N 0 f=1 t=0.5 l=1 r=2\nL 1 v=1.0 n=1\nL 1 v=2.0 n=1\nL 2 v=-1.0 n=1"),
     ("plrank", "N 0 f=1 t=0.5 l=1 r=2\nL 1 v=1.0 n=1\nL 2 v=-1.0 n=1\nL 3 v=0.0 n=1"),

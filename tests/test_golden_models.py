@@ -1,16 +1,19 @@
-"""Pinned SHA-256 of `plrank train` model files.
+"""Pinned SHA-256 of `plrank train` model files and standard output.
 
 The exact-mode model bytes are an invariant of the toolkit: a change that
 only makes training faster must leave them as they are. The features are
 rounded to two decimals, so every column has tied values and the tie order
-of the split search is covered too.
+of the split search is covered too. The standard output (one objective line
+per iteration, plus validation NDCG with ``--valid``) and the full-precision
+objective values of the trace are pinned as well, so the log-likelihood is
+held to the same bits as the model.
 """
 
 import hashlib
 
 import pytest
 
-from plrank import format_dataset
+from plrank import TrainConfig, format_dataset, train
 from plrank.cli import main
 
 from helpers import thresholded_linear_dataset
@@ -23,15 +26,49 @@ GOLDEN = {
     ("--bins", "0", "--loss", "mart1", "--min-leaf", "3"):
         "845a7128fd4f779e7fb93a4e4d9450043a395d5947aab881c39e6a3bcd0ecc50",
 }
+GOLDEN_STDOUT = {
+    ("--bins", "0"):
+        "663a7bc8193deb4e8426fb320fd22f8e44ed14a03f58086f792946b2c10e184e",
+    ("--bins", "16"):
+        "7aab3492aa3f66193929c6ff68b68b41d24b57ea63333e4a6e35c47650a71d95",
+    ("--bins", "0", "--loss", "mart1", "--min-leaf", "3"):
+        "f4670c9066dd5761acacf2380e01fdccc024cdefd4fbb7c2107aa3e1f7baa9b9",
+}
 WARM_START = "58f5e1d249040bcf80c43e92dde727d7cb9175e53264d45684b723404ed4ca63"
+WARM_START_STDOUT = "05d3af8b8d925e094362978be03273117467cb1025e6379d6a3b2b4c8a9c020a"
+VALID = "c8461d11d80085bc2c5b47d982dc141c482eb04d862b2248c6f0bdbe78f4a203"
+VALID_STDOUT = "7a90b7ca197c520beb4a2105542398beff032446b546146d6f62cbfd1ebcac38"
+# SHA-256 of the initial and per-iteration objectives, as repr() joined by
+# spaces, of an in-process training per histogram setting.
+OBJECTIVES = {
+    0: "e6e9eed731861a351940e67262250df205a6dcc523e9523561c94267b26d8e19",
+    16: "49efc729fb5e03d8e961995a8f16c8acd224f250ed7df8b241857cdc6004af0d",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _dataset():
+    return thresholded_linear_dataset(
+        n_queries=24, n_docs=15, n_features=6, seed=5, decimals=2
+    )
 
 
 @pytest.fixture(scope="module")
 def train_file(tmp_path_factory):
-    ds = thresholded_linear_dataset(
-        n_queries=24, n_docs=15, n_features=6, seed=5, decimals=2
-    )
     path = tmp_path_factory.mktemp("golden") / "train.txt"
+    path.write_text(format_dataset(_dataset()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def valid_file(tmp_path_factory):
+    ds = thresholded_linear_dataset(
+        n_queries=10, n_docs=15, n_features=6, seed=6, decimals=2
+    )
+    path = tmp_path_factory.mktemp("golden") / "valid.txt"
     path.write_text(format_dataset(ds))
     return str(path)
 
@@ -42,8 +79,9 @@ def test_model_bytes_pinned(tmp_path, train_file, flags, capsys):
     argv = ["train", "--train", train_file, "--trees", "12", "--leaves", "8",
             "--objectives", "3", "--seed", "3", *flags, "--out", str(model)]
     assert main(argv) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN[flags]
+    out = capsys.readouterr().out
+    assert _sha256(model.read_bytes()) == GOLDEN[flags]
+    assert _sha256(out.encode()) == GOLDEN_STDOUT[flags]
 
 
 def test_warm_start_bytes_pinned(tmp_path, train_file, capsys):
@@ -51,7 +89,27 @@ def test_warm_start_bytes_pinned(tmp_path, train_file, capsys):
     base, warm = tmp_path / "base.txt", tmp_path / "warm.txt"
     common = ["train", "--train", train_file, "--leaves", "8", "--seed", "3"]
     assert main([*common, "--trees", "6", "--lr", "0.3", "--out", str(base)]) == 0
+    capsys.readouterr()
     assert main([*common, "--trees", "4", "--lr", "0.07", "--init-model", str(base),
                  "--out", str(warm)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(warm.read_bytes()).hexdigest() == WARM_START
+    out = capsys.readouterr().out
+    assert _sha256(warm.read_bytes()) == WARM_START
+    assert _sha256(out.encode()) == WARM_START_STDOUT
+
+
+def test_valid_run_pinned(tmp_path, train_file, valid_file, capsys):
+    model = tmp_path / "model.txt"
+    argv = ["train", "--train", train_file, "--valid", valid_file, "--trees", "8",
+            "--leaves", "8", "--objectives", "2", "--seed", "3", "--out", str(model)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert _sha256(model.read_bytes()) == VALID
+    assert _sha256(out.encode()) == VALID_STDOUT
+
+
+@pytest.mark.parametrize("bins", list(OBJECTIVES))
+def test_objective_values_pinned(bins):
+    config = TrainConfig(trees=12, leaves=8, objectives=3, seed=3, histogram_bins=bins)
+    _, trace = train(_dataset(), config)
+    text = " ".join(repr(v) for v in [trace.initial_objective, *trace.objectives])
+    assert _sha256(text.encode()) == OBJECTIVES[bins]

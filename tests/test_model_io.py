@@ -89,6 +89,17 @@ def test_linear_bad_counts_rejected():
         parse_linear("weights 3\n")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_linear_weight_rejected(text):
+    with pytest.raises(ValidationError, match="line 3"):
+        parse_linear(f"linear M=2\nw[1]=0.5\nw[2]={text}\n")
+
+
+def test_unreadable_linear_weight_rejected():
+    with pytest.raises(ParseError, match="line 2"):
+        parse_linear("linear M=1\nw[1]=0.5x\n")
+
+
 def test_load_model_dispatches_on_header(tmp_path):
     epath = tmp_path / "e.model"
     save_model(trained_ensemble(), str(epath))

@@ -6,11 +6,9 @@ import pytest
 
 from plrank import (
     ContextSet,
-    PermutationSet,
     QueryContexts,
     ValidationError,
     build_permutations,
-    build_workspace,
     conditional_probs,
     leaf_newton_stats,
     leaf_newton_value,
@@ -20,6 +18,7 @@ from plrank import (
 from plrank.pl_objective import MAX_LEAF_OUTPUT, newton_leaf_outputs
 
 from helpers import make_dataset
+from pl_reference import permutation_set
 
 
 def toy_pset(k=2):
@@ -29,8 +28,15 @@ def toy_pset(k=2):
         for j in range(k)
         if 4 - j >= 2
     ]
-    return PermutationSet(contexts=contexts, k=k, raw_term_count=len(contexts),
-                          objective_count=1)
+    return permutation_set(contexts, k=k, raw_term_count=len(contexts),
+                           objective_count=1)
+
+
+def probs_per_context(scores, pset):
+    """p(member | context) of every context, one array per context."""
+    q = QueryContexts.create(np.arange(len(scores)), pset)
+    probs = q.refresh(scores).probs
+    return [probs[c - length:c] for c, length in zip(q.champions, q.lengths)]
 
 
 def random_pset(rng, n, k, objectives=1):
@@ -77,8 +83,7 @@ def test_workspace_probs_sum_to_one():
     for _ in range(20):
         n = int(rng.integers(2, 12))
         pset = random_pset(rng, n, k=int(rng.integers(1, n + 1)), objectives=2)
-        ws = build_workspace(rng.uniform(-3, 3, n), pset)
-        for probs in ws.probs_per_context:
+        for probs in probs_per_context(rng.uniform(-3, 3, n), pset):
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert (probs > 0).all()
 
@@ -91,8 +96,8 @@ def test_log_likelihood_uniform_two_positions():
 
 def test_log_likelihood_single_uniform_context():
     for n in range(2, 8):
-        pset = PermutationSet(
-            contexts=[ContextSet(tuple(range(n)), 0)],
+        pset = permutation_set(
+            [ContextSet(tuple(range(n)), 0)],
             k=1, raw_term_count=1, objective_count=1,
         )
         assert log_likelihood(np.zeros(n), pset) == pytest.approx(-math.log(n))
@@ -132,7 +137,7 @@ def test_pseudo_response_sums_to_zero():
 
 
 def test_pseudo_response_empty_pset():
-    pset = PermutationSet(contexts=[], k=3, raw_term_count=0, objective_count=1)
+    pset = permutation_set([], k=3, raw_term_count=0, objective_count=1)
     assert pseudo_response(np.zeros(5), pset).tolist() == [0.0] * 5
 
 
@@ -197,14 +202,14 @@ def test_leaf_of_all_documents_is_flat():
 
 
 def test_leaf_value_two_tied_docs():
-    pset = PermutationSet(contexts=[ContextSet((0, 1), 0)], k=1,
-                          raw_term_count=1, objective_count=1)
+    pset = permutation_set([ContextSet((0, 1), 0)], k=1,
+                           raw_term_count=1, objective_count=1)
     q = single_query(np.zeros(2), pset)
     lprime, ldouble = leaf_newton_stats([0], [q])
     assert (lprime, ldouble) == pytest.approx((0.5, -0.25))
     assert leaf_newton_value([0], [q]) == pytest.approx(-2.0)
     # applied output is the ascent step +2
-    outs = newton_leaf_outputs(np.array([0, 1]), 2, [q], pseudo_response(np.zeros(2), pset))
+    outs = newton_leaf_outputs(np.array([0, 1]), 2, q, pseudo_response(np.zeros(2), pset))
     assert outs[0] == pytest.approx(2.0)
 
 
@@ -225,9 +230,9 @@ def test_shift_invariance():
     n = 9
     pset = random_pset(rng, n, k=5, objectives=2)
     scores = rng.uniform(-2, 2, n)
-    base = build_workspace(scores, pset)
-    shifted = build_workspace(scores + 7.5, pset)
-    for a, b in zip(base.probs_per_context, shifted.probs_per_context):
+    base = probs_per_context(scores, pset)
+    shifted = probs_per_context(scores + 7.5, pset)
+    for a, b in zip(base, shifted):
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -235,22 +240,22 @@ def test_newton_leaf_outputs_match_per_leaf_route():
     rng = np.random.default_rng(7)
     for _ in range(15):
         n_q = int(rng.integers(1, 4))
-        queries = []
-        responses = []
-        offset = 0
-        for _ in range(n_q):
-            n = int(rng.integers(2, 10))
-            pset = random_pset(rng, n, k=n)
-            scores = rng.uniform(-2, 2, n)
-            q = QueryContexts.create(np.arange(offset, offset + n), pset)
-            q.refresh(np.concatenate([np.zeros(offset), scores]))
-            queries.append(q)
-            responses.append(pseudo_response(scores, pset))
-            offset += n
-        responses = np.concatenate(responses)
+        ds = make_dataset([
+            (qid, [(int(r), {1: 0.0}) for r in rng.integers(0, 4, int(rng.integers(2, 10)))])
+            for qid in range(1, n_q + 1)
+        ])
+        psets = [build_permutations(g, len(g.documents), 1,
+                                    np.random.default_rng(int(rng.integers(1e6))))
+                 for g in ds.groups]
+        scores = rng.uniform(-2, 2, ds.num_documents)
+        table = QueryContexts.stack(psets)
+        responses = pseudo_response(scores, table)
+        queries = [QueryContexts.create(g.doc_ids, p) for g, p in zip(ds.groups, psets)]
+        for q in queries:
+            q.refresh(scores)
         n_leaves = int(rng.integers(1, 5))
-        assign = rng.integers(0, n_leaves, offset)
-        outs = newton_leaf_outputs(assign, n_leaves, queries, responses)
+        assign = rng.integers(0, n_leaves, ds.num_documents)
+        outs = newton_leaf_outputs(assign, n_leaves, table, responses)
         for leaf in range(n_leaves):
             docs = np.flatnonzero(assign == leaf)
             if docs.size == 0:
@@ -276,7 +281,7 @@ def test_newton_step_improves_likelihood():
         n_leaves = int(rng.integers(1, 5))
         assign = rng.integers(0, n_leaves, n)
         resp = pseudo_response(scores, pset)
-        outs = newton_leaf_outputs(assign, n_leaves, [q], resp)
+        outs = newton_leaf_outputs(assign, n_leaves, q, resp)
         after = log_likelihood(scores + alpha * outs[assign], pset)
         if after >= log_likelihood(scores, pset) - 1e-12:
             improved += 1
