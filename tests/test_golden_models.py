@@ -6,7 +6,9 @@ rounded to two decimals, so every column has tied values and the tie order
 of the split search is covered too. The standard output (one objective line
 per iteration, plus validation NDCG with ``--valid``) and the full-precision
 objective values of the trace are pinned as well, so the log-likelihood is
-held to the same bits as the model.
+held to the same bits as the model. So are the linear ListMLE model and
+its output, and the `plrank predict` scores of the exact-mode model on a file
+whose qid blocks interleave.
 """
 
 import hashlib
@@ -38,6 +40,10 @@ WARM_START = "58f5e1d249040bcf80c43e92dde727d7cb9175e53264d45684b723404ed4ca63"
 WARM_START_STDOUT = "05d3af8b8d925e094362978be03273117467cb1025e6379d6a3b2b4c8a9c020a"
 VALID = "c8461d11d80085bc2c5b47d982dc141c482eb04d862b2248c6f0bdbe78f4a203"
 VALID_STDOUT = "7a90b7ca197c520beb4a2105542398beff032446b546146d6f62cbfd1ebcac38"
+LINEAR = "3f11edf3c5f84e14a5784db34cdb03dde49dfb3e4c38b1d5f25a74b19eb0304b"
+LINEAR_STDOUT = "3c16893ef07d8b9ea50ba60ce57fa298662618c180c3316132bfd625d53e5584"
+# `plrank predict` output of the ``--bins 0`` model on the interleaved file.
+PREDICT_INTERLEAVED = "9f17f955755cc1b662b90bdd303af8b64c1be86d48c167cdca6107bad7844e91"
 # SHA-256 of the initial and per-iteration objectives, as repr() joined by
 # spaces, of an in-process training per histogram setting.
 OBJECTIVES = {
@@ -73,6 +79,18 @@ def valid_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def interleaved_file(tmp_path_factory):
+    """The validation file with its qid blocks interleaved line by line."""
+    ds = thresholded_linear_dataset(
+        n_queries=10, n_docs=15, n_features=6, seed=6, decimals=2
+    )
+    lines = format_dataset(ds).splitlines(keepends=True)
+    path = tmp_path_factory.mktemp("golden") / "interleaved.txt"
+    path.write_text("".join(lines[q * 15 + i] for i in range(15) for q in range(10)))
+    return str(path)
+
+
 @pytest.mark.parametrize("flags", list(GOLDEN), ids=" ".join)
 def test_model_bytes_pinned(tmp_path, train_file, flags, capsys):
     model = tmp_path / "model.txt"
@@ -105,6 +123,28 @@ def test_valid_run_pinned(tmp_path, train_file, valid_file, capsys):
     out = capsys.readouterr().out
     assert _sha256(model.read_bytes()) == VALID
     assert _sha256(out.encode()) == VALID_STDOUT
+
+
+def test_linear_run_pinned(tmp_path, train_file, capsys):
+    model = tmp_path / "model.txt"
+    argv = ["train", "--train", train_file, "--loss", "listmle-linear",
+            "--iterations", "20", "--objectives", "3", "--seed", "3", "--out", str(model)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert _sha256(model.read_bytes()) == LINEAR
+    assert _sha256(out.encode()) == LINEAR_STDOUT
+
+
+def test_tree_predict_pinned(tmp_path, train_file, interleaved_file, capsys):
+    model, scores = tmp_path / "model.txt", tmp_path / "scores.txt"
+    assert main(["train", "--train", train_file, "--trees", "12", "--leaves", "8",
+                 "--objectives", "3", "--seed", "3", "--bins", "0",
+                 "--out", str(model)]) == 0
+    assert _sha256(model.read_bytes()) == GOLDEN[("--bins", "0")]
+    assert main(["predict", "--model", str(model), "--data", interleaved_file,
+                 "--out", str(scores)]) == 0
+    capsys.readouterr()
+    assert _sha256(scores.read_bytes()) == PREDICT_INTERLEAVED
 
 
 @pytest.mark.parametrize("bins", list(OBJECTIVES))
