@@ -8,7 +8,6 @@ and MART square-loss baselines, LETOR data handling, and NDCG/ERR metrics.
 from .booster import TrainConfig, TrainTrace, mart_response, train
 from .data import (
     Dataset,
-    Document,
     QueryGroup,
     dense_features,
     format_dataset,
@@ -50,7 +49,6 @@ __all__ = [
     "ConfigError",
     "ContextSet",
     "Dataset",
-    "Document",
     "Ensemble",
     "EvalReport",
     "LinearModel",

@@ -113,11 +113,8 @@ def mart_response(
     return target - scores
 
 
-def _feature_matrix(dataset: Dataset, width: int) -> np.ndarray:
-    X = np.zeros((dataset.num_documents, width), dtype=np.float64)
-    for group in dataset.groups:
-        X[group.doc_ids] = dense_features(group, width)
-    return X
+# The name tests/test_acceptance.py imports.
+_feature_matrix = dense_features
 
 
 def train(
@@ -139,7 +136,7 @@ def train(
     width = dataset.max_feature_index
     if config.init_model is not None:
         width = max(width, config.init_model.num_features)
-    X = _feature_matrix(dataset, width)
+    X = dense_features(dataset, width)
     n_docs = X.shape[0]
     column_order = None if config.histogram_bins else sort_columns(X)
 
@@ -167,17 +164,11 @@ def train(
 
         trace = TrainTrace("loglik", objective(), config.top_k)
     else:
-        grades_of: list[np.ndarray] = []
-        norms: list[float] = []
+        targets = np.zeros(n_docs, dtype=np.float64)
         for group in dataset.groups:
             rel = group.relevances()
-            grades_of.append(rel)
-            norms.append(dcg_at_k(sorted(rel.tolist(), reverse=True), len(rel)))
-        targets = np.zeros(n_docs, dtype=np.float64)
-        for group, rel, norm in zip(dataset.groups, grades_of, norms):
-            targets[group.doc_ids] = mart_response(
-                np.zeros(len(rel)), rel, config.loss, norm
-            )
+            norm = dcg_at_k(sorted(rel.tolist(), reverse=True), len(rel))
+            targets[group.doc_ids] = mart_response(np.zeros(len(rel)), rel, config.loss, norm)
 
         def objective() -> float:
             return float(np.sum((targets - scores) ** 2))
@@ -190,7 +181,7 @@ def train(
         trace.valid_ndcg = []
         # Extra validation columns are harmless: trees only route on columns
         # seen during training.
-        valid_X = _feature_matrix(
+        valid_X = dense_features(
             valid_dataset, max(width, valid_dataset.max_feature_index)
         )
         valid_scores = np.zeros(valid_X.shape[0], dtype=np.float64)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .booster import TrainConfig, train
 from .data import Dataset, dense_features, load_dataset
-from .errors import PLRankError, ValidationError
+from .errors import PLRankError, ValidationError, _open_text
 from .linear import LinearModel, train_linear
 from .metrics import evaluate
 from .model_io import load_model, save_model
@@ -138,24 +138,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _dataset_scores(model: Ensemble | LinearModel, dataset: Dataset, strict: bool) -> np.ndarray:
-    if isinstance(model, Ensemble):
-        model_width = model.num_features
-    else:
-        model_width = model.weights.size
+    model_width = model.num_features if isinstance(model, Ensemble) else model.weights.size
     if strict and dataset.max_feature_index > model_width:
         raise ValidationError(
             f"data uses feature index {dataset.max_feature_index}, "
             f"model covers only {model_width}"
         )
-    width = max(model_width, dataset.max_feature_index)
-    scores = np.zeros(dataset.num_documents, dtype=np.float64)
-    for group in dataset.groups:
-        X = dense_features(group, width)
-        if isinstance(model, Ensemble):
-            scores[group.doc_ids] = predict_ensemble_matrix(model, X)
-        else:
-            scores[group.doc_ids] = model.predict_matrix(X)
-    return scores
+    X = dense_features(dataset, max(model_width, dataset.max_feature_index))
+    if isinstance(model, Ensemble):
+        return predict_ensemble_matrix(model, X)
+    return model.predict_matrix(X)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -170,18 +162,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _load_scores(path: str) -> np.ndarray:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValidationError(f"bad score {line!r}", lineno) from None
-            if not math.isfinite(value):
-                raise ValidationError(f"non-finite score {line!r}", lineno)
-            values.append(value)
+    for lineno, line in enumerate(_open_text(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValidationError(f"bad score {line!r}", lineno) from None
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite score {line!r}", lineno)
+        values.append(value)
     return np.array(values, dtype=np.float64)
 
 

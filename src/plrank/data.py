@@ -1,9 +1,10 @@
-"""Parsing and densification of LETOR-style ranking datasets.
+"""Parsing of LETOR-style ranking datasets into one dense feature table.
 
 Accepted line format: ``<grade> qid:<id> <index>:<value> ... # comment`` with
-1-based feature indices and non-negative integer grades. Lines sharing a qid
-are merged into one query group whether or not they are contiguous in the
-file; each group keeps its documents in file order.
+1-based feature indices and non-negative integer grades. Each data line is
+one row of the table, in file order. Column ``t`` holds feature index
+``t + 1``; the table is as wide as the largest index, absent features read
+as 0.0. Lines sharing a qid form one query group, contiguous or not.
 """
 
 from __future__ import annotations
@@ -14,48 +15,46 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _open_text
 
 # Gains are 2^grade - 1; grades above this would lose exactness in float64.
 MAX_GRADE = 31
 
 
-@dataclass
-class Document:
-    """One query-document pair: sparse feature map plus a relevance grade."""
-
-    features: dict[int, float]
-    relevance: int
-
-
-@dataclass
+@dataclass(eq=False)
 class QueryGroup:
+    """One query: its id and its rows of the dataset's (shared) arrays."""
+
     query_id: int
-    documents: list[Document] = field(default_factory=list)
-    # Global document ordinals (position among all data lines). Used to align
-    # flat per-document score vectors with the original file order even when
-    # qid blocks interleave.
-    doc_ids: list[int] = field(default_factory=list)
+    doc_ids: np.ndarray  # rows in file order
+    features: np.ndarray = field(repr=False)
+    grades: np.ndarray = field(repr=False)
 
     def relevances(self) -> np.ndarray:
-        return np.array([d.relevance for d in self.documents], dtype=np.int64)
-
-    def max_feature_index(self) -> int:
-        return max((i for d in self.documents for i in d.features), default=0)
+        return self.grades[self.doc_ids]
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
+    features: np.ndarray  # documents x max_feature_index, float64, file order
+    grades: np.ndarray  # int64, file order
     groups: list[QueryGroup]
-    max_feature_index: int
     max_grade: int
 
     @property
+    def doc_ids(self) -> np.ndarray:
+        return np.arange(self.num_documents)
+
+    @property
     def num_documents(self) -> int:
-        return sum(len(g.documents) for g in self.groups)
+        return self.features.shape[0]
+
+    @property
+    def max_feature_index(self) -> int:
+        return self.features.shape[1]
 
 
-def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, dict[int, float]]:
+def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, list[int], list[float]]:
     try:
         grade = int(tokens[0])
     except ValueError:
@@ -72,7 +71,9 @@ def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, dict[int, flo
     except ValueError:
         raise ParseError(f"bad qid field {tokens[1]!r}", lineno) from None
 
-    features: dict[int, float] = {}
+    seen: set[int] = set()
+    indices: list[int] = []
+    values: list[float] = []
     for tok in tokens[2:]:
         idx_s, sep, val_s = tok.partition(":")
         if not sep:
@@ -84,12 +85,14 @@ def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, dict[int, flo
             raise ParseError(f"bad feature token {tok!r}", lineno) from None
         if idx < 1:
             raise ValidationError(f"feature index {idx} must be >= 1", lineno)
-        if idx in features:
+        if idx in seen:
             raise ValidationError(f"duplicate feature index {idx}", lineno)
         if not math.isfinite(val):
             raise ValidationError(f"non-finite value for feature {idx}", lineno)
-        features[idx] = val
-    return grade, qid, features
+        seen.add(idx)
+        indices.append(idx)
+        values.append(val)
+    return grade, qid, indices, values
 
 
 def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
@@ -98,64 +101,64 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     ``source`` may be a string, an open text file, or any iterable of lines.
     ``#`` starts a comment that runs to the end of the line.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
-
-    groups: dict[int, QueryGroup] = {}
-    order: list[QueryGroup] = []
-    max_feature = 0
-    max_grade = 0
-    ordinal = 0
+    lines = source.splitlines() if isinstance(source, str) else source
+    rows_of: dict[int, list[int]] = {}
+    grades: list[int] = []
+    rows: list[int] = []
+    indices: list[int] = []
+    values: list[float] = []
     for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        grade, qid, features = _parse_line(tokens, lineno)
-        group = groups.get(qid)
-        if group is None:
-            group = QueryGroup(query_id=qid)
-            groups[qid] = group
-            order.append(group)
-        group.documents.append(Document(features=features, relevance=grade))
-        group.doc_ids.append(ordinal)
-        ordinal += 1
-        if features:
-            max_feature = max(max_feature, max(features))
-        max_grade = max(max_grade, grade)
-    return Dataset(groups=order, max_feature_index=max_feature, max_grade=max_grade)
+        grade, qid, line_indices, line_values = _parse_line(tokens, lineno)
+        rows_of.setdefault(qid, []).append(len(grades))
+        rows += [len(grades)] * len(line_indices)
+        grades.append(grade)
+        indices += line_indices
+        values += line_values
+
+    width = max(indices, default=0)
+    try:
+        features = np.zeros((len(grades), width), dtype=np.float64)
+    except (MemoryError, ValueError, OverflowError):
+        raise ValidationError(
+            f"a table of {len(grades)} documents x {width} features cannot be allocated"
+        ) from None
+    features[rows, np.array(indices, dtype=np.intp) - 1] = values
+    grade_of = np.array(grades, dtype=np.int64)
+    groups = [QueryGroup(q, np.array(r, dtype=np.intp), features, grade_of)
+              for q, r in rows_of.items()]
+    return Dataset(features, grade_of, groups, max(grades, default=0))
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dataset(fh)
+    return parse_dataset(_open_text(path))
 
 
 def format_dataset(dataset: Dataset) -> str:
-    """Serialize back to LETOR text, preserving the original line order."""
-    cells: list[str | None] = [None] * dataset.num_documents
-    for group in dataset.groups:
-        for doc, ordinal in zip(group.documents, group.doc_ids):
-            feats = " ".join(f"{i}:{doc.features[i]!r}" for i in sorted(doc.features))
-            line = f"{doc.relevance} qid:{group.query_id}"
-            cells[ordinal] = f"{line} {feats}" if feats else line
-    return "\n".join(c for c in cells if c is not None) + ("\n" if cells else "")
+    """Serialize back to LETOR text in file order.
 
-
-def dense_features(group: QueryGroup, m: int) -> np.ndarray:
-    """Return the |documents| x m dense feature matrix of a query group.
-
-    Column ``t`` holds feature index ``t + 1``; absent features read as 0.0.
+    Every column ``1..max_feature_index`` is written as the ``repr`` of a
+    Python float, so parsing the text gives the same table bit for bit.
     """
-    present = group.max_feature_index()
-    if m < present:
-        raise ValidationError(
-            f"matrix width {m} is smaller than max feature index {present}"
-        )
-    out = np.zeros((len(group.documents), m), dtype=np.float64)
-    for row, doc in enumerate(group.documents):
-        for idx, val in doc.features.items():
-            out[row, idx - 1] = val
+    table, grades = dataset.features.tolist(), dataset.grades.tolist()
+    lines = [""] * dataset.num_documents
+    for group in dataset.groups:
+        for i in group.doc_ids.tolist():
+            feats = "".join(f" {t}:{v!r}" for t, v in enumerate(table[i], start=1))
+            lines[i] = f"{grades[i]} qid:{group.query_id}{feats}\n"
+    return "".join(lines)
+
+
+def dense_features(rows: Dataset | QueryGroup, m: int) -> np.ndarray:
+    """The dense len(doc_ids) x m matrix of a dataset or of one of its groups.
+
+    Columns past the dataset's ``max_feature_index`` read as 0.0.
+    """
+    width = rows.features.shape[1]
+    if m < width:
+        raise ValidationError(f"matrix width {m} is smaller than max feature index {width}")
+    out = np.zeros((len(rows.doc_ids), m), dtype=np.float64)
+    out[:, :width] = rows.features[rows.doc_ids]
     return out

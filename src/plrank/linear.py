@@ -15,9 +15,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .data import Dataset, dense_features
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .permutation import build_permutations
 from .pl_objective import QueryContexts, log_likelihood, pseudo_response
+from .tree import _feature_rows
 
 GRADIENT_TOL = 1e-6
 
@@ -27,7 +28,14 @@ class LinearModel:
     weights: np.ndarray
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64)[:, : self.weights.size] @ self.weights
+        """``w . x`` for every row; a row's score does not depend on the others."""
+        X = _feature_rows(X)
+        if X.shape[1] < self.weights.size:
+            raise ValidationError(
+                f"feature rows of width {X.shape[1]} cannot cover "
+                f"{self.weights.size} weights"
+            )
+        return np.vecdot(X[:, : self.weights.size], self.weights)
 
 
 def _query_contexts(
@@ -35,17 +43,12 @@ def _query_contexts(
 ) -> tuple[np.ndarray, QueryContexts]:
     """Feature rows by global document id, and every query's context table.
 
-    Rows of queries without contexts stay zero: no likelihood term reads them.
+    Rows of queries without contexts meet only zero gradient entries.
     """
-    X = np.zeros((dataset.num_documents, width), dtype=np.float64)
-    psets = []
-    for group in dataset.groups:
-        rng = np.random.default_rng([seed, group.query_id])
-        pset = build_permutations(group, k, objectives, rng)
-        if pset.num_contexts:
-            X[group.doc_ids] = dense_features(group, width)
-            psets.append(pset)
-    return X, QueryContexts.stack(psets)
+    psets = [build_permutations(g, k, objectives, np.random.default_rng([seed, g.query_id]))
+             for g in dataset.groups]
+    contexts = QueryContexts.stack([p for p in psets if p.num_contexts])
+    return dense_features(dataset, width), contexts
 
 
 def _objective_and_gradient(

@@ -34,7 +34,7 @@ import math
 import re
 from itertools import zip_longest
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _open_text
 from .linear import LinearModel
 from .tree import TREE_LOSSES, Ensemble, RegressionTree
 
@@ -239,8 +239,7 @@ def save_model(model: Ensemble | LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> Ensemble | LinearModel:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    text = _open_text(path, newline="").read()
     first = text.splitlines()[0] if text.splitlines() else ""
     if first.startswith(LINEAR_MAGIC + " "):
         return parse_linear(text)

@@ -9,7 +9,7 @@ from plrank import (
     mart_response,
     train,
 )
-from plrank.booster import _feature_matrix
+from plrank.data import dense_features
 from plrank.model_io import dumps_ensemble
 from plrank.tree import predict_ensemble_matrix
 
@@ -97,7 +97,7 @@ def test_plrank_loglik_improves():
 def test_separable_dataset_reaches_perfect_ndcg():
     ds = separable_dataset()
     ensemble, _ = train(ds, small_config(trees=50, leaves=4))
-    X = _feature_matrix(ds, ds.max_feature_index)
+    X = dense_features(ds, ds.max_feature_index)
     report = evaluate(ds, predict_ensemble_matrix(ensemble, X), [10])
     assert report.ndcg_at[10] == pytest.approx(1.0)
 
@@ -148,7 +148,7 @@ def test_init_model_shifts_scores_only():
                             num_features=ds.max_feature_index)
     warm, _ = train(ds, small_config(trees=4, init_model=shifted_init))
     assert warm.init_score == 3.5
-    X = _feature_matrix(ds, ds.max_feature_index)
+    X = dense_features(ds, ds.max_feature_index)
     assert predict_ensemble_matrix(warm, X) == pytest.approx(
         predict_ensemble_matrix(base, X) + 3.5
     )

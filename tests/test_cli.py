@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plrank import TrainConfig, evaluate, load_dataset, train
-from plrank.booster import _feature_matrix
+from plrank.data import dense_features
 from plrank.cli import main
 from plrank.tree import predict_ensemble_matrix
 
@@ -55,7 +55,7 @@ def test_predict_then_evaluate_matches_in_memory(tmp_path, train_file, capsys):
     ds = load_dataset(train_file)
     config = TrainConfig(loss="plrank", trees=15, leaves=4)
     ensemble, _ = train(ds, config)
-    X = _feature_matrix(ds, ds.max_feature_index)
+    X = dense_features(ds, ds.max_feature_index)
     report = evaluate(ds, predict_ensemble_matrix(ensemble, X), [10])
     assert float(kv["ndcg@10"]) == pytest.approx(report.ndcg_at[10], abs=1e-12)
     assert float(kv["err"]) == pytest.approx(report.err, abs=1e-12)
@@ -118,6 +118,38 @@ def test_exit_code_non_finite_score(tmp_path, train_file, capsys, text):
     scores.write_text("\n".join(lines) + "\n")
     assert run(["evaluate", "--data", train_file, "--scores", str(scores)]) == 3
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--train", "--data", "--scores", "--model"])
+def test_exit_code_bytes_not_utf8(tmp_path, train_file, capsys, flag):
+    model, scores = tmp_path / "model.txt", tmp_path / "scores.txt"
+    assert run(["train", "--train", train_file, "--trees", "2", "--leaves", "2",
+                "--out", str(model)]) == 0
+    assert run(["predict", "--model", str(model), "--data", train_file,
+                "--out", str(scores)]) == 0
+    capsys.readouterr()
+    source = {"--scores": scores, "--model": model}.get(flag, Path(train_file))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(source.read_bytes().replace(b"\n", b"\xff\n", 1))
+    argv = {
+        "--train": ["train", "--train", str(bad), "--out", str(tmp_path / "m2.txt")],
+        "--data": ["predict", "--model", str(model), "--data", str(bad),
+                   "--out", str(tmp_path / "s2.txt")],
+        "--scores": ["evaluate", "--data", train_file, "--scores", str(bad)],
+        "--model": ["predict", "--model", str(bad), "--data", train_file,
+                    "--out", str(tmp_path / "s2.txt")],
+    }[flag]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "line 1: " in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("index", [10**15, 10**30])
+def test_exit_code_unallocatable_feature_table(tmp_path, capsys, index):
+    data = tmp_path / "wide.txt"
+    data.write_text(f"1 qid:1 {index}:0.5\n0 qid:1 1:0.25\n")
+    assert run(["train", "--train", str(data), "--out", str(tmp_path / "m.txt")]) == 3
+    assert f"2 documents x {index} features" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("node", ["f=0 t=0.5", "f=999 t=0.5", "f=1 t=nan"])

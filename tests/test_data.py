@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import letor_reference as ref
 from plrank import (
     ParseError,
     ValidationError,
     dense_features,
     format_dataset,
+    load_dataset,
     parse_dataset,
 )
+
+
+def assert_same_dataset(a, b):
+    """Same table, grades and groups, bit for bit (-0.0 included)."""
+    for x, y in ((a.features, b.features), (a.grades, b.grades)):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert [(g.query_id, g.doc_ids.tolist()) for g in a.groups] == \
+        [(g.query_id, g.doc_ids.tolist()) for g in b.groups]
 
 
 def test_basic_line():
@@ -15,17 +27,16 @@ def test_basic_line():
     assert len(ds.groups) == 1
     group = ds.groups[0]
     assert group.query_id == 10
-    assert group.documents[0].relevance == 2
-    assert group.documents[0].features == {1: 0.5, 7: 1.0}
+    assert group.relevances().tolist() == [2]
+    assert ds.features.tolist() == [[0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]
     assert ds.max_feature_index == 7
     assert ds.max_grade == 2
 
 
 def test_comment_and_negative_value():
     ds = parse_dataset("0 qid:1 3:-2.5 # doc-A")
-    doc = ds.groups[0].documents[0]
-    assert doc.relevance == 0
-    assert doc.features == {3: -2.5}
+    assert ds.grades.tolist() == [0]
+    assert ds.features.tolist() == [[0.0, 0.0, -2.5]]
 
 
 def test_empty_input():
@@ -51,8 +62,8 @@ def test_noncontiguous_qid_blocks_merge():
     ds = parse_dataset(text)
     assert [g.query_id for g in ds.groups] == [1, 2]
     g1 = ds.groups[0]
-    assert [d.features[1] for d in g1.documents] == [1.0, 3.0]
-    assert g1.doc_ids == [0, 2]  # original line order retained
+    assert ds.features[g1.doc_ids, 0].tolist() == [1.0, 3.0]
+    assert g1.doc_ids.tolist() == [0, 2]  # original line order retained
 
 
 def test_crlf_lines():
@@ -95,7 +106,7 @@ def test_round_trip():
     )
     ds = parse_dataset(text)
     again = parse_dataset(format_dataset(ds))
-    assert again == ds
+    assert_same_dataset(again, ds)
     assert format_dataset(again) == format_dataset(ds)
 
 
@@ -136,3 +147,123 @@ def test_dense_features_exact_sparsity():
     for row, feats in zip(mat, expected):
         for j in range(1, 10):
             assert row[j - 1] == feats.get(j, 0.0)
+
+
+def test_dense_features_dataset_and_groups_share_one_table():
+    ds = parse_dataset("1 qid:2 2:0.5\n0 qid:1 1:-1.0\n2 qid:2 3:4.0\n")
+    full = dense_features(ds, 5)
+    assert full.tolist() == [[0.0, 0.5, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0, 0.0],
+                             [0.0, 0.0, 4.0, 0.0, 0.0]]
+    for group in ds.groups:
+        assert dense_features(group, 5).tolist() == full[group.doc_ids].tolist()
+    # The width check reads the dataset's max feature index, for groups too.
+    with pytest.raises(ValidationError):
+        dense_features(ds.groups[1], 2)
+
+
+def test_load_dataset_reads_universal_newlines(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"1 qid:1 1:1.0\r\n0 qid:1 2:2.0\r0 qid:2 1:3.0\n")
+    ds = load_dataset(str(path))
+    assert ds.features.tolist() == [[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]
+    assert [g.doc_ids.tolist() for g in ds.groups] == [[0, 1], [2]]
+
+
+def test_load_dataset_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"1 qid:1 1:1.0\n0 qid:1 1:2.0 # caf\xe9\n")
+    with pytest.raises(ParseError) as exc:
+        load_dataset(str(path))
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("index", [10**15, 10**30])
+def test_unallocatable_table_raises_validation_error(index):
+    with pytest.raises(ValidationError, match=f"1 documents x {index} features"):
+        parse_dataset(f"1 qid:1 {index}:0.5")
+
+
+# Values the table must carry bit for bit: signed zeros, subnormals, extremes.
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+)
+FILLER = st.sampled_from(["", "   ", "# a comment", "\t# 1 qid:1 2:3"])
+
+
+@st.composite
+def document_lines(draw):
+    """One data line: absent features, any index order, maybe a comment."""
+    grade = draw(st.integers(0, 31))
+    qid = draw(st.integers(0, 4))
+    indices = draw(st.lists(st.integers(1, 9), unique=True, max_size=6))
+    spell = draw(st.sampled_from([repr, lambda v: f"{v:.17g}", lambda v: f"{v:e}"]))
+    tokens = [str(grade), f"qid:{qid}", *(f"{i}:{spell(draw(VALUES))}" for i in indices)]
+    comment = draw(st.sampled_from(["", " # doc", "#x 1:2"]))
+    return draw(st.sampled_from([" ", "\t", "  "])).join(tokens) + comment
+
+
+# A line that breaks one rule, or two at once: the first in token order wins.
+BAD_LINES = st.sampled_from([
+    "x qid:1 1:1.0", "-1 qid:1 1:1.0", "32 qid:1", "1.5 qid:1", "1", "1 1:1.0",
+    "1 qid:x", "1 QID:1 1:1.0", "1 qid:1 5", "1 qid:1 1:2:3", "1 qid:1 :5",
+    "1 qid:1 a:1", "1 qid:1 1:", "1 qid:1 1:abc", "1 qid:1 0:1.0", "1 qid:1 -3:1.0",
+    "1 qid:1 2:1.0 2:3.0", "1 qid:1 1:nan", "1 qid:1 2:inf", "1 qid:1 3:-inf",
+    "1 qid:1 4:1e309", "1 qid:1 1:nan 2:x", "1 qid:1 1:0.5 1:x", "1 qid:1 2:x 1:nan",
+    "1 qid:1 0:x", "1 qid:1 3:1.0 0:1.0 3:2.0",
+])
+
+
+@st.composite
+def letor_texts(draw, malformed=False):
+    lines = draw(st.lists(st.one_of(document_lines(), FILLER), max_size=20))
+    if malformed:
+        lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINES))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=letor_texts())
+def test_parse_matches_dict_parser(text):
+    ds = parse_dataset(text)
+    oracle = ref.parse_dataset(text)
+    table = ref.feature_table(oracle)
+    assert (ds.features.dtype, ds.features.shape) == (np.float64, table.shape)
+    assert ds.features.tobytes() == table.tobytes()
+    assert ds.grades.tolist() == ref.grades(oracle).tolist()
+    assert (ds.max_feature_index, ds.max_grade, ds.num_documents) == \
+        (oracle.max_feature_index, oracle.max_grade, oracle.num_documents)
+    assert [(g.query_id, g.doc_ids.tolist()) for g in ds.groups] == \
+        [(g.query_id, g.doc_ids) for g in oracle.groups]
+    width = ds.max_feature_index + 2
+    for group, expected in zip(ds.groups, oracle.groups):
+        assert dense_features(group, width).tobytes() == \
+            ref.dense_features(expected, width).tobytes()
+
+
+def _outcome(parse, text):
+    try:
+        parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), exc.line, str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=letor_texts(malformed=True))
+def test_malformed_text_raises_as_dict_parser(text):
+    expected = _outcome(ref.parse_dataset, text)
+    assert expected is not None
+    assert _outcome(parse_dataset, text) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=letor_texts())
+def test_format_parse_round_trip_is_bit_exact(text):
+    ds = parse_dataset(text)
+    formatted = format_dataset(ds)
+    again = parse_dataset(formatted)
+    assert_same_dataset(again, ds)
+    assert format_dataset(again) == formatted

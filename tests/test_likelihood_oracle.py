@@ -224,8 +224,8 @@ def test_linear_objective_matches_per_context_loop(ds, k, objectives, seed, data
     width = 3
     lines = [f"{g} qid:{q} " + " ".join(f"{j}:{v!r}" for j, v in enumerate(
         data.draw(st.lists(st.floats(-2.0, 2.0), min_size=width, max_size=width)), start=1))
-        for q, g in ((group.query_id, d.relevance)
-                     for group in ds.groups for d in group.documents)]
+        for q, g in ((group.query_id, grade)
+                     for group in ds.groups for grade in group.relevances().tolist())]
     ds = parse_dataset("\n".join(lines) + "\n")
     weights = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=width,
                                           max_size=width)))

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plrank import (
+    LinearModel,
     evaluate,
     linear_objective_and_gradient,
     train_linear,
 )
-from plrank.booster import _feature_matrix
-from plrank.errors import ConfigError
+from plrank.data import dense_features
+from plrank.errors import ConfigError, ValidationError
 
 from helpers import make_dataset, random_dataset
 
@@ -106,7 +109,7 @@ def test_linearly_rankable_dataset_recovered():
         queries.append((qid, docs))
     ds = make_dataset(queries)
     model = train_linear(ds, k=10, iterations=100, seed=1)
-    X = _feature_matrix(ds, ds.max_feature_index)
+    X = dense_features(ds, ds.max_feature_index)
     report = evaluate(ds, model.predict_matrix(X), [10])
     assert report.ndcg_at[10] == pytest.approx(1.0)
 
@@ -115,3 +118,38 @@ def test_iteration_cap_validated():
     ds = make_dataset([(1, [(1, {1: 1.0}), (0, {1: 0.0})])])
     with pytest.raises(ConfigError):
         train_linear(ds, iterations=0)
+
+
+def test_rows_without_contexts_do_not_move_weights():
+    # Single-document queries have no contexts: whatever their features, the
+    # weights are the same bytes.
+    rng = np.random.default_rng(27)
+    base = [(q, [(int(g), {1: float(v), 2: float(-v)})
+                 for g, v in zip(rng.integers(0, 3, 5), rng.uniform(-1, 1, 5))])
+            for q in range(1, 5)]
+    weights = []
+    for value in (0.0, 3.5):
+        lone = [(q, [(1, {1: value, 2: -value})]) for q in range(10, 14)]
+        ds = make_dataset([x for pair in zip(base, lone) for x in pair])
+        weights.append(train_linear(ds, k=4, iterations=30, seed=3).weights.tobytes())
+    assert weights[0] == weights[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(1, 64), extra=st.integers(0, 3),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_linear_scores_do_not_depend_on_the_batch(n, m, extra, seed, data):
+    rng = np.random.default_rng(seed)
+    model = LinearModel(weights=rng.normal(size=m))
+    X = rng.normal(size=(n, m + extra))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+    parts = [model.predict_matrix(block) for block in np.split(X, cuts)]
+    assert np.concatenate(parts).tobytes() == model.predict_matrix(X).tobytes()
+
+
+def test_linear_scores_reject_nan_and_narrow_rows():
+    model = LinearModel(weights=np.array([0.5, -1.0]))
+    with pytest.raises(ValidationError, match="NaN in feature row 1"):
+        model.predict_matrix(np.array([[1.0, 2.0], [np.nan, 0.0]]))
+    with pytest.raises(ValidationError):
+        model.predict_matrix(np.ones((3, 1)))

@@ -244,7 +244,7 @@ def test_newton_leaf_outputs_match_per_leaf_route():
             (qid, [(int(r), {1: 0.0}) for r in rng.integers(0, 4, int(rng.integers(2, 10)))])
             for qid in range(1, n_q + 1)
         ])
-        psets = [build_permutations(g, len(g.documents), 1,
+        psets = [build_permutations(g, len(g.doc_ids), 1,
                                     np.random.default_rng(int(rng.integers(1e6))))
                  for g in ds.groups]
         scores = rng.uniform(-2, 2, ds.num_documents)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plrank import TrainConfig, train
+from plrank import TrainConfig, format_dataset, train
+from plrank.cli import main
 
 from helpers import thresholded_linear_dataset
 
@@ -57,3 +58,34 @@ def test_traced_training_measures_every_likelihood_layer():
     assert tracer.counts["permutation.contexts"] > 0
     assert tracer.counts["pl_objective.member_terms"] > tracer.counts["permutation.contexts"]
     assert np.isfinite(list(tracer.counts.values())).all()
+
+
+def test_traced_cli_builds_each_matrix_once(tmp_path, capsys):
+    """One ``data.dense`` span per matrix: train and valid, linear, predict."""
+    files = {}
+    for name, seed in (("train", 2), ("valid", 3)):
+        ds = thresholded_linear_dataset(n_queries=5, n_docs=10, n_features=4, seed=seed)
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(format_dataset(ds))
+    model = tmp_path / "model.txt"
+    commands = [
+        (["train", "--train", files["train"], "--valid", files["valid"], "--trees", "3",
+          "--leaves", "4", "--out", model], 2),
+        (["train", "--train", files["train"], "--loss", "listmle-linear",
+          "--iterations", "5", "--out", tmp_path / "linear.txt"], 1),
+        (["predict", "--model", model, "--data", files["valid"],
+          "--out", tmp_path / "scores.txt"], 1),
+    ]
+    for argv, matrices in commands:
+        tracer = spans.Tracer()
+        uninstall = tracer.install(layers.HOOKS)
+        try:
+            assert main([str(a) for a in argv]) == 0
+        finally:
+            uninstall()
+        capsys.readouterr()
+        assert tracer.missing_sites == []
+        stats = tracer.layers()
+        assert stats["data.parse"].calls > 0 and stats["data.parse"].self_s > 0
+        assert stats["data.dense"].calls == matrices, argv[:4]
+        assert stats["data.dense"].self_s > 0
