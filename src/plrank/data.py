@@ -104,7 +104,7 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     lines = source.splitlines() if isinstance(source, str) else source
     rows_of: dict[int, list[int]] = {}
     grades: list[int] = []
-    rows: list[int] = []
+    counts: list[int] = []
     indices: list[int] = []
     values: list[float] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -113,7 +113,7 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
             continue
         grade, qid, line_indices, line_values = _parse_line(tokens, lineno)
         rows_of.setdefault(qid, []).append(len(grades))
-        rows += [len(grades)] * len(line_indices)
+        counts.append(len(line_indices))
         grades.append(grade)
         indices += line_indices
         values += line_values
@@ -125,6 +125,7 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
         raise ValidationError(
             f"a table of {len(grades)} documents x {width} features cannot be allocated"
         ) from None
+    rows = np.repeat(np.arange(len(grades)), counts)
     features[rows, np.array(indices, dtype=np.intp) - 1] = values
     grade_of = np.array(grades, dtype=np.int64)
     groups = [QueryGroup(q, np.array(r, dtype=np.intp), features, grade_of)
