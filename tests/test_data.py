@@ -204,14 +204,15 @@ def document_lines(draw):
     return draw(st.sampled_from([" ", "\t", "  "])).join(tokens) + comment
 
 
-# A line that breaks one rule, or two at once: the first in token order wins.
+# A line that breaks one rule, or two at once: the first in token order wins,
+# and within a token the parse, index, duplicate and finiteness checks in turn.
 BAD_LINES = st.sampled_from([
     "x qid:1 1:1.0", "-1 qid:1 1:1.0", "32 qid:1", "1.5 qid:1", "1", "1 1:1.0",
     "1 qid:x", "1 QID:1 1:1.0", "1 qid:1 5", "1 qid:1 1:2:3", "1 qid:1 :5",
     "1 qid:1 a:1", "1 qid:1 1:", "1 qid:1 1:abc", "1 qid:1 0:1.0", "1 qid:1 -3:1.0",
     "1 qid:1 2:1.0 2:3.0", "1 qid:1 1:nan", "1 qid:1 2:inf", "1 qid:1 3:-inf",
     "1 qid:1 4:1e309", "1 qid:1 1:nan 2:x", "1 qid:1 1:0.5 1:x", "1 qid:1 2:x 1:nan",
-    "1 qid:1 0:x", "1 qid:1 3:1.0 0:1.0 3:2.0",
+    "1 qid:1 0:x", "1 qid:1 3:1.0 0:1.0 3:2.0", "1 qid:1 2:1.0 2:nan",
 ])
 
 
