@@ -37,6 +37,16 @@ def _cutoff_list(text: str) -> list[int]:
     return cutoffs
 
 
+def _thread_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad thread count {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be >= 1: {text!r}")
+    return threads
+
+
 def _default_threads() -> int:
     env = os.environ.get("PLRANK_THREADS")
     if env is not None:
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="optimizer cap for --loss listmle-linear")
     p_train.add_argument("--init-model", metavar="PATH")
     p_train.add_argument("--valid", metavar="PATH")
-    p_train.add_argument("--threads", type=int, default=_default_threads())
+    p_train.add_argument("--threads", type=_thread_count, default=_default_threads())
     p_train.add_argument("--out", required=True, metavar="PATH")
     p_train.set_defaults(func=cmd_train)
 
@@ -83,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--data", required=True, metavar="PATH")
     p_predict.add_argument("--strict", action="store_true",
                            help="reject feature indices the model has not seen")
-    p_predict.add_argument("--threads", type=int, default=_default_threads())
+    p_predict.add_argument("--threads", type=_thread_count, default=_default_threads())
     p_predict.add_argument("--out", required=True, metavar="PATH")
     p_predict.set_defaults(func=cmd_predict)
 

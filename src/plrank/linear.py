@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import Dataset, dense_features
 from .errors import ConfigError, ValidationError
@@ -101,6 +100,10 @@ def train_linear(
     width = dataset.max_feature_index
     if width == 0:
         return LinearModel(weights=np.zeros(0, dtype=np.float64))
+    # Here, not at module level: importing scipy.optimize takes longer than
+    # most commands that never fit a linear model.
+    from scipy.optimize import minimize
+
     X, contexts = _query_contexts(dataset, k, objectives, seed, width)
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:

@@ -240,7 +240,6 @@ def save_model(model: Ensemble | LinearModel, path: str) -> None:
 
 def load_model(path: str) -> Ensemble | LinearModel:
     text = _open_text(path, newline="").read()
-    first = text.splitlines()[0] if text.splitlines() else ""
-    if first.startswith(LINEAR_MAGIC + " "):
+    if text.startswith(LINEAR_MAGIC + " "):
         return parse_linear(text)
     return parse_ensemble(text)

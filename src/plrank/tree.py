@@ -21,6 +21,7 @@ prediction path rejects NaN in its input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,18 @@ class Ensemble:
     loss: str = "plrank"
     top_k: int = 10
     num_features: int = 0
+    # What predict_ensemble_matrix last stacked (see _stacked_routing); not
+    # part of the model, so equality, repr and the model file ignore it.
+    _routing: tuple[list, _Routing] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # A deep copy or an unpickled ensemble gets new, writable arrays that
+        # the kept table's read-only guard does not cover: it stacks anew.
+        state = self.__dict__.copy()
+        state["_routing"] = None
+        return state
 
 
 def sort_columns(X: np.ndarray) -> np.ndarray:
@@ -450,6 +463,30 @@ class _Routing:
         return node.reshape(self.roots.size, n)
 
 
+def _stacked_routing(ensemble: Ensemble) -> _Routing:
+    """The ensemble's stacked table, kept until a tree or a routed array changes.
+
+    The key is the identity of each tree and of its ``feature``,
+    ``threshold``, ``right`` and ``value`` arrays, so appending, replacing or
+    reassigning trees restacks. Stacking marks those arrays read-only, so an
+    in-place write raises instead of leaving the kept table stale.
+    """
+    key = [
+        part
+        for tree in ensemble.trees
+        for part in (tree, tree.feature, tree.threshold, tree.right, tree.value)
+    ]
+    kept = ensemble._routing
+    if kept is not None and len(kept[0]) == len(key) and all(map(operator.is_, kept[0], key)):
+        return kept[1]
+    routing = _Routing.of(ensemble.trees)
+    for part in key:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    ensemble._routing = (key, routing)
+    return routing
+
+
 def apply_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     """Leaf position (index among the leaves, in preorder) for every row of X."""
     nodes = _Routing.of([tree]).leaves(_feature_rows(X))[0]
@@ -471,7 +508,9 @@ def predict_ensemble_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     """Ensemble scores for every row of X.
 
     All trees are routed together one depth level at a time, in blocks of
-    rows. Scores accumulate ``learning_rate * output`` tree by tree in
+    rows, through the table kept on the ensemble (see
+    :func:`_stacked_routing`); its trees' arrays are read-only from then on.
+    Scores accumulate ``learning_rate * output`` tree by tree in
     ensemble order, as training does, so they are bit-identical to adding
     the trees one at a time.
     """
@@ -479,7 +518,7 @@ def predict_ensemble_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     scores = np.full(X.shape[0], ensemble.init_score, dtype=np.float64)
     if not ensemble.trees:
         return scores
-    routing = _Routing.of(ensemble.trees)
+    routing = _stacked_routing(ensemble)
     step = max(1, _BLOCK_PAIRS // len(ensemble.trees))
     for start in range(0, X.shape[0], step):
         nodes = routing.leaves(X[start : start + step])

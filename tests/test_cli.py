@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plrank
 from plrank import TrainConfig, evaluate, load_dataset, train
 from plrank.data import dense_features
 from plrank.cli import main
@@ -301,6 +305,20 @@ def test_train_with_validation_trace(tmp_path, train_file, capsys):
     assert "valid_ndcg@10=" in out
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_exit_code_bad_threads(tmp_path, train_file, capsys, command, threads):
+    model = tmp_path / "model.txt"
+    argv = {
+        "train": ["train", "--train", train_file, "--trees", "1", "--out", str(model)],
+        "predict": ["predict", "--model", str(model), "--data", train_file,
+                    "--out", str(tmp_path / "scores.txt")],
+    }
+    assert run(argv["train"]) == 0
+    assert run(argv[command] + ["--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_threads_env_fallback(tmp_path, train_file, monkeypatch, capsys):
     monkeypatch.setenv("PLRANK_THREADS", "3")
     model = tmp_path / "model.txt"
@@ -339,3 +357,40 @@ def test_train_with_init_model(tmp_path, train_file, capsys):
     run(["train", "--train", train_file, "--trees", "5", "--out", str(full)])
     assert resumed.read_bytes() == full.read_bytes()
     capsys.readouterr()
+
+
+def python_with_plrank(script):
+    """Stdout of ``script`` run by a fresh interpreter that imports this plrank."""
+    env = {**os.environ, "PYTHONPATH": str(Path(plrank.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", ["plrank", "plrank.cli"])
+def test_import_leaves_scipy_out(module):
+    assert python_with_plrank(f"import sys, {module}; print('scipy' in sys.modules)") == "False\n"
+
+
+def test_only_linear_training_imports_scipy(tmp_path, train_file):
+    """Tree train, predict and evaluate run without scipy; the linear fit loads it."""
+    model, scores = tmp_path / "model.txt", tmp_path / "scores.txt"
+    commands = [
+        ["train", "--train", train_file, "--trees", "2", "--out", str(model)],
+        ["predict", "--model", str(model), "--data", train_file, "--out", str(scores)],
+        ["evaluate", "--data", train_file, "--scores", str(scores)],
+        ["train", "--train", train_file, "--loss", "listmle-linear",
+         "--iterations", "2", "--out", str(tmp_path / "linear.txt")],
+    ]
+    out = python_with_plrank(
+        "import contextlib, io, sys\n"
+        "from plrank.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'scipy' in sys.modules)\n"
+    )
+    assert out.splitlines() == [
+        "train 0 False", "predict 0 False", "evaluate 0 False", "train 0 True",
+    ]

@@ -1,11 +1,16 @@
 """Level-wise ensemble routing against the per-tree stack walk, bit for bit."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plrank.tree
+from plrank.model_io import dumps_ensemble
 from plrank.tree import (
     Ensemble,
     apply_tree,
@@ -74,10 +79,19 @@ def rows(draw, min_rows=0):
     ).reshape(n, FEATURES)
 
 
+def fresh(ensemble):
+    """The same model in a new ensemble, which stacks its table anew."""
+    return dataclasses.replace(ensemble, trees=list(ensemble.trees))
+
+
 @settings(max_examples=200, deadline=None)
-@given(ensembles(), rows(), st.integers(1, 40))
-def test_ensemble_matches_reference_bit_for_bit(ensemble, X, block_pairs):
-    """Also routes in blocks of a drawn size, so remainders are covered."""
+@given(ensembles(), rows(), st.integers(1, 40), st.lists(st.integers(0, 12), max_size=4))
+def test_ensemble_matches_reference_bit_for_bit(ensemble, X, block_pairs, cuts):
+    """Also routes in blocks of a drawn size, so remainders are covered.
+
+    Later calls, on the whole matrix or on row blocks cut at ``cuts``, reuse
+    the table the first call kept, and match a freshly stacked one.
+    """
     expected = reference_predict_ensemble_matrix(ensemble, X).tobytes()
     assert predict_ensemble_matrix(ensemble, X).tobytes() == expected
     saved = plrank.tree._BLOCK_PAIRS
@@ -86,6 +100,10 @@ def test_ensemble_matches_reference_bit_for_bit(ensemble, X, block_pairs):
         assert predict_ensemble_matrix(ensemble, X).tobytes() == expected
     finally:
         plrank.tree._BLOCK_PAIRS = saved
+    bounds = [0] + sorted(min(c, X.shape[0]) for c in cuts) + [X.shape[0]]
+    blocks = [predict_ensemble_matrix(ensemble, X[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(blocks).tobytes() == expected
+    assert predict_ensemble_matrix(fresh(ensemble), X).tobytes() == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,3 +147,65 @@ def test_leaf_only_ensemble_reads_no_column(rows_):
     ensemble = Ensemble(trees=[build_tree(2.0), build_tree(-1.0)], learning_rate=0.5)
     expected = reference_predict_ensemble_matrix(ensemble, rows_)
     assert predict_ensemble_matrix(ensemble, rows_).tobytes() == expected.tobytes()
+
+
+def scored_ensemble():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 4))
+    trees = [fit_tree(X, rng.normal(size=200), 8) for _ in range(6)]
+    ensemble = Ensemble(trees=trees[:4], learning_rate=0.3, init_score=0.25, num_features=4)
+    rows_ = np.round(rng.normal(size=(50, 4)), 1)
+    predict_ensemble_matrix(ensemble, rows_)
+    return ensemble, trees[4:], rows_
+
+
+@pytest.mark.parametrize("change", ["append", "setitem", "reassign", "replace-value",
+                                    "assign-threshold"])
+def test_changed_trees_restack(change):
+    ensemble, spare, X = scored_ensemble()
+    if change == "append":
+        ensemble.trees.append(spare[0])
+    elif change == "setitem":
+        ensemble.trees[1] = spare[0]
+    elif change == "reassign":
+        ensemble.trees = [spare[1], ensemble.trees[0]]
+    elif change == "replace-value":
+        ensemble.trees[2] = dataclasses.replace(ensemble.trees[2],
+                                                value=ensemble.trees[2].value * -2.0)
+    else:
+        ensemble.trees[0].threshold = ensemble.trees[0].threshold + 0.25
+    assert predict_ensemble_matrix(ensemble, X).tobytes() == \
+        predict_ensemble_matrix(fresh(ensemble), X).tobytes()
+    assert predict_ensemble_matrix(ensemble, X).tobytes() == \
+        reference_predict_ensemble_matrix(ensemble, X).tobytes()
+
+
+@pytest.mark.parametrize("column", ["value", "threshold"])
+def test_scored_tree_arrays_are_read_only(column):
+    ensemble, _, X = scored_ensemble()
+    before = predict_ensemble_matrix(ensemble, X).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(ensemble.trees[0], column)[0] += 1.0
+    assert predict_ensemble_matrix(ensemble, X).tobytes() == before
+    assert predict_ensemble_matrix(fresh(ensemble), X).tobytes() == before
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))])
+def test_copied_ensemble_stacks_its_own_arrays(duplicate):
+    """A deep copy's arrays are writable again, so it must not reuse the kept table."""
+    ensemble, _, X = scored_ensemble()
+    twin = duplicate(ensemble)
+    twin.trees[0].value[:] = 7.0
+    assert predict_ensemble_matrix(twin, X).tobytes() == \
+        reference_predict_ensemble_matrix(twin, X).tobytes()
+    assert predict_ensemble_matrix(twin, X).tobytes() != \
+        predict_ensemble_matrix(ensemble, X).tobytes()
+
+
+def test_kept_routing_is_not_part_of_the_model():
+    ensemble, _, _ = scored_ensemble()
+    unscored = dataclasses.replace(ensemble)
+    assert ensemble._routing is not None and unscored._routing is None
+    assert ensemble == unscored
+    assert repr(ensemble) == repr(unscored)
+    assert dumps_ensemble(ensemble) == dumps_ensemble(unscored)
