@@ -15,7 +15,7 @@ from .data import (
     parse_dataset,
 )
 from .errors import ConfigError, ParseError, PLRankError, ValidationError
-from .linear import LinearModel, linear_objective_and_gradient, train_linear
+from .linear import LinearModel, train_linear
 from .metrics import EvalReport, dcg_at_k, err, evaluate, ndcg_at_k
 from .model_io import load_model, save_model
 from .permutation import (
@@ -25,11 +25,9 @@ from .permutation import (
     compression_ratio,
 )
 from .pl_objective import (
-    PLWorkspace,
     QueryContexts,
     conditional_probs,
     leaf_newton_stats,
-    leaf_newton_value,
     log_likelihood,
     pseudo_response,
 )
@@ -38,9 +36,7 @@ from .tree import (
     RegressionTree,
     apply_tree,
     fit_tree,
-    predict_ensemble,
     predict_ensemble_matrix,
-    predict_tree,
 )
 
 __version__ = "0.1.0"
@@ -55,7 +51,6 @@ __all__ = [
     "ParseError",
     "PermutationSet",
     "PLRankError",
-    "PLWorkspace",
     "QueryContexts",
     "QueryGroup",
     "RegressionTree",
@@ -73,17 +68,13 @@ __all__ = [
     "fit_tree",
     "format_dataset",
     "leaf_newton_stats",
-    "leaf_newton_value",
-    "linear_objective_and_gradient",
     "load_dataset",
     "load_model",
     "log_likelihood",
     "mart_response",
     "ndcg_at_k",
     "parse_dataset",
-    "predict_ensemble",
     "predict_ensemble_matrix",
-    "predict_tree",
     "pseudo_response",
     "save_model",
     "train",

@@ -80,9 +80,6 @@ class TrainTrace:
             line += f" valid_ndcg@{self.top_k}={self.valid_ndcg[i - 1]:.6f}"
         return line
 
-    def iteration_lines(self) -> list[str]:
-        return [self.iteration_line(i) for i in range(1, len(self.objectives) + 1)]
-
 
 def gain(relevance: np.ndarray | int) -> np.ndarray | float:
     return 2.0**relevance - 1.0

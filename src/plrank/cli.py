@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -47,16 +46,6 @@ def _thread_count(text: str) -> int:
     return threads
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PLRANK_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plrank",
@@ -84,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="optimizer cap for --loss listmle-linear")
     p_train.add_argument("--init-model", metavar="PATH")
     p_train.add_argument("--valid", metavar="PATH")
-    p_train.add_argument("--threads", type=_thread_count, default=_default_threads())
+    p_train.add_argument("--threads", type=_thread_count, default=1)
     p_train.add_argument("--out", required=True, metavar="PATH")
     p_train.set_defaults(func=cmd_train)
 
@@ -93,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--data", required=True, metavar="PATH")
     p_predict.add_argument("--strict", action="store_true",
                            help="reject feature indices the model has not seen")
-    p_predict.add_argument("--threads", type=_thread_count, default=_default_threads())
+    p_predict.add_argument("--threads", type=_thread_count, default=1)
     p_predict.add_argument("--out", required=True, metavar="PATH")
     p_predict.set_defaults(func=cmd_predict)
 

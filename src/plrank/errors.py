@@ -4,27 +4,21 @@ import io
 
 
 class PLRankError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``line`` is the input line, if any."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class ParseError(PLRankError):
     """Malformed input text (dataset lines, score files, model files)."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
 
 class ValidationError(PLRankError):
     """Well-formed input that violates a documented constraint."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ConfigError(PLRankError):

@@ -59,28 +59,6 @@ def _objective_and_gradient(
     return objective, gradient
 
 
-def linear_objective_and_gradient(
-    weights: np.ndarray,
-    dataset: Dataset,
-    k: int = 10,
-    objectives: int = 1,
-    seed: int = 42,
-) -> tuple[float, np.ndarray]:
-    """Penalized log-likelihood and its gradient at ``weights``.
-
-    Permutation sampling is re-derived from the seed, so repeated calls see
-    the same ground-truth contexts.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.size < dataset.max_feature_index:
-        raise ConfigError(
-            f"weight vector of length {weights.size} cannot cover "
-            f"{dataset.max_feature_index} features"
-        )
-    X, contexts = _query_contexts(dataset, k, objectives, seed, weights.size)
-    return _objective_and_gradient(weights, X, contexts)
-
-
 def train_linear(
     dataset: Dataset,
     k: int = 10,

@@ -81,24 +81,24 @@ def parse_ensemble(text: str) -> Ensemble:
         raise ValidationError(
             f"unsupported model header (expected {ENSEMBLE_MAGIC!r})"
         )
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}  # key -> (value text, line number)
     pos = 1
     while pos < len(lines):
         match = _HEADER_RE.match(lines[pos])
         if not match:
             break
-        header[match.group(1)] = match.group(2)
+        header[match.group(1)] = (match.group(2), pos + 1)
         pos += 1
     try:
         ensemble = Ensemble(
             trees=[],
-            learning_rate=float(header["alpha"]),
-            init_score=float(header["init"]),
-            loss=header["loss"],
-            top_k=int(header["topk"]),
-            num_features=int(header["features"]),
+            learning_rate=_finite(*header["alpha"]),
+            init_score=_finite(*header["init"]),
+            loss=header["loss"][0],
+            top_k=int(header["topk"][0]),
+            num_features=int(header["features"][0]),
         )
-        tree_count = int(header["trees"])
+        tree_count = int(header["trees"][0])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad model header: {exc}") from None
 

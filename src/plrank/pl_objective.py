@@ -219,16 +219,6 @@ def leaf_newton_stats(
     return lprime, ldouble
 
 
-def leaf_newton_value(
-    leaf_docs: Iterable[int], queries: Sequence[QueryContexts]
-) -> float:
-    """Newton ratio L'(0)/L''(0); 0.0 when the direction is flat."""
-    lprime, ldouble = leaf_newton_stats(leaf_docs, queries)
-    if abs(ldouble) < CURVATURE_EPS:
-        return 0.0
-    return lprime / ldouble
-
-
 def newton_leaf_outputs(
     assign: np.ndarray,
     n_leaves: int,

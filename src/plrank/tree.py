@@ -493,17 +493,6 @@ def apply_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     return (np.cumsum(tree.feature < 0) - 1).take(nodes)
 
 
-def predict_tree(tree: RegressionTree, features_row: np.ndarray) -> float:
-    """Output of the unique leaf the row routes to (value <= threshold goes left)."""
-    row = np.reshape(np.asarray(features_row, dtype=np.float64), (1, -1))
-    return float(tree.value[tree.feature < 0][apply_tree(tree, row)[0]])
-
-
-def predict_ensemble(ensemble: Ensemble, features_row: np.ndarray) -> float:
-    row = np.reshape(np.asarray(features_row, dtype=np.float64), (1, -1))
-    return float(predict_ensemble_matrix(ensemble, row)[0])
-
-
 def predict_ensemble_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     """Ensemble scores for every row of X.
 

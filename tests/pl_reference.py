@@ -8,6 +8,9 @@ relative 1e-10).
 
 Contexts here are ``ContextSet`` values with query-local member indices; a
 query is a ``RefQuery`` that ties them to global document ids.
+
+Also here, at the end: two thin helpers only tests use, which call the
+library rather than the loops above.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from plrank import linear, pl_objective
 from plrank.data import QueryGroup
 from plrank.permutation import ContextSet, PermutationSet, sample_permutation
 from plrank.pl_objective import CURVATURE_EPS, MAX_LEAF_OUTPUT
@@ -204,3 +208,24 @@ def linear_objective_and_gradient(
     objective -= 0.5 * float(weights @ weights)
     gradient -= weights
     return objective, gradient
+
+
+def leaf_newton_value(leaf_docs, queries: list[pl_objective.QueryContexts]) -> float:
+    """The library's Newton ratio L'(0)/L''(0); 0.0 when the direction is flat."""
+    lprime, ldouble = pl_objective.leaf_newton_stats(leaf_docs, queries)
+    if abs(ldouble) < CURVATURE_EPS:
+        return 0.0
+    return lprime / ldouble
+
+
+def library_linear_objective(
+    weights, dataset, k: int = 10, objectives: int = 1, seed: int = 42
+) -> tuple[float, np.ndarray]:
+    """The linear trainer's penalized log-likelihood and gradient at ``weights``.
+
+    Contexts are sampled from ``seed`` as ``train_linear`` samples them, so
+    repeated calls see the same ones.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    X, contexts = linear._query_contexts(dataset, k, objectives, seed, weights.size)
+    return linear._objective_and_gradient(weights, X, contexts)

@@ -167,7 +167,7 @@ def test_init_model_trees_carry_over():
 def test_trace_lines_format():
     ds = separable_dataset(n_queries=4, n_docs=5)
     _, trace = train(ds, small_config(trees=2), valid_dataset=ds)
-    lines = trace.iteration_lines()
+    lines = [trace.iteration_line(i) for i in range(1, len(trace.objectives) + 1)]
     assert len(lines) == 2
     assert lines[0].startswith("iter=1 objective=")
     assert "valid_ndcg@10=" in lines[0]

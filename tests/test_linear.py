@@ -5,45 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plrank import (
-    LinearModel,
-    evaluate,
-    linear_objective_and_gradient,
-    train_linear,
-)
+from plrank import LinearModel, evaluate, train_linear
 from plrank.data import dense_features
 from plrank.errors import ConfigError, ValidationError
 
 from helpers import make_dataset, random_dataset
+from pl_reference import library_linear_objective
 
 
 def test_hand_case_two_documents():
     # w = 0, features [1] and [0], ground truth doc1 then doc2, k=2:
     # only the pair context survives, gradient 1 - 0.5, objective -ln 2
     ds = make_dataset([(1, [(2, {1: 1.0}), (0, {1: 0.0})])])
-    obj, grad = linear_objective_and_gradient(np.zeros(1), ds, k=2)
+    obj, grad = library_linear_objective(np.zeros(1), ds, k=2)
     assert obj == pytest.approx(-math.log(2))
     assert grad == pytest.approx([0.5])
 
 
 def test_identical_features_leave_only_prior():
     ds = make_dataset([(1, [(2, {1: 0.7}), (1, {1: 0.7}), (0, {1: 0.7})])])
-    obj, grad = linear_objective_and_gradient(np.zeros(1), ds, k=3)
+    obj, grad = library_linear_objective(np.zeros(1), ds, k=3)
     assert grad == pytest.approx([0.0], abs=1e-12)
 
 
 def test_empty_dataset_prior_only():
     ds = make_dataset([])
     w = np.array([1.5, -2.0])
-    obj, grad = linear_objective_and_gradient(w, ds)
+    obj, grad = library_linear_objective(w, ds)
     assert obj == pytest.approx(-0.5 * float(w @ w))
     assert grad == pytest.approx(-w)
 
 
 def test_weights_must_cover_features():
     ds = make_dataset([(1, [(1, {3: 1.0}), (0, {1: 0.0})])])
-    with pytest.raises(ConfigError):
-        linear_objective_and_gradient(np.zeros(2), ds)
+    with pytest.raises(ValidationError):
+        library_linear_objective(np.zeros(2), ds)
 
 
 def test_gradient_matches_finite_differences():
@@ -52,15 +48,15 @@ def test_gradient_matches_finite_differences():
     step = 1e-5
     for _ in range(5):
         w = rng.uniform(-1, 1, 4)
-        _, grad = linear_objective_and_gradient(w, ds, k=5, objectives=2, seed=9)
+        _, grad = library_linear_objective(w, ds, k=5, objectives=2, seed=9)
         fd = np.zeros(4)
         for i in range(4):
             up, down = w.copy(), w.copy()
             up[i] += step
             down[i] -= step
             fd[i] = (
-                linear_objective_and_gradient(up, ds, k=5, objectives=2, seed=9)[0]
-                - linear_objective_and_gradient(down, ds, k=5, objectives=2, seed=9)[0]
+                library_linear_objective(up, ds, k=5, objectives=2, seed=9)[0]
+                - library_linear_objective(down, ds, k=5, objectives=2, seed=9)[0]
             ) / (2 * step)
         assert np.linalg.norm(fd - grad) <= 1e-4 * max(1.0, np.linalg.norm(grad))
 
@@ -71,7 +67,7 @@ def test_objective_concave_along_segments():
     for _ in range(20):
         w1 = rng.uniform(-2, 2, 3)
         w2 = rng.uniform(-2, 2, 3)
-        f = lambda w: linear_objective_and_gradient(w, ds, k=4, seed=2)[0]
+        f = lambda w: library_linear_objective(w, ds, k=4, seed=2)[0]
         mid = f(0.5 * (w1 + w2))
         assert mid >= 0.5 * (f(w1) + f(w2)) - 1e-9
 

@@ -13,10 +13,10 @@ from plrank.model_io import (
     parse_linear,
     save_model,
 )
-from plrank.tree import Ensemble, predict_ensemble
+from plrank.tree import Ensemble
 
 from helpers import separable_dataset
-from tree_reference import build_tree
+from tree_reference import build_tree, predict_ensemble_row
 
 
 def trained_ensemble():
@@ -40,7 +40,7 @@ def test_round_trip_preserves_predictions():
     rng = np.random.default_rng(0)
     for _ in range(20):
         row = rng.uniform(-1, 1, ensemble.num_features)
-        assert predict_ensemble(restored, row) == predict_ensemble(ensemble, row)
+        assert predict_ensemble_row(restored, row) == predict_ensemble_row(ensemble, row)
 
 
 def test_empty_ensemble_round_trip():
@@ -109,10 +109,11 @@ def test_load_model_dispatches_on_header(tmp_path):
     assert isinstance(load_model(str(lpath)), LinearModel)
 
 
-def one_split_model(feature="1", threshold="0.5", value="0.25", features=3):
+def one_split_model(feature="1", threshold="0.5", value="0.25", features=3,
+                    alpha="0.1", init="0.0"):
     return (
-        f"plrank-model v1\nloss=plrank\nalpha=0.1\ntopk=10\nfeatures={features}\n"
-        f"init=0.0\ntrees=1\ntree 0 nodes=3\nN 0 f={feature} t={threshold} l=1 r=2\n"
+        f"plrank-model v1\nloss=plrank\nalpha={alpha}\ntopk=10\nfeatures={features}\n"
+        f"init={init}\ntrees=1\ntree 0 nodes=3\nN 0 f={feature} t={threshold} l=1 r=2\n"
         f"L 1 v={value} n=3\nL 2 v=-0.5 n=7\nend\n"
     )
 
@@ -134,6 +135,15 @@ def test_feature_index_outside_header_rejected(feature):
 def test_non_finite_node_numbers_rejected(field, text):
     with pytest.raises(ValidationError, match="non-finite"):
         parse_ensemble(one_split_model(**{field: text}))
+
+
+@pytest.mark.parametrize("key, line", [("alpha", 3), ("init", 6)])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_header_numbers_rejected(key, line, text):
+    # repr writes nan and inf back as read, so the canonical check let them in.
+    with pytest.raises(ValidationError, match=f"line {line}: non-finite value") as info:
+        parse_ensemble(one_split_model(**{key: text}))
+    assert info.value.line == line
 
 
 def test_unreadable_node_number_rejected():

@@ -11,14 +11,13 @@ from plrank import (
     build_permutations,
     conditional_probs,
     leaf_newton_stats,
-    leaf_newton_value,
     log_likelihood,
     pseudo_response,
 )
 from plrank.pl_objective import MAX_LEAF_OUTPUT, newton_leaf_outputs
 
 from helpers import make_dataset
-from pl_reference import permutation_set
+from pl_reference import leaf_newton_value, permutation_set
 
 
 def toy_pset(k=2):

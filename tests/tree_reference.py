@@ -6,12 +6,12 @@ a time across the whole ensemble. It walks ``RegressionTree.root`` and is
 kept as the oracle the level-wise path must match bit for bit.
 
 Also here: small helpers only tests use (building a tree from a nested spec,
-per-tree prediction, squared error).
+per-tree and one-row prediction through the library, squared error).
 """
 
 import numpy as np
 
-from plrank.tree import Leaf, RegressionTree, apply_tree
+from plrank.tree import Leaf, RegressionTree, apply_tree, predict_ensemble_matrix
 
 
 def reference_apply(tree, X):
@@ -56,6 +56,16 @@ def leaf_outputs(tree):
 
 def predict_tree_matrix(tree, X):
     return leaf_outputs(tree)[apply_tree(tree, X)]
+
+
+def predict_tree_row(tree, row):
+    """Output of the leaf one row routes to, through ``apply_tree``."""
+    return float(predict_tree_matrix(tree, np.reshape(row, (1, -1)))[0])
+
+
+def predict_ensemble_row(ensemble, row):
+    """One row's ensemble score, through ``predict_ensemble_matrix``."""
+    return float(predict_ensemble_matrix(ensemble, np.reshape(row, (1, -1)))[0])
 
 
 def tree_sse(tree, X, y):
