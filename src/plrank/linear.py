@@ -90,11 +90,12 @@ def train_linear(
 
     count = [0]
 
-    def callback(w: np.ndarray) -> None:
+    def callback(intermediate_result) -> None:
+        # By this parameter name, scipy passes the accepted point's result,
+        # whose ``fun`` it has already evaluated.
         count[0] += 1
         if on_iteration is not None:
-            obj, _ = _objective_and_gradient(w, X, contexts)
-            on_iteration(f"iter={count[0]} objective={obj:.6f}")
+            on_iteration(f"iter={count[0]} objective={-intermediate_result.fun:.6f}")
 
     result = minimize(
         negated,

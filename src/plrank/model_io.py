@@ -90,21 +90,24 @@ def parse_ensemble(text: str) -> Ensemble:
         header[match.group(1)] = (match.group(2), pos + 1)
         pos += 1
     try:
-        ensemble = Ensemble(
-            trees=[],
-            learning_rate=_finite(*header["alpha"]),
-            init_score=_finite(*header["init"]),
-            loss=header["loss"][0],
-            top_k=int(header["topk"][0]),
-            num_features=int(header["features"][0]),
-        )
+        learning_rate = _finite(*header["alpha"])
+        init_score = _finite(*header["init"])
+        loss = header["loss"][0]
+        top_k = int(header["topk"][0])
+        num_features = int(header["features"][0])
         tree_count = int(header["trees"][0])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad model header: {exc}") from None
 
-    if ensemble.loss not in TREE_LOSSES:
-        raise ValidationError(f"unknown loss {ensemble.loss!r} in model header")
+    if loss not in TREE_LOSSES:
+        raise ValidationError(f"unknown loss {loss!r} in model header")
+    if top_k < 1:
+        raise ValidationError(f"topk must be >= 1, got {top_k}", header["topk"][1])
+    if num_features < 0:
+        raise ValidationError(f"features must be >= 0, got {num_features}",
+                              header["features"][1])
 
+    trees = []
     for t in range(tree_count):
         match = _TREE_RE.match(lines[pos]) if pos < len(lines) else None
         if not match or int(match.group(1)) != t:
@@ -113,12 +116,12 @@ def parse_ensemble(text: str) -> Ensemble:
         pos += 1
         if pos + node_count > len(lines):
             raise ParseError("truncated tree block", len(lines) + 1)
-        ensemble.trees.append(
-            _parse_tree(lines[pos : pos + node_count], pos, ensemble.num_features)
-        )
+        trees.append(_parse_tree(lines[pos : pos + node_count], pos, num_features))
         pos += node_count
     if pos >= len(lines) or lines[pos] != "end":
         raise ParseError("missing 'end' marker", pos + 1)
+    ensemble = Ensemble(trees=trees, learning_rate=learning_rate, init_score=init_score,
+                        loss=loss, top_k=top_k, num_features=num_features)
     canonical = dumps_ensemble(ensemble)
     if canonical != text:
         # Header order, number spellings, line ends, trailing lines: every

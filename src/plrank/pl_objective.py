@@ -234,7 +234,8 @@ def newton_leaf_outputs(
     """
     grad = np.bincount(assign, weights=responses, minlength=n_leaves)
     curv = contexts.curvature(contexts.workspace.probs, assign[contexts.table], n_leaves)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A curvature below CURVATURE_EPS can overflow the quotient; that output is zeroed.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = -grad / curv
     out[np.abs(curv) < CURVATURE_EPS] = 0.0
     return np.clip(out, -MAX_LEAF_OUTPUT, MAX_LEAF_OUTPUT)

@@ -15,14 +15,15 @@ own value range.
 
 A tree is one preorder node table (:class:`RegressionTree`): fitting emits
 it, the model file is it line for line, and prediction routes every row
-through all trees of an ensemble together, one depth level per step. Every
-prediction path rejects NaN in its input.
+through all trees of an ensemble together, one depth level per step. An
+:class:`Ensemble` is immutable: building one copies its trees' tables end to
+end into one read-only node table and stacks the routing table from it once.
+Every prediction path rejects NaN in its input.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,8 +64,12 @@ class Split:
 
 Node = Leaf | Split
 
+# A node table's columns and their dtypes.
+_COLUMNS = {"feature": np.intp, "threshold": np.float64, "right": np.intp,
+            "value": np.float64, "count": np.int64}
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class RegressionTree:
     """One tree as a preorder node table: one entry per node, root first.
 
@@ -84,19 +89,13 @@ class RegressionTree:
     count: np.ndarray
 
     def __post_init__(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.intp)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.right = np.asarray(self.right, dtype=np.intp)
-        self.value = np.asarray(self.value, dtype=np.float64)
-        self.count = np.asarray(self.count, dtype=np.int64)
+        for name, dtype in _COLUMNS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegressionTree):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("feature", "threshold", "right", "value", "count")
-        )
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     @property
     def leaf_count(self) -> int:
@@ -113,26 +112,37 @@ class RegressionTree:
         return Split(int(self.feature[i]), float(self.threshold[i]), self, i)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ensemble:
-    trees: list[RegressionTree] = field(default_factory=list)
+    """A boosted model. It never changes: ``dataclasses.replace`` builds a changed one."""
+
+    trees: tuple[RegressionTree, ...] = ()
     learning_rate: float = 0.1
     init_score: float = 0.0
     loss: str = "plrank"
     top_k: int = 10
     num_features: int = 0
-    # What predict_ensemble_matrix last stacked (see _stacked_routing); not
-    # part of the model, so equality, repr and the model file ignore it.
-    _routing: tuple[list, _Routing] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Derived from trees, so equality, repr and the model file ignore it.
+    _routing: _Routing = field(init=False, repr=False, compare=False)
 
-    def __getstate__(self) -> dict:
-        # A deep copy or an unpickled ensemble gets new, writable arrays that
-        # the kept table's read-only guard does not cover: it stacks anew.
-        state = self.__dict__.copy()
-        state["_routing"] = None
-        return state
+    def __post_init__(self) -> None:
+        sizes = [tree.feature.size for tree in self.trees]
+        table = RegressionTree(*(
+            np.concatenate([getattr(tree, name) for tree in self.trees] or [[]])
+            for name in _COLUMNS
+        ))
+        for name in _COLUMNS:
+            getattr(table, name).flags.writeable = False
+        bounds = np.cumsum([0] + sizes).tolist()
+        trees = tuple(
+            RegressionTree(*(getattr(table, name)[a:b] for name in _COLUMNS))
+            for a, b in zip(bounds, bounds[1:])
+        )
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "_routing", _Routing.of(table, sizes))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def sort_columns(X: np.ndarray) -> np.ndarray:
@@ -398,7 +408,7 @@ def _feature_rows(X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Routing:
-    """The trees' tables end to end, as routing reads them.
+    """A stacked node table as routing reads it.
 
     Leaves loop back to themselves, so pairs that reach a leaf early stay
     there while deeper ones finish. ``child[2 * i + 1]`` is node ``i``'s
@@ -413,22 +423,35 @@ class _Routing:
     roots: np.ndarray
 
     @classmethod
-    def of(cls, trees: list[RegressionTree]) -> "_Routing":
-        sizes = np.array([tree.feature.size for tree in trees])
+    def of(cls, table: RegressionTree, sizes: list[int]) -> "_Routing":
+        """Routing for trees of ``sizes`` nodes laid end to end in ``table``.
+
+        Every split's children must be later nodes of its own tree, so each
+        step moves deeper into one tree and routing always ends.
+        """
+        sizes = np.array(sizes, dtype=np.intp)
         roots = np.cumsum(sizes) - sizes
-        feature = np.concatenate([tree.feature for tree in trees])
-        split = feature >= 0
-        own = np.arange(feature.size)
-        right = np.concatenate([tree.right for tree in trees]) + np.repeat(roots, sizes)
-        child = np.empty(2 * feature.size, dtype=np.intp)
+        split = table.feature >= 0
+        own = np.arange(split.size)
+        right = table.right + np.repeat(roots, sizes)
+        bad = split & ((right <= own + 1) | (right >= np.repeat(roots + sizes, sizes)))
+        if bad.any():
+            node = int(np.argmax(bad))
+            tree = int(np.searchsorted(roots, node, side="right")) - 1
+            i = node - int(roots[tree])
+            raise ValidationError(
+                f"tree {tree} node {i} has children {i + 1} and {int(table.right[node])}; "
+                f"a split's children must be later nodes of its own {sizes[tree]}-node tree"
+            )
+        child = np.empty(2 * split.size, dtype=np.intp)
         child[0::2] = np.where(split, right, own)
         child[1::2] = np.where(split, own + 1, own)
         return cls(
             split=split,
-            column=np.where(split, feature, 0),
-            threshold=np.concatenate([tree.threshold for tree in trees]),
+            column=np.where(split, table.feature, 0),
+            threshold=table.threshold,
             child=child,
-            value=np.concatenate([tree.value for tree in trees]),
+            value=table.value,
             roots=roots,
         )
 
@@ -463,33 +486,9 @@ class _Routing:
         return node.reshape(self.roots.size, n)
 
 
-def _stacked_routing(ensemble: Ensemble) -> _Routing:
-    """The ensemble's stacked table, kept until a tree or a routed array changes.
-
-    The key is the identity of each tree and of its ``feature``,
-    ``threshold``, ``right`` and ``value`` arrays, so appending, replacing or
-    reassigning trees restacks. Stacking marks those arrays read-only, so an
-    in-place write raises instead of leaving the kept table stale.
-    """
-    key = [
-        part
-        for tree in ensemble.trees
-        for part in (tree, tree.feature, tree.threshold, tree.right, tree.value)
-    ]
-    kept = ensemble._routing
-    if kept is not None and len(kept[0]) == len(key) and all(map(operator.is_, kept[0], key)):
-        return kept[1]
-    routing = _Routing.of(ensemble.trees)
-    for part in key:
-        if isinstance(part, np.ndarray):
-            part.flags.writeable = False
-    ensemble._routing = (key, routing)
-    return routing
-
-
 def apply_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     """Leaf position (index among the leaves, in preorder) for every row of X."""
-    nodes = _Routing.of([tree]).leaves(_feature_rows(X))[0]
+    nodes = _Routing.of(tree, [tree.feature.size]).leaves(_feature_rows(X))[0]
     return (np.cumsum(tree.feature < 0) - 1).take(nodes)
 
 
@@ -497,8 +496,7 @@ def predict_ensemble_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     """Ensemble scores for every row of X.
 
     All trees are routed together one depth level at a time, in blocks of
-    rows, through the table kept on the ensemble (see
-    :func:`_stacked_routing`); its trees' arrays are read-only from then on.
+    rows, through the routing table the ensemble stacked when it was built.
     Scores accumulate ``learning_rate * output`` tree by tree in
     ensemble order, as training does, so they are bit-identical to adding
     the trees one at a time.
@@ -507,7 +505,7 @@ def predict_ensemble_matrix(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     scores = np.full(X.shape[0], ensemble.init_score, dtype=np.float64)
     if not ensemble.trees:
         return scores
-    routing = _stacked_routing(ensemble)
+    routing = ensemble._routing
     step = max(1, _BLOCK_PAIRS // len(ensemble.trees))
     for start in range(0, X.shape[0], step):
         nodes = routing.leaves(X[start : start + step])

@@ -162,7 +162,7 @@ def newton_leaf_outputs(
         for members, probs in zip(query.members, query.probs_per_context):
             mass = np.bincount(leaf_of[members], weights=probs, minlength=n_leaves)
             curv += mass * (mass - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = -grad / curv
     out[np.abs(curv) < CURVATURE_EPS] = 0.0
     return np.clip(out, -MAX_LEAF_OUTPUT, MAX_LEAF_OUTPUT)

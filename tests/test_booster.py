@@ -164,6 +164,16 @@ def test_init_model_trees_carry_over():
     assert dumps_ensemble(resumed) == dumps_ensemble(full)
 
 
+def test_warm_start_validation_trace_scores_the_final_model():
+    ds = thresholded_linear_dataset(n_queries=8, n_docs=8, n_features=3)
+    valid = thresholded_linear_dataset(n_queries=6, n_docs=8, n_features=3, seed=8)
+    first, _ = train(ds, small_config(trees=3))
+    resumed, trace = train(ds, small_config(trees=2, init_model=first), valid_dataset=valid)
+    X = dense_features(valid, valid.max_feature_index)
+    report = evaluate(valid, predict_ensemble_matrix(resumed, X), [10])
+    assert trace.valid_ndcg[-1] == pytest.approx(report.ndcg_at[10], abs=1e-12)
+
+
 def test_trace_lines_format():
     ds = separable_dataset(n_queries=4, n_docs=5)
     _, trace = train(ds, small_config(trees=2), valid_dataset=ds)

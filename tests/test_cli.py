@@ -84,6 +84,32 @@ def test_exit_code_bad_flags(train_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--topk", "0", "top-K must be >= 1"),
+    ("--objectives", "0", "objective count must be >= 1"),
+    ("--min-leaf", "0", "min leaf docs must be >= 1"),
+    ("--bins", "1", "histogram bins must be 0 (exact) or >= 2"),
+])
+def test_exit_code_bad_train_setting(tmp_path, train_file, capsys, flag, value, message):
+    assert run(["train", "--train", train_file, "--trees", "1", flag, value,
+                "--out", str(tmp_path / "model.txt")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_exit_code_linear_init_model(tmp_path, train_file, capsys):
+    linear = tmp_path / "linear.txt"
+    linear.write_text("linear M=3\nw[1]=0.5\nw[2]=0.0\nw[3]=0.0\n")
+    assert run(["train", "--train", train_file, "--trees", "1", "--init-model", str(linear),
+                "--out", str(tmp_path / "model.txt")]) == 3
+    assert "--init-model must be a tree ensemble file" in capsys.readouterr().err
+
+
+def test_exit_code_nonpositive_cutoff(tmp_path, train_file, capsys):
+    assert run(["evaluate", "--data", train_file, "--scores", str(tmp_path / "s.txt"),
+                "--ndcg", "10,0"]) == 2
+    assert "cutoffs must be positive" in capsys.readouterr().err
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a letor line\n")
@@ -122,6 +148,26 @@ def test_exit_code_non_finite_score(tmp_path, train_file, capsys, text):
     scores.write_text("\n".join(lines) + "\n")
     assert run(["evaluate", "--data", train_file, "--scores", str(scores)]) == 3
     assert "line 4" in capsys.readouterr().err
+
+
+def test_score_file_blank_lines_skipped(tmp_path, train_file, capsys):
+    count = len(Path(train_file).read_text().splitlines())
+    plain, blank = tmp_path / "plain.txt", tmp_path / "blank.txt"
+    plain.write_text("".join(f"{i / count}\n" for i in range(count)))
+    blank.write_text("\n" + "".join(f"{i / count}\n\n" for i in range(count)))
+    assert run(["evaluate", "--data", train_file, "--scores", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert run(["evaluate", "--data", train_file, "--scores", str(blank)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_exit_code_unreadable_score(tmp_path, train_file, capsys):
+    lines = ["0.5"] * len(Path(train_file).read_text().splitlines())
+    lines[2] = "abc"
+    scores = tmp_path / "scores.txt"
+    scores.write_text("\n".join(lines) + "\n")
+    assert run(["evaluate", "--data", train_file, "--scores", str(scores)]) == 3
+    assert "line 3: bad score 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--train", "--data", "--scores", "--model"])
@@ -182,6 +228,18 @@ def test_exit_code_non_finite_model_header(tmp_path, train_file, capsys, alpha, 
     assert run(["predict", "--model", str(model), "--data", train_file,
                 "--out", str(tmp_path / "scores.txt")]) == 3
     assert f"line {line}: non-finite value" in capsys.readouterr().err
+
+
+def test_exit_code_negative_model_width(tmp_path, train_file, capsys):
+    # This one-leaf model once loaded; predict --strict then refused every data file.
+    model = tmp_path / "model.txt"
+    model.write_text(
+        "plrank-model v1\nloss=plrank\nalpha=0.1\ntopk=10\nfeatures=-1\n"
+        "init=0.0\ntrees=1\ntree 0 nodes=1\nL 0 v=0.5 n=3\nend\n"
+    )
+    assert run(["predict", "--model", str(model), "--data", train_file,
+                "--out", str(tmp_path / "scores.txt")]) == 3
+    assert "line 5: features must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf"])

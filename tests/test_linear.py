@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plrank.linear
 from plrank import LinearModel, evaluate, train_linear
 from plrank.data import dense_features
 from plrank.errors import ConfigError, ValidationError
@@ -88,6 +89,29 @@ def test_objective_nondecreasing_over_iterations():
                      float(line.split("objective=")[1])))
     assert len(values) >= 2
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_reporting_iterations_costs_no_extra_evaluations(monkeypatch):
+    """Each reported objective is the one L-BFGS-B already evaluated there."""
+    rng = np.random.default_rng(25)
+    ds = random_dataset(rng, n_queries=8, n_docs=6, n_features=4)
+    calls = []
+    evaluate_at = plrank.linear._objective_and_gradient
+
+    def counted(w, X, contexts):
+        objective, gradient = evaluate_at(w, X, contexts)
+        calls.append(objective)
+        return objective, gradient
+
+    monkeypatch.setattr(plrank.linear, "_objective_and_gradient", counted)
+    quiet = train_linear(ds, k=5, iterations=10, seed=4)
+    evaluations = len(calls)
+    lines = []
+    loud = train_linear(ds, k=5, iterations=10, seed=4, on_iteration=lines.append)
+    assert len(calls) == 2 * evaluations
+    assert loud.weights.tobytes() == quiet.weights.tobytes()
+    reported = [line.split("objective=")[1] for line in lines]
+    assert set(reported) <= {f"{value:.6f}" for value in calls[evaluations:]}
 
 
 def test_linearly_rankable_dataset_recovered():

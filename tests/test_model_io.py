@@ -151,9 +151,9 @@ def test_unreadable_node_number_rejected():
         parse_ensemble(one_split_model(threshold="0.5x"))
 
 
-def tree_model(*nodes, loss="plrank"):
+def tree_model(*nodes, loss="plrank", topk=10, features=3):
     return (
-        f"plrank-model v1\nloss={loss}\nalpha=0.1\ntopk=10\nfeatures=3\ninit=0.0\n"
+        f"plrank-model v1\nloss={loss}\nalpha=0.1\ntopk={topk}\nfeatures={features}\ninit=0.0\n"
         f"trees=1\ntree 0 nodes={len(nodes)}\n" + "".join(f"{n}\n" for n in nodes) + "end\n"
     )
 
@@ -186,6 +186,17 @@ def test_unknown_loss_rejected():
     parse_ensemble(tree_model(*good, loss="mart2"))
     with pytest.raises(ValidationError, match="unknown loss 'bogus'"):
         parse_ensemble(tree_model(*good, loss="bogus"))
+
+
+@pytest.mark.parametrize("key, text, line", [
+    ("topk", "0", 4), ("topk", "-5", 4), ("features", "-1", 5),
+])
+def test_header_count_below_floor_rejected(key, text, line):
+    # Saving an empty Ensemble() writes features=0, so 0 stays valid.
+    parse_ensemble(tree_model("L 0 v=0.5 n=3", topk=1, features=0))
+    with pytest.raises(ValidationError, match=f"line {line}: {key} must be >= ") as info:
+        parse_ensemble(tree_model("L 0 v=0.5 n=3", **{key: text}))
+    assert info.value.line == line
 
 
 @pytest.mark.parametrize("edit", [

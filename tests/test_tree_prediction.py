@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import plrank.tree
 from plrank.model_io import dumps_ensemble
-from plrank.tree import Ensemble, apply_tree, fit_tree, predict_ensemble_matrix
+from plrank.errors import ValidationError
+from plrank.tree import Ensemble, RegressionTree, apply_tree, fit_tree, predict_ensemble_matrix
 
 from tree_reference import (
     build_tree,
@@ -85,7 +86,7 @@ def test_ensemble_matches_reference_bit_for_bit(ensemble, X, block_pairs, cuts):
     """Also routes in blocks of a drawn size, so remainders are covered.
 
     Later calls, on the whole matrix or on row blocks cut at ``cuts``, reuse
-    the table the first call kept, and match a freshly stacked one.
+    the ensemble's routing table, and match a freshly stacked one.
     """
     expected = reference_predict_ensemble_matrix(ensemble, X).tobytes()
     assert predict_ensemble_matrix(ensemble, X).tobytes() == expected
@@ -144,40 +145,66 @@ def test_leaf_only_ensemble_reads_no_column(rows_):
     assert predict_ensemble_matrix(ensemble, rows_).tobytes() == expected.tobytes()
 
 
-def scored_ensemble():
+def fitted_ensemble():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(200, 4))
     trees = [fit_tree(X, rng.normal(size=200), 8) for _ in range(6)]
     ensemble = Ensemble(trees=trees[:4], learning_rate=0.3, init_score=0.25, num_features=4)
     rows_ = np.round(rng.normal(size=(50, 4)), 1)
-    predict_ensemble_matrix(ensemble, rows_)
     return ensemble, trees[4:], rows_
 
 
-@pytest.mark.parametrize("change", ["append", "setitem", "reassign", "replace-value",
-                                    "assign-threshold"])
-def test_changed_trees_restack(change):
-    ensemble, spare, X = scored_ensemble()
+CHANGES = ["append", "setitem", "reassign", "replace-value", "assign-threshold"]
+
+
+def changed(trees, spare, change):
+    """``trees`` with one change applied, as a new list."""
+    trees = list(trees)
     if change == "append":
-        ensemble.trees.append(spare[0])
+        trees.append(spare[0])
     elif change == "setitem":
-        ensemble.trees[1] = spare[0]
+        trees[1] = spare[0]
     elif change == "reassign":
-        ensemble.trees = [spare[1], ensemble.trees[0]]
+        trees = [spare[1], trees[0]]
     elif change == "replace-value":
-        ensemble.trees[2] = dataclasses.replace(ensemble.trees[2],
-                                                value=ensemble.trees[2].value * -2.0)
+        trees[2] = dataclasses.replace(trees[2], value=trees[2].value * -2.0)
     else:
-        ensemble.trees[0].threshold = ensemble.trees[0].threshold + 0.25
-    assert predict_ensemble_matrix(ensemble, X).tobytes() == \
-        predict_ensemble_matrix(fresh(ensemble), X).tobytes()
-    assert predict_ensemble_matrix(ensemble, X).tobytes() == \
-        reference_predict_ensemble_matrix(ensemble, X).tobytes()
+        trees[0] = dataclasses.replace(trees[0], threshold=trees[0].threshold + 0.25)
+    return trees
+
+
+@pytest.mark.parametrize("change", CHANGES)
+def test_ensemble_and_its_trees_cannot_change(change):
+    ensemble, spare, X = fitted_ensemble()
+    before = predict_ensemble_matrix(ensemble, X).tobytes()
+    with pytest.raises((AttributeError, TypeError)):
+        if change == "append":
+            ensemble.trees.append(spare[0])
+        elif change == "setitem":
+            ensemble.trees[1] = spare[0]
+        elif change == "reassign":
+            ensemble.trees = [spare[1], ensemble.trees[0]]
+        elif change == "replace-value":
+            ensemble.trees[2] = dataclasses.replace(ensemble.trees[2],
+                                                    value=ensemble.trees[2].value * -2.0)
+        else:
+            ensemble.trees[0].threshold = ensemble.trees[0].threshold + 0.25
+    assert predict_ensemble_matrix(ensemble, X).tobytes() == before
+
+
+@pytest.mark.parametrize("change", CHANGES)
+def test_replaced_trees_score_as_the_reference(change):
+    ensemble, spare, X = fitted_ensemble()
+    rebuilt = dataclasses.replace(ensemble, trees=changed(ensemble.trees, spare, change))
+    assert predict_ensemble_matrix(rebuilt, X).tobytes() == \
+        reference_predict_ensemble_matrix(rebuilt, X).tobytes()
+    assert predict_ensemble_matrix(rebuilt, X).tobytes() != \
+        predict_ensemble_matrix(ensemble, X).tobytes()
 
 
 @pytest.mark.parametrize("column", ["value", "threshold"])
 def test_scored_tree_arrays_are_read_only(column):
-    ensemble, _, X = scored_ensemble()
+    ensemble, _, X = fitted_ensemble()
     before = predict_ensemble_matrix(ensemble, X).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         getattr(ensemble.trees[0], column)[0] += 1.0
@@ -185,22 +212,63 @@ def test_scored_tree_arrays_are_read_only(column):
     assert predict_ensemble_matrix(fresh(ensemble), X).tobytes() == before
 
 
+def test_building_leaves_the_callers_trees_alone():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 4))
+    trees = [fit_tree(X, rng.normal(size=200), 8) for _ in range(3)]
+    copies = copy.deepcopy(trees)
+    ensemble = Ensemble(trees=trees)
+    assert trees == copies and list(ensemble.trees) == copies
+    for tree in trees:
+        for column in (tree.feature, tree.threshold, tree.right, tree.value, tree.count):
+            assert column.flags.writeable
+    trees[0].value[:] = 7.0
+    assert ensemble.trees[0] == copies[0]
+
+
 @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))])
-def test_copied_ensemble_stacks_its_own_arrays(duplicate):
-    """A deep copy's arrays are writable again, so it must not reuse the kept table."""
-    ensemble, _, X = scored_ensemble()
+def test_copied_ensemble_equals_and_scores_as_the_original(duplicate):
+    ensemble, _, X = fitted_ensemble()
     twin = duplicate(ensemble)
-    twin.trees[0].value[:] = 7.0
+    assert twin == ensemble
     assert predict_ensemble_matrix(twin, X).tobytes() == \
-        reference_predict_ensemble_matrix(twin, X).tobytes()
-    assert predict_ensemble_matrix(twin, X).tobytes() != \
         predict_ensemble_matrix(ensemble, X).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        twin.trees[0].value[0] = 7.0
 
 
-def test_kept_routing_is_not_part_of_the_model():
-    ensemble, _, _ = scored_ensemble()
-    unscored = dataclasses.replace(ensemble)
-    assert ensemble._routing is not None and unscored._routing is None
-    assert ensemble == unscored
-    assert repr(ensemble) == repr(unscored)
-    assert dumps_ensemble(ensemble) == dumps_ensemble(unscored)
+def test_routing_table_is_not_part_of_the_model():
+    ensemble, _, _ = fitted_ensemble()
+    twin = dataclasses.replace(ensemble)
+    assert twin._routing is not ensemble._routing
+    assert twin == ensemble
+    assert repr(twin) == repr(ensemble) and "_routing" not in repr(ensemble)
+    assert dumps_ensemble(twin) == dumps_ensemble(ensemble)
+
+
+def stump(right=2):
+    """A 3-node stump whose split sends rows above 0.5 to node ``right``."""
+    return RegressionTree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
+                          right=[right, -1, -1], value=[0.0, 1.0, 2.0], count=[0, 1, 1])
+
+
+@pytest.mark.parametrize("right", [0, 1, 3, 5, -1])
+@pytest.mark.parametrize("position", [0, 1])
+def test_split_children_must_be_later_nodes_of_its_own_tree(right, position):
+    """Right child 0 loops back to the root and 3 or 5 point past the tree."""
+    trees = [stump(), stump()]
+    trees[position] = stump(right)
+    with pytest.raises(ValidationError, match=f"tree {position} node 0 has children 1 and "):
+        Ensemble(trees=trees)
+
+
+def test_split_in_the_last_row_is_rejected():
+    tree = RegressionTree(feature=[0, -1, 0], threshold=[0.5, 0.0, 0.5], right=[2, -1, 3],
+                          value=[0.0, 1.0, 0.0], count=[0, 1, 0])
+    with pytest.raises(ValidationError, match="tree 0 node 2 has children 3 and 3"):
+        Ensemble(trees=[tree])
+
+
+def test_apply_tree_rejects_a_right_child_past_the_tree():
+    with pytest.raises(ValidationError, match="tree 0 node 0 has children 1 and 5"):
+        apply_tree(stump(5), np.ones((1, 1)))
