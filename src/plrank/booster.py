@@ -221,7 +221,8 @@ def train(
     init_score = 0.0
     if config.init_model is not None:
         factor = config.init_model.learning_rate / config.learning_rate
-        trees = [replace(t, value=t.value * factor) for t in config.init_model.trees] + trees
+        with np.errstate(over="ignore"):  # the tree rejects an overflowed output
+            trees = [replace(t, value=t.value * factor) for t in config.init_model.trees] + trees
         init_score = config.init_model.init_score
 
     ensemble = Ensemble(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .booster import TrainConfig, train
 from .data import Dataset, dense_features, load_dataset
-from .errors import PLRankError, ValidationError, _open_text
+from .errors import ConfigError, PLRankError, ValidationError, _open_text
 from .linear import LinearModel, train_linear
 from .metrics import evaluate
 from .model_io import load_model, save_model
@@ -103,6 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.train)
     if args.loss == "listmle-linear":
+        for flag, value in (("--valid", args.valid), ("--init-model", args.init_model)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies only to tree losses, not listmle-linear")
         model: Ensemble | LinearModel = train_linear(
             dataset,
             k=args.topk,

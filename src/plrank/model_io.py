@@ -21,11 +21,11 @@ data format.
 
 The reader accepts only preorder numbering: ids run 0..n-1 in line order,
 an internal node's left child is the next line, and its right child is the
-line after its left subtree. So every node is reachable exactly once and
-each line reads straight into one table row. It also accepts only what
-saving writes (the header keys in this order, numbers as ``repr`` spells
-them, ``\n`` line ends), so saving a loaded model rewrites its file byte
-for byte.
+line after its left subtree. Each line reads straight into one table row,
+whose tree derives its children and checks its shape. The reader accepts
+only what saving writes (the header keys in this order, numbers as ``repr``
+spells them, ``\n`` line ends, and the derived ids and children), so saving
+a loaded model rewrites its file byte for byte.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def dumps_ensemble(ensemble: Ensemble) -> str:
 
 
 _HEADER_RE = re.compile(r"^(\w+)=(.*)$")
-_LEAF_RE = re.compile(r"^L (\d+) v=(\S+) n=(\d+)$")
-_NODE_RE = re.compile(r"^N (\d+) f=(\d+) t=(\S+) l=(\d+) r=(\d+)$")
+_LEAF_RE = re.compile(r"^L \d+ v=(\S+) n=(\d+)$")
+_NODE_RE = re.compile(r"^N \d+ f=(\d+) t=(\S+) l=\d+ r=\d+$")
 _TREE_RE = re.compile(r"^tree (\d+) nodes=(\d+)$")
 
 
@@ -139,61 +139,28 @@ def parse_ensemble(text: str) -> Ensemble:
 def _parse_tree(block: list[str], offset: int, num_features: int) -> RegressionTree:
     """One tree's node lines (file lines ``offset + 1`` on) as its table.
 
-    Rejects any numbering but preorder, so each line is one table row.
+    Reads each line's kind and its ``f=``, ``t=``, ``v=`` and ``n=``. The
+    tree checks its own shape; a shape error names the ``tree`` line.
     """
-    feature, threshold, right, value, count = [], [], [], [], []
-    pending: list[tuple[int, int]] = []  # (node, right child) still to come
-    complete = False
-    for i, line in enumerate(block):
-        lineno = offset + i + 1
-        if complete:
-            raise ValidationError(f"node {i} is unreachable: the tree ends at node {i - 1}",
-                                  lineno)
+    columns: tuple[list, ...] = ([], [], [], [])  # feature, threshold, value, count
+    for lineno, line in enumerate(block, start=offset + 1):
         leaf = _LEAF_RE.match(line)
         node = leaf or _NODE_RE.match(line)
         if not node:
             raise ParseError(f"bad node record {line!r}", lineno)
-        if int(node.group(1)) != i:
-            raise ValidationError(
-                f"node id {node.group(1)} where preorder numbering expects {i}", lineno
-            )
         if leaf:
-            feature.append(-1)
-            threshold.append(0.0)
-            right.append(-1)
-            value.append(_finite(leaf.group(2), lineno))
-            count.append(int(leaf.group(3)))
-            if not pending:
-                complete = True
-            elif pending[-1][1] != i + 1:
-                parent, child = pending[-1]
-                raise ValidationError(
-                    f"node {parent} has right child {child}; preorder puts it at {i + 1}",
-                    lineno,
-                )
-            else:
-                pending.pop()
-            continue
-        index = int(node.group(2))
-        if not 1 <= index <= num_features:
-            raise ValidationError(f"feature index {index} outside 1..{num_features}", lineno)
-        if int(node.group(4)) != i + 1:
-            raise ValidationError(
-                f"node {i} has left child {node.group(4)}; preorder puts it at {i + 1}",
-                lineno,
-            )
-        feature.append(index - 1)
-        threshold.append(_finite(node.group(3), lineno))
-        right.append(int(node.group(5)))
-        value.append(0.0)
-        count.append(0)
-        pending.append((i, right[-1]))
-    if not complete:
-        raise ValidationError(
-            f"{len(block)} nodes end before every split has both children", offset
-        )
-    return RegressionTree(feature=feature, threshold=threshold, right=right,
-                          value=value, count=count)
+            row = -1, 0.0, _finite(leaf.group(1), lineno), int(leaf.group(2))
+        else:
+            index = int(node.group(1))
+            if not 1 <= index <= num_features:
+                raise ValidationError(f"feature index {index} outside 1..{num_features}", lineno)
+            row = index - 1, _finite(node.group(2), lineno), 0.0, 0
+        for column, entry in zip(columns, row):
+            column.append(entry)
+    try:
+        return RegressionTree(*columns)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), offset) from None
 
 
 def _finite(text: str, line: int) -> float:

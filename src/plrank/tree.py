@@ -16,8 +16,8 @@ own value range.
 A tree is one preorder node table (:class:`RegressionTree`): fitting emits
 it, the model file is it line for line, and prediction routes every row
 through all trees of an ensemble together, one depth level per step. An
-:class:`Ensemble` is immutable: building one copies its trees' tables end to
-end into one read-only node table and stacks the routing table from it once.
+:class:`Ensemble` is immutable: building one copies its trees' columns end to
+end into one read-only table and stacks the routing table from it once.
 Every prediction path rejects NaN in its input.
 """
 
@@ -64,9 +64,9 @@ class Split:
 
 Node = Leaf | Split
 
-# A node table's columns and their dtypes.
-_COLUMNS = {"feature": np.intp, "threshold": np.float64, "right": np.intp,
-            "value": np.float64, "count": np.int64}
+# A node table's stored columns and their dtypes: what the model file holds.
+_COLUMNS = {"feature": np.intp, "threshold": np.float64, "value": np.float64,
+            "count": np.int64}
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,23 +74,38 @@ class RegressionTree:
     """One tree as a preorder node table: one entry per node, root first.
 
     An internal node ``i`` routes a row left when ``row[feature[i]] <=
-    threshold[i]``; its right child is ``right[i]``, the node after the left
-    subtree, and its left child is node ``i + 1``, which preorder fixes, so
-    no column stores it. A leaf has ``feature == -1`` and ``right == -1``,
-    and carries its output in ``value`` and its training document count in
-    ``count`` (both 0 on internal nodes). The v1 model file is this table,
-    one line per node.
+    threshold[i]``. Preorder fixes its children, so no column stores them:
+    the left one is node ``i + 1`` and the right one, the read-only
+    ``right[i]`` that building the tree derives, is the node after the left
+    subtree. A leaf has ``feature == -1`` and ``right == -1``, and carries its
+    output in ``value`` and its training document count in ``count`` (both 0
+    on internal nodes). The v1 model file is the four columns, one line per
+    node. Building raises :class:`ValidationError` unless the columns are 1-D
+    of one length, finite, with counts >= 0, and the rows one complete tree.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     count: np.ndarray
+    right: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shapes = [getattr(self, name).shape for name in _COLUMNS]
+        if len(set(shapes)) > 1 or len(shapes[0]) != 1:
+            raise ValidationError(f"columns {', '.join(_COLUMNS)} must be 1-D and of one "
+                                  f"length, got shapes {', '.join(map(str, shapes))}")
+        bad = ~np.isfinite(self.threshold) | ~np.isfinite(self.value) | (self.count < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"node {i} has t={self.threshold[i]} v={self.value[i]} n="
+                                  f"{self.count[i]}; t and v must be finite and n >= 0")
+        object.__setattr__(self, "right", _preorder_right(self.feature))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in _COLUMNS)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegressionTree):
@@ -112,6 +127,23 @@ class RegressionTree:
         return Split(int(self.feature[i]), float(self.threshold[i]), self, i)
 
 
+def _preorder_right(feature: np.ndarray) -> np.ndarray:
+    """Each preorder row's right child (-1 at leaves); the rows must be one whole tree."""
+    right = np.full(feature.size, -1, dtype=np.intp)
+    pending: list[int] = []  # open splits; a leaf closes the innermost at the next row
+    for i, is_split in enumerate((feature >= 0).tolist()):
+        if is_split:
+            pending.append(i)
+        elif pending:
+            right[pending.pop()] = i + 1
+        elif i + 1 < feature.size:
+            raise ValidationError(f"node {i + 1} is unreachable: the tree ends at node {i}")
+        else:
+            right.flags.writeable = False
+            return right
+    raise ValidationError(f"{feature.size} nodes end before every split has both children")
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """A boosted model. It never changes: ``dataclasses.replace`` builds a changed one."""
@@ -126,20 +158,21 @@ class Ensemble:
     _routing: _Routing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sizes = [tree.feature.size for tree in self.trees]
-        table = RegressionTree(*(
-            np.concatenate([getattr(tree, name) for tree in self.trees] or [[]])
-            for name in _COLUMNS
-        ))
-        for name in _COLUMNS:
-            getattr(table, name).flags.writeable = False
-        bounds = np.cumsum([0] + sizes).tolist()
-        trees = tuple(
-            RegressionTree(*(getattr(table, name)[a:b] for name in _COLUMNS))
-            for a, b in zip(bounds, bounds[1:])
-        )
-        object.__setattr__(self, "trees", trees)
-        object.__setattr__(self, "_routing", _Routing.of(table, sizes))
+        trees = tuple(self.trees)
+        # Trees end to end are not one preorder tree: each view keeps its tree's
+        # own right, and skips the checks that tree passed when it was built.
+        table = [np.concatenate([np.empty(0, dtype)] + [getattr(tree, name) for tree in trees])
+                 for name, dtype in _COLUMNS.items()]
+        for column in table:
+            column.flags.writeable = False
+        bounds = np.cumsum([0] + [tree.feature.size for tree in trees]).tolist()
+        views = []
+        for tree, a, b in zip(trees, bounds, bounds[1:]):
+            view = object.__new__(RegressionTree)
+            view.__dict__.update(zip(_COLUMNS, (c[a:b] for c in table)), right=tree.right)
+            views.append(view)
+        object.__setattr__(self, "trees", tuple(views))
+        object.__setattr__(self, "_routing", _Routing.of(views, *table[:3]))
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
@@ -377,13 +410,9 @@ def fit_tree(
         order.append(k)
         if first_child[k] >= 0:
             stack += (first_child[k] + 1, first_child[k])
-    position = np.empty(len(order), dtype=np.intp)
-    position[order] = np.arange(len(order))
-    first = np.array(first_child)[order]
     return RegressionTree(
         feature=np.array(feature)[order],
         threshold=np.array(threshold)[order],
-        right=np.where(first >= 0, position[first + 1], -1),
         value=np.array(value)[order],
         count=np.array(count)[order],
     )
@@ -423,35 +452,26 @@ class _Routing:
     roots: np.ndarray
 
     @classmethod
-    def of(cls, table: RegressionTree, sizes: list[int]) -> "_Routing":
-        """Routing for trees of ``sizes`` nodes laid end to end in ``table``.
+    def of(cls, trees: list[RegressionTree], feature: np.ndarray,
+           threshold: np.ndarray, value: np.ndarray) -> "_Routing":
+        """Routing for ``trees``, whose columns lie end to end in the others.
 
-        Every split's children must be later nodes of its own tree, so each
-        step moves deeper into one tree and routing always ends.
+        Preorder children are later nodes of their own tree: routing ends.
         """
-        sizes = np.array(sizes, dtype=np.intp)
+        sizes = np.array([tree.feature.size for tree in trees], dtype=np.intp)
         roots = np.cumsum(sizes) - sizes
-        split = table.feature >= 0
+        split = feature >= 0
         own = np.arange(split.size)
-        right = table.right + np.repeat(roots, sizes)
-        bad = split & ((right <= own + 1) | (right >= np.repeat(roots + sizes, sizes)))
-        if bad.any():
-            node = int(np.argmax(bad))
-            tree = int(np.searchsorted(roots, node, side="right")) - 1
-            i = node - int(roots[tree])
-            raise ValidationError(
-                f"tree {tree} node {i} has children {i + 1} and {int(table.right[node])}; "
-                f"a split's children must be later nodes of its own {sizes[tree]}-node tree"
-            )
+        right = np.concatenate([np.empty(0, np.intp)] + [tree.right for tree in trees])
         child = np.empty(2 * split.size, dtype=np.intp)
-        child[0::2] = np.where(split, right, own)
+        child[0::2] = np.where(split, right + np.repeat(roots, sizes), own)
         child[1::2] = np.where(split, own + 1, own)
         return cls(
             split=split,
-            column=np.where(split, table.feature, 0),
-            threshold=table.threshold,
+            column=np.where(split, feature, 0),
+            threshold=threshold,
             child=child,
-            value=table.value,
+            value=value,
             roots=roots,
         )
 
@@ -488,7 +508,8 @@ class _Routing:
 
 def apply_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     """Leaf position (index among the leaves, in preorder) for every row of X."""
-    nodes = _Routing.of(tree, [tree.feature.size]).leaves(_feature_rows(X))[0]
+    routing = _Routing.of([tree], tree.feature, tree.threshold, tree.value)
+    nodes = routing.leaves(_feature_rows(X))[0]
     return (np.cumsum(tree.feature < 0) - 1).take(nodes)
 
 

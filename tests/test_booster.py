@@ -4,6 +4,7 @@ import pytest
 from plrank import (
     ConfigError,
     Ensemble,
+    ValidationError,
     TrainConfig,
     evaluate,
     mart_response,
@@ -14,6 +15,7 @@ from plrank.model_io import dumps_ensemble
 from plrank.tree import predict_ensemble_matrix
 
 from helpers import make_dataset, separable_dataset, thresholded_linear_dataset
+from tree_reference import build_tree
 
 
 def small_config(**kw):
@@ -162,6 +164,15 @@ def test_init_model_trees_carry_over():
     # continuing in one run gives the same model as two chained runs
     full, _ = train(ds, small_config(trees=5))
     assert dumps_ensemble(resumed) == dumps_ensemble(full)
+
+
+def test_warm_start_whose_rescaled_outputs_overflow_fails_at_train_time():
+    # Rescaling to the new learning rate once wrote v=inf, which loading refused.
+    ds = separable_dataset(n_queries=5, n_docs=6)
+    init = Ensemble(trees=[build_tree(1e308)], learning_rate=1.0,
+                    num_features=ds.max_feature_index)
+    with pytest.raises(ValidationError, match="node 0 has t=0.0 v=inf n=1; "):
+        train(ds, small_config(trees=1, learning_rate=0.1, init_model=init))
 
 
 def test_warm_start_validation_trace_scores_the_final_model():

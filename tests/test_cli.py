@@ -392,12 +392,27 @@ def test_exit_code_bad_threads(tmp_path, train_file, capsys, command, threads):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, train_file, monkeypatch, capsys):
-    monkeypatch.setenv("PLRANK_THREADS", "3")
-    model = tmp_path / "model.txt"
-    assert run(["train", "--train", train_file, "--trees", "2",
-                "--out", str(model)]) == 0
-    capsys.readouterr()
+def test_threads_env_is_ignored(tmp_path, train_file, monkeypatch, capsys):
+    # PLRANK_THREADS once set the default of --threads; nothing reads it now.
+    outputs = []
+    for env in (None, "3"):
+        if env is not None:
+            monkeypatch.setenv("PLRANK_THREADS", env)
+        model = tmp_path / f"model-{env}.txt"
+        assert run(["train", "--train", train_file, "--trees", "2", "--seed", "4",
+                    "--out", str(model)]) == 0
+        outputs.append((model.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flag", ["--valid", "--init-model"])
+def test_exit_code_linear_train_refuses_tree_flags(tmp_path, train_file, capsys, flag):
+    # Both flags were once ignored, even when their files did not exist.
+    model = tmp_path / "linear.txt"
+    assert run(["train", "--train", train_file, "--loss", "listmle-linear",
+                flag, str(tmp_path / "missing.txt"), "--out", str(model)]) == 3
+    assert f"{flag} applies only to tree losses" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_evaluate_degenerate_only_dataset(tmp_path, capsys):

@@ -159,19 +159,21 @@ def tree_model(*nodes, loss="plrank", topk=10, features=3):
 
 
 @pytest.mark.parametrize("nodes, message", [
-    # a duplicate id whose children both still exist
+    # a duplicate id whose children both still exist: ids are not read, so
+    # the fourth line is one node too many
     (["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3", "L 1 v=0.5 n=3", "L 2 v=-0.5 n=7"],
-     "node id 1 where preorder numbering expects 2"),
+     "node 3 is unreachable"),
     # an unreachable node, once counted as a third leaf
     (["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3", "L 2 v=-0.5 n=7", "L 3 v=1.0 n=1"],
      "node 3 is unreachable"),
-    # ids out of preorder, once renumbered on save
+    # children out of preorder, once renumbered on save: the saved form of the
+    # loaded tree writes the derived children
     (["N 0 f=1 t=0.5 l=2 r=1", "L 1 v=0.25 n=3", "L 2 v=-0.5 n=7"],
-     "node 0 has left child 2"),
+     "not in canonical v1 form: expected 'N 0 f=1 t=0.5 l=1 r=2'"),
     (["N 0 f=1 t=0.5 l=1 r=4", "N 1 f=2 t=0.0 l=2 r=4", "L 2 v=1.0 n=1", "L 3 v=2.0 n=1",
-      "L 4 v=3.0 n=1"], "node 1 has right child 4; preorder puts it at 3"),
+      "L 4 v=3.0 n=1"], "not in canonical v1 form: expected 'N 1 f=2 t=0.0 l=2 r=3'"),
     (["N 0 f=1 t=0.5 l=1 r=3", "L 1 v=0.25 n=3", "L 2 v=-0.5 n=7"],
-     "node 0 has right child 3; preorder puts it at 2"),
+     "not in canonical v1 form: expected 'N 0 f=1 t=0.5 l=1 r=2'"),
     # a split whose children the block does not hold
     (["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3"], "before every split has both children"),
     ([], "before every split has both children"),
@@ -179,6 +181,17 @@ def tree_model(*nodes, loss="plrank", topk=10, features=3):
 def test_non_preorder_tree_rejected(nodes, message):
     with pytest.raises(ValidationError, match=message):
         parse_ensemble(tree_model(*nodes))
+
+
+@pytest.mark.parametrize("nodes, line", [
+    (["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3", "L 2 v=-0.5 n=7", "L 3 v=1.0 n=1"], 8),
+    (["N 0 f=1 t=0.5 l=1 r=2", "L 1 v=0.25 n=3"], 8),
+])
+def test_tree_shape_error_names_the_tree_line(nodes, line):
+    with pytest.raises(ValidationError) as info:
+        parse_ensemble(tree_model(*nodes))
+    assert info.value.line == line
+    assert str(info.value).startswith(f"line {line}: ")
 
 
 def test_unknown_loss_rejected():

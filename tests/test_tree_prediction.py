@@ -1,4 +1,5 @@
-"""Level-wise ensemble routing against the per-tree stack walk, bit for bit."""
+"""Level-wise ensemble routing against the per-tree stack walk, bit for bit,
+and the tree contract: the shapes and numbers a node table may hold."""
 
 import copy
 import dataclasses
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plrank.tree
-from plrank.model_io import dumps_ensemble
-from plrank.errors import ValidationError
+from plrank.model_io import dumps_ensemble, parse_ensemble
+from plrank.errors import PLRankError, ValidationError
 from plrank.tree import Ensemble, RegressionTree, apply_tree, fit_tree, predict_ensemble_matrix
 
 from tree_reference import (
@@ -21,6 +22,7 @@ from tree_reference import (
     reference_apply,
     reference_predict_ensemble_matrix,
     reference_predict_tree,
+    reference_right,
 )
 
 FEATURES = 3
@@ -219,11 +221,19 @@ def test_building_leaves_the_callers_trees_alone():
     copies = copy.deepcopy(trees)
     ensemble = Ensemble(trees=trees)
     assert trees == copies and list(ensemble.trees) == copies
-    for tree in trees:
-        for column in (tree.feature, tree.threshold, tree.right, tree.value, tree.count):
+    for tree, view in zip(trees, ensemble.trees):
+        for column in (tree.feature, tree.threshold, tree.value, tree.count):
             assert column.flags.writeable
+        assert not tree.right.flags.writeable
+        assert view.right is tree.right  # derived once, when the tree was built
     trees[0].value[:] = 7.0
     assert ensemble.trees[0] == copies[0]
+
+
+def test_ensemble_reads_a_tree_generator_once():
+    _, trees, _ = fitted_ensemble()
+    assert Ensemble(trees=iter(trees)) == Ensemble(trees=trees)
+    assert Ensemble(trees=(tree for tree in trees)).trees == tuple(trees)
 
 
 @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))])
@@ -246,29 +256,122 @@ def test_routing_table_is_not_part_of_the_model():
     assert dumps_ensemble(twin) == dumps_ensemble(ensemble)
 
 
-def stump(right=2):
-    """A 3-node stump whose split sends rows above 0.5 to node ``right``."""
-    return RegressionTree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
-                          right=[right, -1, -1], value=[0.0, 1.0, 2.0], count=[0, 1, 1])
+def stump(threshold=(0.5, 0.0, 0.0), value=(0.0, 1.0, 2.0), count=(0, 1, 1)):
+    """A 3-node stump: rows at or below 0.5 score 1.0, the others 2.0."""
+    return RegressionTree(feature=[0, -1, -1], threshold=threshold, value=value, count=count)
+
+
+def two_stump_model(position, right):
+    """Two stumps in a model file; the one at ``position`` writes ``r={right}``."""
+    lines = ["plrank-model v1", "loss=plrank", "alpha=1.0", "topk=10", "features=1",
+             "init=0.0", "trees=2"]
+    for t in range(2):
+        lines += [f"tree {t} nodes=3", f"N 0 f=1 t=0.5 l=1 r={right if t == position else 2}",
+                  "L 1 v=1.0 n=1", "L 2 v=2.0 n=1"]
+    return "\n".join(lines + ["end", ""])
 
 
 @pytest.mark.parametrize("right", [0, 1, 3, 5, -1])
 @pytest.mark.parametrize("position", [0, 1])
 def test_split_children_must_be_later_nodes_of_its_own_tree(right, position):
-    """Right child 0 loops back to the root and 3 or 5 point past the tree."""
-    trees = [stump(), stump()]
-    trees[position] = stump(right)
-    with pytest.raises(ValidationError, match=f"tree {position} node 0 has children 1 and "):
-        Ensemble(trees=trees)
+    """No table stores a child, so only a model file can name one.
+
+    A right child that loops back (0, 1), points past its tree (3, 5) or is
+    no id at all (-1) is refused on that line; the derived one is node 2.
+    """
+    ensemble = parse_ensemble(two_stump_model(position, 2))
+    assert [tree.right.tolist() for tree in ensemble.trees] == [[2, -1, -1]] * 2
+    with pytest.raises(PLRankError) as info:
+        parse_ensemble(two_stump_model(position, right))
+    assert info.value.line == 9 + 4 * position
 
 
 def test_split_in_the_last_row_is_rejected():
-    tree = RegressionTree(feature=[0, -1, 0], threshold=[0.5, 0.0, 0.5], right=[2, -1, 3],
-                          value=[0.0, 1.0, 0.0], count=[0, 1, 0])
-    with pytest.raises(ValidationError, match="tree 0 node 2 has children 3 and 3"):
-        Ensemble(trees=[tree])
+    with pytest.raises(ValidationError, match="3 nodes end before every split has both"):
+        RegressionTree(feature=[0, -1, 0], threshold=[0.5, 0.0, 0.5],
+                       value=[0.0, 1.0, 0.0], count=[0, 1, 0])
 
 
 def test_apply_tree_rejects_a_right_child_past_the_tree():
-    with pytest.raises(ValidationError, match="tree 0 node 0 has children 1 and 5"):
-        apply_tree(stump(5), np.ones((1, 1)))
+    """No way in for one: no argument takes it and the derived column is read-only."""
+    with pytest.raises(TypeError, match="right"):
+        RegressionTree(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], right=[5, -1, -1],
+                       value=[0.0, 1.0, 2.0], count=[0, 1, 1])
+    tree = stump()
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(tree, right=np.array([5, -1, -1]))
+    with pytest.raises(ValueError, match="read-only"):
+        tree.right[0] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.right = np.array([5, -1, -1])
+    assert apply_tree(tree, [[0.3], [0.7]]).tolist() == [0, 1]
+
+
+def test_short_column_is_rejected():
+    """A short column once shifted every later tree's rows in the stacked table."""
+    with pytest.raises(ValidationError, match=r"columns feature, threshold, value, count must "
+                                              r"be 1-D and of one length, got shapes \(3,\), "
+                                              r"\(1,\), \(3,\), \(3,\)"):
+        stump(threshold=[0.5])
+    ensemble = Ensemble(trees=[stump(), stump()], learning_rate=1.0, num_features=1)
+    assert predict_ensemble_matrix(ensemble, [[0.3]]).tolist() == [2.0]
+
+
+@pytest.mark.parametrize("columns, message", [
+    (dict(feature=[], threshold=[], value=[], count=[]),
+     "0 nodes end before every split has both children"),
+    (dict(feature=[-1, -1], threshold=[0.0, 0.0], value=[1.0, 2.0], count=[1, 1]),
+     "node 1 is unreachable: the tree ends at node 0"),
+    (dict(feature=[0, -1, -1, -1], threshold=[0.5] + [0.0] * 3, value=[0.0, 1.0, 2.0, 3.0],
+          count=[0, 1, 1, 1]), "node 3 is unreachable: the tree ends at node 2"),
+    (dict(feature=[[-1]], threshold=[[0.0]], value=[[1.0]], count=[[1]]), "1-D"),
+    (dict(feature=-1, threshold=0.0, value=1.0, count=1), "1-D"),
+])
+def test_table_that_is_not_one_tree_is_rejected(columns, message):
+    with pytest.raises(ValidationError, match=message):
+        RegressionTree(**columns)
+
+
+@pytest.mark.parametrize("column, bad, message", [
+    ("value", np.nan, "node 2 has t=0.0 v=nan n=1; t and v must be finite and n >= 0"),
+    ("value", -np.inf, "node 2 has t=0.0 v=-inf n=1; "),
+    ("threshold", np.inf, "node 2 has t=inf v=2.0 n=1; "),
+    ("count", -3, "node 2 has t=0.0 v=2.0 n=-3; "),
+])
+def test_node_numbers_a_model_file_cannot_hold_are_rejected(column, bad, message):
+    """Each of these once built a tree that saved but did not load."""
+    columns = {"threshold": [0.5, 0.0, 0.0], "value": [0.0, 1.0, 2.0], "count": [0, 1, 1]}
+    columns[column][2] = bad
+    with pytest.raises(ValidationError, match=message):
+        stump(**columns)
+
+
+# A split/leaf pattern: random ones (mostly not a tree) and grown ones.
+MASKS = st.one_of(
+    st.lists(st.booleans(), max_size=12),
+    st.recursive(st.just([False]), lambda kids: st.tuples(kids, kids).map(
+        lambda pair: [True] + pair[0] + pair[1]), max_leaves=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MASKS, st.data())
+def test_tree_shape_matches_the_recursive_descent_oracle(mask, data):
+    """Numbers are drawn where the model file holds them: thresholds at
+    splits, outputs and counts at leaves, and 0 elsewhere."""
+    feature, threshold, value, count = [], [], [], []
+    for split in mask:
+        feature.append(data.draw(st.integers(0, FEATURES - 1)) if split else -1)
+        threshold.append(data.draw(THRESHOLDS) if split else 0.0)
+        out, docs = (0.0, 0) if split else data.draw(LEAF)
+        value.append(out)
+        count.append(docs)
+    expected = reference_right(feature)
+    try:
+        tree = RegressionTree(feature=feature, threshold=threshold, value=value, count=count)
+    except ValidationError:
+        assert expected is None
+        return
+    assert tree.right.tolist() == expected
+    ensemble = Ensemble(trees=[tree], num_features=FEATURES)
+    assert parse_ensemble(dumps_ensemble(ensemble)) == ensemble

@@ -5,8 +5,10 @@ object graphs, before they became preorder tables routed one depth level at
 a time across the whole ensemble. It walks ``RegressionTree.root`` and is
 kept as the oracle the level-wise path must match bit for bit.
 
-Also here: small helpers only tests use (building a tree from a nested spec,
-per-tree and one-row prediction through the library, squared error).
+Also here: the recursive-descent oracle for the right children a preorder
+table implies, and small helpers only tests use (building a tree from a
+nested spec, per-tree and one-row prediction through the library, squared
+error).
 """
 
 import numpy as np
@@ -72,11 +74,35 @@ def tree_sse(tree, X, y):
     return float(np.sum((np.asarray(y) - predict_tree_matrix(tree, X)) ** 2))
 
 
+def reference_right(feature):
+    """Right children of a preorder table by recursive descent (-1 at leaves).
+
+    A node is a leaf, or a split followed by its left subtree and then its
+    right one. Returns None unless the rows are exactly one complete tree.
+    """
+    right = [-1] * len(feature)
+
+    def subtree_end(i):
+        """The row after the subtree rooted at row ``i``, or None past the table."""
+        if i >= len(feature):
+            return None
+        if feature[i] < 0:
+            return i + 1
+        left_end = subtree_end(i + 1)
+        if left_end is None:
+            return None
+        right[i] = left_end
+        return subtree_end(left_end)
+
+    return right if subtree_end(0) == len(feature) else None
+
+
 def build_tree(spec):
     """A tree from a nested spec, written out in preorder.
 
     A leaf is ``value`` or ``(value, doc_count)``; an internal node is
     ``(feature, threshold, left_spec, right_spec)`` with a 0-based feature.
+    Checks that the tree derives the right children the spec implies.
     """
     feature, threshold, right, value, count = [], [], [], [], []
     stack = [(spec, None)]  # (spec, the row whose right child it is)
@@ -85,11 +111,11 @@ def build_tree(spec):
         row = len(feature)
         if parent is not None:
             right[parent] = row
+        right.append(-1)
         if isinstance(node, tuple) and len(node) == 4:
             feat, thr, left_spec, right_spec = node
             feature.append(feat)
             threshold.append(thr)
-            right.append(-1)
             value.append(0.0)
             count.append(0)
             stack += [(right_spec, row), (left_spec, None)]
@@ -97,8 +123,8 @@ def build_tree(spec):
             out, docs = node if isinstance(node, tuple) else (node, 1)
             feature.append(-1)
             threshold.append(0.0)
-            right.append(-1)
             value.append(float(out))
             count.append(docs)
-    return RegressionTree(feature=feature, threshold=threshold, right=right,
-                          value=value, count=count)
+    tree = RegressionTree(feature=feature, threshold=threshold, value=value, count=count)
+    assert tree.right.tolist() == right == reference_right(feature)
+    return tree
