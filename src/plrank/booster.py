@@ -200,10 +200,10 @@ def train(
         leaves = tree.feature < 0
         assign = apply_tree(tree, X)
         if config.loss == "plrank":
-            outputs = newton_leaf_outputs(assign, tree.leaf_count, contexts, responses)
-            tree.value[leaves] = outputs
-        else:
-            outputs = tree.value[leaves]
+            value = np.zeros_like(tree.value)
+            value[leaves] = newton_leaf_outputs(assign, tree.leaf_count, contexts, responses)
+            tree = replace(tree, value=value)
+        outputs = tree.value[leaves]
 
         scores = scores + config.learning_rate * outputs[assign]
         new_trees.append(tree)

@@ -22,9 +22,29 @@ from .tree import _feature_rows
 GRADIENT_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearModel:
+    """``w . h(d)`` scores. A read-only value, as a tree is: building copies
+    the weights as a 1-D float vector and marks it read-only, so the caller's
+    array stays its own and ``dataclasses.replace`` builds a changed model.
+    Building raises :class:`ValidationError` for weights the model file cannot
+    hold: not 1-D, or not finite.
+    """
+
     weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        weights = np.array(self.weights, dtype=np.float64)
+        if weights.ndim != 1:
+            raise ValidationError(f"weights must be 1-D, got shape {weights.shape}")
+        if not np.isfinite(weights).all():
+            i = int(np.argmin(np.isfinite(weights)))
+            raise ValidationError(f"w[{i + 1}]={weights[i]} is not finite")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+
+    def __reduce__(self):
+        return type(self), (self.weights,)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """``w . x`` for every row; a row's score does not depend on the others."""
@@ -77,7 +97,7 @@ def train_linear(
         raise ConfigError(f"iteration cap must be >= 1, got {iterations}")
     width = dataset.max_feature_index
     if width == 0:
-        return LinearModel(weights=np.zeros(0, dtype=np.float64))
+        return LinearModel(weights=np.zeros(0))
     # Here, not at module level: importing scipy.optimize takes longer than
     # most commands that never fit a linear model.
     from scipy.optimize import minimize
@@ -105,4 +125,4 @@ def train_linear(
         callback=callback,
         options={"maxiter": iterations, "gtol": GRADIENT_TOL, "maxcor": 10},
     )
-    return LinearModel(weights=np.asarray(result.x, dtype=np.float64))
+    return LinearModel(weights=result.x)

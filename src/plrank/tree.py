@@ -15,10 +15,10 @@ own value range.
 
 A tree is one preorder node table (:class:`RegressionTree`): fitting emits
 it, the model file is it line for line, and prediction routes every row
-through all trees of an ensemble together, one depth level per step. An
-:class:`Ensemble` is immutable: building one copies its trees' columns end to
-end into one read-only table and stacks the routing table from it once.
-Every prediction path rejects NaN in its input.
+through all trees of an ensemble together, one depth level per step. A tree
+is a read-only value, checked once when it is built; an :class:`Ensemble` is
+its trees and the routing table it stacks from them once. Every prediction
+path rejects NaN in its input.
 """
 
 from __future__ import annotations
@@ -79,9 +79,14 @@ class RegressionTree:
     ``right[i]`` that building the tree derives, is the node after the left
     subtree. A leaf has ``feature == -1`` and ``right == -1``, and carries its
     output in ``value`` and its training document count in ``count`` (both 0
-    on internal nodes). The v1 model file is the four columns, one line per
-    node. Building raises :class:`ValidationError` unless the columns are 1-D
-    of one length, finite, with counts >= 0, and the rows one complete tree.
+    on internal nodes, as a leaf's ``threshold`` is). The v1 model file is
+    the four columns, one line per node. Building copies the columns and
+    marks them read-only, so the caller's arrays stay its own and
+    ``dataclasses.replace`` builds a changed tree. It raises
+    :class:`ValidationError` unless the columns are 1-D of one length,
+    finite, with counts >= 0, the rows one complete tree, and the numbers the
+    model file does not hold at their fixed values: -1 for a leaf's feature,
+    and 0 (or -0.0) for a leaf's threshold and a split's value and count.
     """
 
     feature: np.ndarray
@@ -92,7 +97,8 @@ class RegressionTree:
 
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+            getattr(self, name).flags.writeable = False
         shapes = [getattr(self, name).shape for name in _COLUMNS]
         if len(set(shapes)) > 1 or len(shapes[0]) != 1:
             raise ValidationError(f"columns {', '.join(_COLUMNS)} must be 1-D and of one "
@@ -102,6 +108,14 @@ class RegressionTree:
             i = int(np.argmax(bad))
             raise ValidationError(f"node {i} has t={self.threshold[i]} v={self.value[i]} n="
                                   f"{self.count[i]}; t and v must be finite and n >= 0")
+        leaf = self.feature < 0
+        unsaved = np.where(leaf, (self.feature != -1) | (self.threshold != 0),
+                           (self.value != 0) | (self.count != 0))
+        if unsaved.any():
+            i = int(np.argmax(unsaved))
+            kind, holds = ("leaf", "f=-1 and t=0") if leaf[i] else ("split", "v=0 and n=0")
+            raise ValidationError(f"{kind} node {i} has f={self.feature[i]} t={self.threshold[i]} "
+                                  f"v={self.value[i]} n={self.count[i]}; a {kind} must have {holds}")
         object.__setattr__(self, "right", _preorder_right(self.feature))
 
     def __reduce__(self):
@@ -146,7 +160,9 @@ def _preorder_right(feature: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A boosted model. It never changes: ``dataclasses.replace`` builds a changed one."""
+    """A boosted model. Neither it nor its trees change, so it holds the trees
+    as given; ``dataclasses.replace`` builds a changed one.
+    """
 
     trees: tuple[RegressionTree, ...] = ()
     learning_rate: float = 0.1
@@ -158,21 +174,8 @@ class Ensemble:
     _routing: _Routing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        trees = tuple(self.trees)
-        # Trees end to end are not one preorder tree: each view keeps its tree's
-        # own right, and skips the checks that tree passed when it was built.
-        table = [np.concatenate([np.empty(0, dtype)] + [getattr(tree, name) for tree in trees])
-                 for name, dtype in _COLUMNS.items()]
-        for column in table:
-            column.flags.writeable = False
-        bounds = np.cumsum([0] + [tree.feature.size for tree in trees]).tolist()
-        views = []
-        for tree, a, b in zip(trees, bounds, bounds[1:]):
-            view = object.__new__(RegressionTree)
-            view.__dict__.update(zip(_COLUMNS, (c[a:b] for c in table)), right=tree.right)
-            views.append(view)
-        object.__setattr__(self, "trees", tuple(views))
-        object.__setattr__(self, "_routing", _Routing.of(views, *table[:3]))
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "_routing", _Routing.of(self.trees))
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
@@ -334,7 +337,7 @@ def fit_tree(
     """Fit an L-leaf tree to per-document responses by squared-error splits.
 
     Provisional leaf outputs are mean responses; the likelihood booster
-    overwrites them with Newton values afterwards. Exact search walks each
+    replaces them with Newton values afterwards. Exact search walks each
     column in sorted order: ``column_order`` is :func:`sort_columns` of
     ``features``, which a caller fitting many trees to the same matrix sorts
     once; without it the columns are sorted here. A split hands each child
@@ -452,17 +455,18 @@ class _Routing:
     roots: np.ndarray
 
     @classmethod
-    def of(cls, trees: list[RegressionTree], feature: np.ndarray,
-           threshold: np.ndarray, value: np.ndarray) -> "_Routing":
-        """Routing for ``trees``, whose columns lie end to end in the others.
-
-        Preorder children are later nodes of their own tree: routing ends.
+    def of(cls, trees: tuple[RegressionTree, ...]) -> "_Routing":
+        """Routing for ``trees``, stacked end to end. A tree's children are
+        later nodes of its own table and no tree changes once built: routing ends.
         """
+        feature, threshold, value, right = (
+            np.concatenate([np.empty(0, dtype)] + [getattr(tree, name) for tree in trees])
+            for name, dtype in [("feature", np.intp), ("threshold", np.float64),
+                                ("value", np.float64), ("right", np.intp)])
         sizes = np.array([tree.feature.size for tree in trees], dtype=np.intp)
         roots = np.cumsum(sizes) - sizes
         split = feature >= 0
         own = np.arange(split.size)
-        right = np.concatenate([np.empty(0, np.intp)] + [tree.right for tree in trees])
         child = np.empty(2 * split.size, dtype=np.intp)
         child[0::2] = np.where(split, right + np.repeat(roots, sizes), own)
         child[1::2] = np.where(split, own + 1, own)
@@ -508,7 +512,7 @@ class _Routing:
 
 def apply_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     """Leaf position (index among the leaves, in preorder) for every row of X."""
-    routing = _Routing.of([tree], tree.feature, tree.threshold, tree.value)
+    routing = _Routing.of((tree,))
     nodes = routing.leaves(_feature_rows(X))[0]
     return (np.cumsum(tree.feature < 0) - 1).take(nodes)
 

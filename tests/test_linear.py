@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import plrank.linear
 from plrank import LinearModel, evaluate, train_linear
 from plrank.data import dense_features
 from plrank.errors import ConfigError, ValidationError
+from plrank.model_io import dumps_linear, parse_linear
 
 from helpers import make_dataset, random_dataset
 from pl_reference import library_linear_objective
@@ -173,3 +177,48 @@ def test_linear_scores_reject_nan_and_narrow_rows():
         model.predict_matrix(np.array([[1.0, 2.0], [np.nan, 0.0]]))
     with pytest.raises(ValidationError):
         model.predict_matrix(np.ones((3, 1)))
+
+
+BUILDS = {
+    "hand-built": lambda: LinearModel(weights=[0.5, -1.0, 2.0]),
+    "trained": lambda: train_linear(random_dataset(np.random.default_rng(3), 3, 5, 3),
+                                    iterations=5),
+    "loaded": lambda: parse_linear("linear M=2\nw[1]=0.5\nw[2]=-1.0\n"),
+    "replace": lambda: dataclasses.replace(LinearModel(weights=[1.0]), weights=[2.0, 3.0]),
+    "deepcopy": lambda: copy.deepcopy(LinearModel(weights=[0.5, -1.0])),
+    "pickle": lambda: pickle.loads(pickle.dumps(LinearModel(weights=[0.5, -1.0]))),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_linear_weights_are_read_only(build):
+    model = BUILDS[build]()
+    assert not model.weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        model.weights[0] = 7.0
+    assert model.weights[0] != 7.0
+    assert parse_linear(dumps_linear(model)).weights.tobytes() == model.weights.tobytes()
+
+
+def test_linear_model_copies_the_callers_weights():
+    weights = np.array([0.5, -1.0])
+    model = LinearModel(weights=weights)
+    X = np.array([[1.0, 2.0], [3.0, -1.0]])
+    before = model.predict_matrix(X).tobytes()
+    assert weights.flags.writeable
+    weights[:] = 7.0
+    assert model.weights.tolist() == [0.5, -1.0]
+    assert model.predict_matrix(X).tobytes() == before
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, np.nan], r"w\[2\]=nan is not finite"),
+    ([np.inf], r"w\[1\]=inf is not finite"),
+    ([[0.5, 1.0]], r"weights must be 1-D, got shape \(1, 2\)"),
+    (0.5, r"weights must be 1-D, got shape \(\)"),
+], ids=["nan", "inf", "2-D", "0-D"])
+def test_linear_weights_a_model_file_cannot_hold_are_rejected(weights, message):
+    """Each of these once built: non-finite weights saved a file that did not
+    load, and 2-D ones failed to save with a bare TypeError."""
+    with pytest.raises(ValidationError, match=message):
+        LinearModel(weights=weights)

@@ -4,6 +4,7 @@ and the tree contract: the shapes and numbers a node table may hold."""
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -171,7 +172,8 @@ def changed(trees, spare, change):
     elif change == "replace-value":
         trees[2] = dataclasses.replace(trees[2], value=trees[2].value * -2.0)
     else:
-        trees[0] = dataclasses.replace(trees[0], threshold=trees[0].threshold + 0.25)
+        splits = trees[0].feature >= 0  # a leaf's threshold stays 0
+        trees[0] = dataclasses.replace(trees[0], threshold=trees[0].threshold + 0.25 * splits)
     return trees
 
 
@@ -214,20 +216,53 @@ def test_scored_tree_arrays_are_read_only(column):
     assert predict_ensemble_matrix(fresh(ensemble), X).tobytes() == before
 
 
+COLUMNS = ("feature", "threshold", "value", "count")
+
+
 def test_building_leaves_the_callers_trees_alone():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(200, 4))
-    trees = [fit_tree(X, rng.normal(size=200), 8) for _ in range(3)]
-    copies = copy.deepcopy(trees)
+    """The tree copies the caller's arrays: they stay writable, and writing
+    them later changes neither the tree nor its ensemble's scores."""
+    ensemble, _, X = fitted_ensemble()
+    columns = {name: getattr(ensemble.trees[0], name).copy() for name in COLUMNS}
+    tree = RegressionTree(**columns)
+    rebuilt = dataclasses.replace(ensemble, trees=(tree,) + ensemble.trees[1:])
+    assert rebuilt == ensemble
+    before = predict_ensemble_matrix(rebuilt, X).tobytes()
+    for column in columns.values():
+        assert column.flags.writeable
+        column[:] = -column - 1
+    assert tree == ensemble.trees[0]
+    assert predict_ensemble_matrix(rebuilt, X).tobytes() == before
+
+
+BUILDS = {
+    "fit_tree": lambda: fitted_ensemble()[1][0],
+    "hand-built": lambda: stump(),
+    "loaded": lambda: parse_ensemble(dumps_ensemble(fitted_ensemble()[0])).trees[1],
+    "replace": lambda: dataclasses.replace(stump(), value=np.array([0.0, 3.0, 4.0])),
+    "deepcopy": lambda: copy.deepcopy(stump()),
+    "pickle": lambda: pickle.loads(pickle.dumps(stump())),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_every_tree_is_read_only(build):
+    """Checked before any routing: a tree written after it was built once
+    routed rows into another tree's leaves, or looped forever."""
+    tree = BUILDS[build]()
+    for name in COLUMNS + ("right",):
+        column = getattr(tree, name)
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[-1] = 0
+    X = np.round(np.random.default_rng(2).normal(size=(20, 4)), 1)
+    assert apply_tree(tree, X).tolist() == reference_apply(tree, X).tolist()
+
+
+def test_ensemble_holds_the_trees_it_was_given():
+    _, trees, _ = fitted_ensemble()
     ensemble = Ensemble(trees=trees)
-    assert trees == copies and list(ensemble.trees) == copies
-    for tree, view in zip(trees, ensemble.trees):
-        for column in (tree.feature, tree.threshold, tree.value, tree.count):
-            assert column.flags.writeable
-        assert not tree.right.flags.writeable
-        assert view.right is tree.right  # derived once, when the tree was built
-    trees[0].value[:] = 7.0
-    assert ensemble.trees[0] == copies[0]
+    assert all(ensemble.trees[i] is trees[i] for i in range(len(trees)))
 
 
 def test_ensemble_reads_a_tree_generator_once():
@@ -346,32 +381,68 @@ def test_node_numbers_a_model_file_cannot_hold_are_rejected(column, bad, message
         stump(**columns)
 
 
+@pytest.mark.parametrize("feature, threshold, value, count, message", [
+    ([0, -1, -1], [0.5, -1.0, 0.0], [0.0, 1.0, 2.0], [0, 1, 1],
+     "leaf node 1 has f=-1 t=-1.0 v=1.0 n=1; a leaf must have f=-1 and t=0"),
+    ([0, -1, -5], [0.5, 0.0, 0.0], [0.0, 1.0, 2.0], [0, 1, 1],
+     "leaf node 2 has f=-5 t=0.0 v=2.0 n=1; a leaf must have f=-1 and t=0"),
+    ([0, -1, -1], [0.5, 0.0, 0.0], [3.0, 1.0, 2.0], [0, 1, 1],
+     "split node 0 has f=0 t=0.5 v=3.0 n=0; a split must have v=0 and n=0"),
+    ([0, -1, -1], [0.5, 0.0, 0.0], [0.0, 1.0, 2.0], [2, 1, 1],
+     "split node 0 has f=0 t=0.5 v=0.0 n=2; a split must have v=0 and n=0"),
+], ids=["leaf-threshold", "leaf-feature", "split-value", "split-count"])
+def test_numbers_the_model_file_does_not_hold_are_rejected(feature, threshold, value, count,
+                                                           message):
+    """Each of these once built, saved, and loaded as a different tree."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        RegressionTree(feature=feature, threshold=threshold, value=value, count=count)
+
+
+def test_negative_zero_counts_as_zero():
+    tree = stump(threshold=(0.5, -0.0, -0.0), value=(-0.0, 1.0, 2.0))
+    ensemble = Ensemble(trees=[tree], num_features=1)
+    assert parse_ensemble(dumps_ensemble(ensemble)) == ensemble
+
+
 # A split/leaf pattern: random ones (mostly not a tree) and grown ones.
 MASKS = st.one_of(
     st.lists(st.booleans(), max_size=12),
     st.recursive(st.just([False]), lambda kids: st.tuples(kids, kids).map(
         lambda pair: [True] + pair[0] + pair[1]), max_leaves=6),
 )
+ZEROS = st.sampled_from([0.0, -0.0])
 
 
 @settings(max_examples=300, deadline=None)
 @given(MASKS, st.data())
 def test_tree_shape_matches_the_recursive_descent_oracle(mask, data):
-    """Numbers are drawn where the model file holds them: thresholds at
-    splits, outputs and counts at leaves, and 0 elsewhere."""
+    """Numbers are drawn at every row. Where the model file holds none (a
+    leaf's feature and threshold, a split's value and count), most rows draw
+    -1 or a zero of either sign and the others draw anything. The tree
+    raises exactly when the rows are not one tree or hold such a number."""
     feature, threshold, value, count = [], [], [], []
+    holdable = True
     for split in mask:
-        feature.append(data.draw(st.integers(0, FEATURES - 1)) if split else -1)
-        threshold.append(data.draw(THRESHOLDS) if split else 0.0)
-        out, docs = (0.0, 0) if split else data.draw(LEAF)
+        free = data.draw(st.sampled_from([False] * 3 + [True]))
+        if split:
+            feature.append(data.draw(st.integers(0, FEATURES - 1)))
+            threshold.append(data.draw(THRESHOLDS))
+            out, docs = data.draw(LEAF) if free else (data.draw(ZEROS), 0)
+            holdable &= out == 0 and docs == 0
+        else:
+            feature.append(data.draw(st.integers(-9, -1)) if free else -1)
+            threshold.append(data.draw(THRESHOLDS if free else ZEROS))
+            out, docs = data.draw(LEAF)
+            holdable &= feature[-1] == -1 and threshold[-1] == 0
         value.append(out)
         count.append(docs)
     expected = reference_right(feature)
     try:
         tree = RegressionTree(feature=feature, threshold=threshold, value=value, count=count)
     except ValidationError:
-        assert expected is None
+        assert expected is None or not holdable
         return
+    assert expected is not None and holdable
     assert tree.right.tolist() == expected
     ensemble = Ensemble(trees=[tree], num_features=FEATURES)
     assert parse_ensemble(dumps_ensemble(ensemble)) == ensemble
