@@ -27,6 +27,10 @@ GOLDEN = {
         "7bbf5f0735740382f036bbdf218f50578249903a6bb181acef426275d9aeff50",
     ("--bins", "0", "--loss", "mart1", "--min-leaf", "3"):
         "845a7128fd4f779e7fb93a4e4d9450043a395d5947aab881c39e6a3bcd0ecc50",
+    ("--bins", "0", "--loss", "mart2", "--min-leaf", "2"):
+        "c9a6b8790b068fa74665213eb848b220064fa60ed51decb88a8feb7dcc0c4158",
+    ("--bins", "0", "--loss", "cmart1", "--min-leaf", "2"):
+        "5ac121873a0f1c91f1bc9ff909ca651b1a51390c26916b950ccd1bf38a6b92b1",
 }
 GOLDEN_STDOUT = {
     ("--bins", "0"):
@@ -35,6 +39,10 @@ GOLDEN_STDOUT = {
         "7aab3492aa3f66193929c6ff68b68b41d24b57ea63333e4a6e35c47650a71d95",
     ("--bins", "0", "--loss", "mart1", "--min-leaf", "3"):
         "f4670c9066dd5761acacf2380e01fdccc024cdefd4fbb7c2107aa3e1f7baa9b9",
+    ("--bins", "0", "--loss", "mart2", "--min-leaf", "2"):
+        "b30910689d67290577b699c0046c853f3e6e24bf966caf5dc95e79d648c0ee8a",
+    ("--bins", "0", "--loss", "cmart1", "--min-leaf", "2"):
+        "990523fc834e89223ffa7dfc5d5a9ace27a44305729fe06e6a5464d8a68db335",
 }
 WARM_START = "58f5e1d249040bcf80c43e92dde727d7cb9175e53264d45684b723404ed4ca63"
 WARM_START_STDOUT = "05d3af8b8d925e094362978be03273117467cb1025e6379d6a3b2b4c8a9c020a"
