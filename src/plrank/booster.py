@@ -1,9 +1,12 @@
 """Gradient boosting driver for the likelihood ranker and the MART baselines.
 
 One iteration computes the loss-specific pseudo-responses over all documents,
-fits one regression tree to them, sets its leaf outputs (Newton values for
-the likelihood loss, mean responses for the square losses), and advances the
-per-document scores by the learning rate times the tree output.
+fits one regression tree to them, and advances the per-document scores by the
+learning rate times the tree output. The tree is built once, with its final
+leaf outputs: Newton values for the likelihood loss, mean responses for the
+square losses. Exact split search reads the columns sorted and ranked once
+per run, and the fit hands back each training document's leaf, so only
+validation documents are routed through the new tree.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def train(
         width = max(width, config.init_model.num_features)
     X = dense_features(dataset, width)
     n_docs = X.shape[0]
-    column_order = None if config.histogram_bins else sort_columns(X)
+    columns = None if config.histogram_bins else sort_columns(X)
 
     if config.init_model is not None:
         scores = predict_ensemble_matrix(config.init_model, X)
@@ -185,6 +188,12 @@ def train(
         if config.init_model is not None:
             valid_scores = predict_ensemble_matrix(config.init_model, valid_X)
 
+    def newton_values(leaf_of_row: np.ndarray, means: np.ndarray) -> np.ndarray:
+        # The leaf rule of the likelihood tree: Newton steps at this iteration's responses.
+        return newton_leaf_outputs(leaf_of_row, means.size, contexts, responses)
+
+    leaf_values = newton_values if config.loss == "plrank" else None
+    leaf_of_row = np.empty(n_docs, dtype=np.intp)
     new_trees: list[RegressionTree] = []
     for it in range(1, config.trees + 1):
         if config.loss == "plrank":
@@ -195,17 +204,11 @@ def train(
 
         tree = fit_tree(
             X, responses, config.leaves, config.min_leaf_docs, config.histogram_bins,
-            column_order=column_order,
+            columns=columns, leaf_of_row=leaf_of_row, leaf_values=leaf_values,
         )
-        leaves = tree.feature < 0
-        assign = apply_tree(tree, X)
-        if config.loss == "plrank":
-            value = np.zeros_like(tree.value)
-            value[leaves] = newton_leaf_outputs(assign, tree.leaf_count, contexts, responses)
-            tree = replace(tree, value=value)
-        outputs = tree.value[leaves]
+        outputs = tree.value[tree.feature < 0]
 
-        scores = scores + config.learning_rate * outputs[assign]
+        scores = scores + config.learning_rate * outputs[leaf_of_row]
         new_trees.append(tree)
         trace.objectives.append(objective())
 

@@ -36,7 +36,7 @@ from itertools import zip_longest
 
 from .errors import ParseError, ValidationError, _open_text
 from .linear import LinearModel
-from .tree import TREE_LOSSES, Ensemble, RegressionTree
+from .tree import Ensemble, RegressionTree
 
 import numpy as np
 
@@ -90,22 +90,22 @@ def parse_ensemble(text: str) -> Ensemble:
         header[match.group(1)] = (match.group(2), pos + 1)
         pos += 1
     try:
-        learning_rate = _finite(*header["alpha"])
-        init_score = _finite(*header["init"])
-        loss = header["loss"][0]
-        top_k = int(header["topk"][0])
-        num_features = int(header["features"][0])
+        fields = {  # Ensemble field: (value, header line)
+            "learning_rate": (_finite(*header["alpha"]), header["alpha"][1]),
+            "init_score": (_finite(*header["init"]), header["init"][1]),
+            "loss": header["loss"],
+            "top_k": (int(header["topk"][0]), header["topk"][1]),
+            "num_features": (int(header["features"][0]), header["features"][1]),
+        }
         tree_count = int(header["trees"][0])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad model header: {exc}") from None
-
-    if loss not in TREE_LOSSES:
-        raise ValidationError(f"unknown loss {loss!r} in model header")
-    if top_k < 1:
-        raise ValidationError(f"topk must be >= 1, got {top_k}", header["topk"][1])
-    if num_features < 0:
-        raise ValidationError(f"features must be >= 0, got {num_features}",
-                              header["features"][1])
+    for name, (value, line) in fields.items():
+        try:
+            Ensemble(**{name: value})  # the ensemble checks each field on its own
+        except ValidationError as exc:
+            raise ValidationError(str(exc), line) from None
+    num_features = fields["num_features"][0]
 
     trees = []
     for t in range(tree_count):
@@ -120,8 +120,7 @@ def parse_ensemble(text: str) -> Ensemble:
         pos += node_count
     if pos >= len(lines) or lines[pos] != "end":
         raise ParseError("missing 'end' marker", pos + 1)
-    ensemble = Ensemble(trees=trees, learning_rate=learning_rate, init_score=init_score,
-                        loss=loss, top_k=top_k, num_features=num_features)
+    ensemble = Ensemble(trees=trees, **{name: value for name, (value, _) in fields.items()})
     canonical = dumps_ensemble(ensemble)
     if canonical != text:
         # Header order, number spellings, line ends, trailing lines: every

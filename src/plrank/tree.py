@@ -4,14 +4,18 @@ Trees grow leaf-wise under a leaf budget: at every step the growable leaf
 whose best split removes the most squared error is split, so small budgets
 spend their leaves where they matter.
 
-Each node scores every feature at once, as one features x candidates gain
-matrix. Candidate thresholds are midpoints between consecutive distinct
-sorted feature values by default (the lower value where the midpoint would
-overflow or round onto the upper one). The columns are sorted once per
-training run (:func:`sort_columns`) and every split hands each child its
-share of the parent's sorted columns, so no node sorts. An optional
-uniform-histogram mode trades exactness for speed; its bins span each node's
-own value range.
+Each node scores every feature at once: the candidate cuts of all features
+form one flat list, and only they get a gain. Candidate thresholds are
+midpoints between consecutive distinct sorted feature values by default (the
+lower value where the midpoint would overflow or round onto the upper one).
+A training run sorts the columns once and ranks each column's distinct
+values (:func:`sort_columns`). Every split hands each child its share of the
+parent's sorted rows and their ranks, so no node sorts, and a cut lies
+wherever the rank rises between two sorted neighbours. The tree search
+knows each training row's leaf, so the caller gets those leaf positions
+without routing the rows again, and it can set the leaf outputs before the
+one build of the tree. An optional uniform-histogram mode trades exactness
+for speed; its bins span each node's own value range.
 
 A tree is one preorder node table (:class:`RegressionTree`): fitting emits
 it, the model file is it line for line, and prediction routes every row
@@ -23,7 +27,9 @@ path rejects NaN in its input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -162,6 +168,11 @@ def _preorder_right(feature: np.ndarray) -> np.ndarray:
 class Ensemble:
     """A boosted model. Neither it nor its trees change, so it holds the trees
     as given; ``dataclasses.replace`` builds a changed one.
+
+    Building raises :class:`ValidationError` unless the header fields are
+    what a model file can hold: a known tree loss, an integer ``top_k >= 1``
+    and ``num_features >= 0``, and a finite ``learning_rate`` and
+    ``init_score``. The messages name the model-file keys.
     """
 
     trees: tuple[RegressionTree, ...] = ()
@@ -174,6 +185,16 @@ class Ensemble:
     _routing: _Routing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.loss not in TREE_LOSSES:
+            raise ValidationError(f"unknown loss {self.loss!r}")
+        for key, number in (("alpha", self.learning_rate), ("init", self.init_score)):
+            if not math.isfinite(number):
+                raise ValidationError(f"{key} must be finite, got {number!r}")
+        for key, number, floor in (("topk", self.top_k, 1), ("features", self.num_features, 0)):
+            if isinstance(number, bool) or not isinstance(number, (int, np.integer)):
+                raise ValidationError(f"{key} must be an integer, got {number!r}")
+            if number < floor:
+                raise ValidationError(f"{key} must be >= {floor}, got {number}")
         object.__setattr__(self, "trees", tuple(self.trees))
         object.__setattr__(self, "_routing", _Routing.of(self.trees))
 
@@ -181,14 +202,69 @@ class Ensemble:
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
-def sort_columns(X: np.ndarray) -> np.ndarray:
-    """Row ids of every column of ``X`` sorted by value, ties by row id.
+@dataclass(frozen=True, eq=False)
+class SortedColumns:
+    """Rows of a feature matrix sorted per column: what exact split search reads.
 
-    Returns a (features x rows) int32 table. Exact split search sorts once
-    per training run with this and partitions the rows down the tree.
+    ``values`` is the (features x rows) float64 matrix and ``order`` each
+    column's row ids sorted by value, ties by row id, as int32. ``ranks``
+    holds each column's dense value ranks in that sorted order, so two sorted
+    neighbours tie exactly when their ranks are equal. A column with at most
+    65,536 distinct values keeps uint16 ranks and a wider one int32: ``ranks``
+    holds one (columns, table) pair per dtype in use. A node of a tree holds
+    its own share of ``order`` and ``ranks`` (:meth:`compress`) beside the
+    whole of ``values``.
     """
-    order = np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
-    return order.astype(np.int32)
+
+    values: np.ndarray
+    order: np.ndarray
+    ranks: tuple[tuple[slice | np.ndarray, np.ndarray], ...]
+
+    def compress(self, kept: np.ndarray) -> "SortedColumns":
+        """The share of the rows where ``kept``, a mask aligned with ``order``, is set."""
+        return SortedColumns(
+            self.values,
+            np.compress(kept.ravel(), self.order).reshape(self.order.shape[0], -1),
+            tuple((rows, np.compress(kept[rows].ravel(), table).reshape(table.shape[0], -1))
+                  for rows, table in self.ranks),
+        )
+
+    def rank_changes(self, lo: int, hi: int) -> np.ndarray:
+        """(features x rows) mask, set at ``j`` in ``lo..hi - 1`` where the
+        value rank rises from sorted row ``j`` to ``j + 1``."""
+        changed = np.empty(self.order.shape, dtype=bool)
+        changed[:, :lo] = changed[:, hi:] = False
+        for rows, table in self.ranks:
+            changed[rows, lo:hi] = table[:, lo + 1 : hi + 1] != table[:, lo:hi]
+        return changed
+
+
+def sort_columns(X: np.ndarray) -> SortedColumns:
+    """Sort every column of ``X`` once, ties by row id, and rank its values.
+
+    A training run builds this once and hands it to every :func:`fit_tree`,
+    whose splits partition it down the tree, so no node sorts or compares
+    float values to find ties.
+    """
+    values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    m, n = values.shape
+    order = np.empty((m, n), dtype=np.int32)
+    ranks = np.zeros((m, n), dtype=np.int32)
+    for f, column in enumerate(values):
+        order[f] = np.argsort(column, kind="stable")
+        ordered = column.take(order[f])
+        np.cumsum(ordered[1:] != ordered[:-1], dtype=np.int32, out=ranks[f, 1:])
+    wide = ranks.max(axis=1, initial=0) > np.iinfo(np.uint16).max
+    tables = []
+    for rows, dtype in ((~wide, np.uint16), (wide, np.int32)):
+        if rows.all():
+            rows = slice(None)
+        elif rows.any():
+            rows = np.flatnonzero(rows)
+        else:
+            continue
+        tables.append((rows, ranks[rows].astype(dtype, copy=False)))
+    return SortedColumns(values, order, tuple(tables))
 
 
 def _bin_codes(values: np.ndarray, bins: int) -> np.ndarray:
@@ -231,43 +307,42 @@ def _sse_gains(
     return left_sum
 
 
-def _strongest(gains: np.ndarray, blocked: np.ndarray) -> tuple[float, int, int] | None:
-    """(gain, feature, cut) of the largest gain whose cut is not blocked.
+def _strongest(
+    left_sum: np.ndarray, left_cnt: np.ndarray, total: float, n: int
+) -> tuple[float, int] | None:
+    """(gain, index) of the largest gain among candidate cuts given by their
+    left sums and counts, or None when no gain exceeds ``_GAIN_EPS``.
 
-    Rows are features and columns cuts in increasing threshold order, so ties
-    go to the lowest feature, then the lowest threshold. Gains at or below
-    ``_GAIN_EPS`` are no split.
+    Candidates come feature by feature in increasing threshold order, so ties
+    go to the lowest feature, then the lowest threshold. A gain is capped at
+    +inf, which fmin also gives a NaN one (an overflowed inf - inf).
     """
-    # Cap at +inf, or at -inf where blocked: arithmetic, not a masked store,
-    # which branches on every entry. Unlike minimum, fmin also caps the 0/0
-    # gain of a blocked cut with an empty side.
-    cap = 0.5 - blocked
-    cap *= np.inf
-    np.fmin(gains, cap, out=gains)
-    row_best = gains.max(axis=1)
-    feat = int(np.argmax(row_best))
-    gain = float(row_best[feat])
-    if gain <= _GAIN_EPS:
+    if not left_sum.size:
         return None
-    return gain, feat, int(np.argmax(gains[feat]))
+    gains = _sse_gains(left_sum, left_cnt, total, n)
+    np.fmin(gains, np.inf, out=gains)
+    best = int(np.argmax(gains))
+    gain = float(gains[best])
+    return None if gain <= _GAIN_EPS else (gain, best)
 
 
 def _best_split(
     XT: np.ndarray,
     y: np.ndarray,
     idx: np.ndarray,
-    columns: np.ndarray | None,
+    columns: SortedColumns | None,
     min_leaf_docs: int,
     bins: int = 0,
 ) -> tuple[float, int, float] | None:
     """Strongest (gain, feature, threshold) for the documents in ``idx``.
 
     ``XT`` is the (features x documents) matrix and ``idx`` the node's
-    documents in increasing order. Every feature is scored at once in a
-    features x cuts gain matrix; gain is the squared-error reduction. Exact
-    mode (``bins == 0``) reads ``columns``, the node's documents sorted per
-    feature (see :func:`sort_columns`), and cuts between consecutive distinct
-    values at their midpoint.
+    documents in increasing order. Gain is the squared-error reduction, and
+    every feature is scored at once: the candidate cuts of all features are
+    one flat list, and only they get a gain. Exact mode (``bins == 0``) reads
+    ``columns``, the node's share of :func:`sort_columns`: a cut lies where
+    the value rank rises between two sorted neighbours, at the midpoint of
+    their values.
     """
     m = XT.shape[0]
     n = idx.size
@@ -280,35 +355,39 @@ def _best_split(
     if bins:
         codes = _bin_codes(np.take(XT, idx, axis=1), bins)
         flat = codes.ravel()
+        # Cut j of feature f, at f * bins + j, puts bins 0..j left.
         counts = np.bincount(flat, minlength=m * bins).reshape(m, bins)
         sums = np.bincount(flat, weights=np.tile(ysub, m), minlength=m * bins)
-        left_cnt = np.cumsum(counts, axis=1)[:, :-1].astype(np.float64)
-        left_sum = np.cumsum(sums.reshape(m, bins), axis=1)[:, :-1]
-        blocked = (left_cnt < min_leaf_docs) | (n - left_cnt < min_leaf_docs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            found = _strongest(_sse_gains(left_sum, left_cnt, total, n), blocked)
+        left_cnt = np.cumsum(counts, axis=1).ravel()
+        left_sum = np.cumsum(sums.reshape(m, bins), axis=1).ravel()
+        cuts = np.flatnonzero((left_cnt >= min_leaf_docs) & (n - left_cnt >= min_leaf_docs))
+        found = _strongest(left_sum.take(cuts), left_cnt.take(cuts), total, n)
         if found is None:
             return None
-        gain, feat, pos = found
+        gain, best = found
+        feat, pos = divmod(int(cuts[best]), bins)
         # The largest value in the left bins, so routing by value <= threshold
         # reproduces the histogram partition exactly.
         left = XT[feat].take(idx)[codes[feat] <= feat * bins + pos]
         return gain, feat, float(left.max())
-    # Cut j puts the first j + 1 sorted documents left; lo..hi keeps
-    # min_leaf_docs on each side.
+    # Cut j of feature f, at f * n + j of the flat (features x rows) tables,
+    # puts its first j + 1 sorted documents left; lo..hi keeps min_leaf_docs
+    # on each side.
     lo, hi = min_leaf_docs - 1, n - min_leaf_docs
-    row_starts = np.arange(0, XT.size, XT.shape[1])[:, None]
-    values = XT.take(columns[:, lo : hi + 1] + row_starts)
-    tied = values[:, 1:] == values[:, :-1]
-    del values
-    left_sum = y.take(columns)
-    left_sum = np.cumsum(left_sum, axis=1, out=left_sum)[:, lo:hi]
-    left_cnt = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    found = _strongest(_sse_gains(left_sum, left_cnt, total, n), tied)
+    cuts = np.flatnonzero(columns.rank_changes(lo, hi))
+    left_sum = y.take(columns.order)
+    np.cumsum(left_sum, axis=1, out=left_sum)
+    left_sum = left_sum.ravel().take(cuts)
+    # Each feature's cuts end where its row does; the cuts become left counts.
+    ends = np.searchsorted(cuts, np.arange(n, m * n + 1, n))
+    cuts -= np.repeat(np.arange(-1, m * n - 1, n), np.diff(ends, prepend=0))
+    found = _strongest(left_sum, cuts, total, n)
     if found is None:
         return None
-    gain, feat, pos = found
-    below, above = XT[feat, columns[feat, lo + pos : lo + pos + 2]].tolist()
+    gain, best = found
+    feat = int(np.searchsorted(ends, best, side="right"))
+    pos = int(cuts[best]) - 1
+    below, above = XT[feat, columns.order[feat, pos : pos + 2]].tolist()
     # The midpoint overflows to inf above DBL_MAX / 2 and rounds up to
     # ``above`` between adjacent doubles; ``below`` cuts the same partition.
     threshold = 0.5 * (below + above)
@@ -321,7 +400,7 @@ def _best_split(
 class _Growable:
     node: int  # creation order, the tie-break across leaves
     idx: np.ndarray
-    columns: np.ndarray | None  # idx sorted per feature; exact mode only
+    columns: SortedColumns | None  # the node's share; exact mode only
     split: tuple[float, int, float]
 
 
@@ -332,20 +411,28 @@ def fit_tree(
     min_leaf_docs: int = 1,
     bins: int = 0,
     *,
-    column_order: np.ndarray | None = None,
+    columns: SortedColumns | None = None,
+    leaf_of_row: np.ndarray | None = None,
+    leaf_values: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> RegressionTree:
     """Fit an L-leaf tree to per-document responses by squared-error splits.
 
-    Provisional leaf outputs are mean responses; the likelihood booster
-    replaces them with Newton values afterwards. Exact search walks each
-    column in sorted order: ``column_order`` is :func:`sort_columns` of
-    ``features``, which a caller fitting many trees to the same matrix sorts
-    once; without it the columns are sorted here. A split hands each child
-    its share of the parent's sorted columns, so nothing is sorted again.
+    Exact search walks each column in sorted order: ``columns`` is
+    :func:`sort_columns` of ``features``, which a caller fitting many trees
+    to the same matrix builds once; without it the columns are sorted here. A
+    split hands each child its share of the parent's sorted rows and value
+    ranks, so nothing is sorted again, and ties are equal neighbouring ranks.
     ``bins > 0`` switches to a uniform histogram with that many bins over
     each node's own value range (a speed knob for wide data, off by default).
-    Nodes are numbered in creation order while the tree grows and renumbered
-    into the preorder table once it is done.
+    The two children of the split that fills the leaf budget are not
+    searched. Nodes are numbered in creation order while the tree grows and
+    renumbered into the preorder table once it is done.
+
+    The leaves output their mean responses, unless ``leaf_values(positions,
+    means)`` gives the outputs: ``positions`` is every row's leaf position
+    (its index among the leaves, in preorder, as :func:`apply_tree` numbers
+    them) and ``means`` the leaves' mean responses. ``leaf_of_row``, if
+    given, receives those positions. The tree is built once, when it is done.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(responses, dtype=np.float64)
@@ -359,32 +446,33 @@ def fit_tree(
         raise ValidationError("features and responses must align")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 documents to fit a tree")
-    XT = np.ascontiguousarray(X.T)
     if bins:
-        column_order = None
-    elif column_order is None:
-        column_order = sort_columns(X)
-    elif column_order.shape != XT.shape:
-        raise ValidationError("column order must be sort_columns of the features")
+        columns = None  # histogram search reads only the feature-major matrix
+    elif columns is None:
+        columns = sort_columns(X)
+    elif columns.values.shape != X.shape[::-1]:
+        raise ValidationError("columns must be sort_columns of the features")
+    if leaf_of_row is not None and leaf_of_row.shape != y.shape:
+        raise ValidationError("leaf_of_row must hold one entry per document")
+    XT = np.ascontiguousarray(X.T) if columns is None else columns.values
 
     # Creation-order columns of the table; a split's children are created
-    # together, so node k's right child is first_child[k] + 1.
+    # together, so node k's right child is first_child[k] + 1. A leaf keeps
+    # its documents.
     feature: list[int] = []
     threshold: list[float] = []
     first_child: list[int] = []
-    value: list[float] = []
-    count: list[int] = []
+    rows: list[np.ndarray] = []
 
-    def grow(idx: np.ndarray, columns: np.ndarray | None) -> _Growable | None:
+    def grow(idx: np.ndarray, share: SortedColumns | None, search: bool) -> _Growable | None:
         feature.append(-1)
         threshold.append(0.0)
         first_child.append(-1)
-        value.append(float(y[idx].mean()))
-        count.append(int(idx.size))
-        split = _best_split(XT, y, idx, columns, min_leaf_docs, bins)
-        return None if split is None else _Growable(len(value) - 1, idx, columns, split)
+        rows.append(idx)
+        split = _best_split(XT, y, idx, share, min_leaf_docs, bins) if search else None
+        return None if split is None else _Growable(len(rows) - 1, idx, share, split)
 
-    root = grow(np.arange(X.shape[0]), column_order)
+    root = grow(np.arange(X.shape[0]), columns, True)
     frontier = [root] if root is not None else []
     leaf_count = 1
 
@@ -393,18 +481,23 @@ def fit_tree(
         entry = frontier.pop(pick)
         _, feat, cut = entry.split
         k = entry.node
-        feature[k], threshold[k], first_child[k] = feat, cut, len(value)
-        value[k], count[k] = 0.0, 0
+        feature[k], threshold[k], first_child[k] = feat, cut, len(rows)
+        leaf_count += 1
+        # Nothing reads the splits of the two children that fill the budget.
+        search = leaf_count < leaf_limit
         goes_left = XT[feat] <= cut
-        for keep in (goes_left, ~goes_left):
-            columns = None
-            if entry.columns is not None:
-                kept = keep.take(entry.columns).ravel()
-                columns = np.compress(kept, entry.columns).reshape(XT.shape[0], -1)
-            child = grow(entry.idx[keep[entry.idx]], columns)
+        left = goes_left.take(entry.idx)
+        kept = None  # the left child's share of the sorted rows, if searched
+        if search and entry.columns is not None:
+            kept = goes_left.take(entry.columns.order)
+        for side, sorted_side in ((left, kept), (~left, kept if kept is None else ~kept)):
+            idx = entry.idx[side]
+            share = None
+            if sorted_side is not None and idx.size >= 2 * min_leaf_docs:
+                share = entry.columns.compress(sorted_side)
+            child = grow(idx, share, search)
             if child is not None:
                 frontier.append(child)
-        leaf_count += 1
 
     order: list[int] = []
     stack = [0]
@@ -413,11 +506,22 @@ def fit_tree(
         order.append(k)
         if first_child[k] >= 0:
             stack += (first_child[k] + 1, first_child[k])
+    leaves = [k for k in order if first_child[k] < 0]
+    positions = np.empty(y.size, dtype=np.intp) if leaf_of_row is None else leaf_of_row
+    for position, k in enumerate(leaves):
+        positions[rows[k]] = position
+    means = np.array([y[rows[k]].mean() for k in leaves])
+    feature_column = np.array(feature)[order]
+    is_leaf = feature_column < 0
+    value = np.zeros(len(order))
+    value[is_leaf] = means if leaf_values is None else leaf_values(positions, means)
+    count = np.zeros(len(order), dtype=np.int64)
+    count[is_leaf] = [rows[k].size for k in leaves]
     return RegressionTree(
-        feature=np.array(feature)[order],
+        feature=feature_column,
         threshold=np.array(threshold)[order],
-        value=np.array(value)[order],
-        count=np.array(count)[order],
+        value=value,
+        count=count,
     )
 
 

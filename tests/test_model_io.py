@@ -201,6 +201,31 @@ def test_unknown_loss_rejected():
         parse_ensemble(tree_model(*good, loss="bogus"))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"loss": "foo"}, "unknown loss 'foo'"),
+    ({"top_k": 0}, "topk must be >= 1, got 0"),
+    ({"top_k": 2.5}, "topk must be an integer, got 2.5"),
+    ({"top_k": True}, "topk must be an integer, got True"),
+    ({"num_features": -1}, "features must be >= 0, got -1"),
+    ({"learning_rate": float("nan")}, "alpha must be finite, got nan"),
+    ({"init_score": float("inf")}, "init must be finite, got inf"),
+    ({"init_score": float("-inf")}, "init must be finite, got -inf"),
+], ids=["loss", "topk-0", "topk-2.5", "topk-True", "features", "alpha-nan", "init-inf",
+        "init--inf"])
+def test_ensemble_rejects_a_header_no_model_file_holds(fields, message):
+    # Each of these once built and saved a file that did not load.
+    with pytest.raises(ValidationError) as info:
+        Ensemble(**fields)
+    assert str(info.value) == message
+    Ensemble(top_k=np.int64(3), num_features=np.int64(0))
+
+
+def test_unknown_loss_names_its_header_line():
+    with pytest.raises(ValidationError, match="^line 2: unknown loss 'bogus'$") as info:
+        parse_ensemble(tree_model("L 0 v=0.5 n=3", loss="bogus"))
+    assert info.value.line == 2
+
+
 @pytest.mark.parametrize("key, text, line", [
     ("topk", "0", 4), ("topk", "-5", 4), ("features", "-1", 5),
 ])

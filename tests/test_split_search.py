@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plrank.model_io import dumps_ensemble
-from plrank.tree import Ensemble, Split, _best_split, fit_tree, sort_columns
+from plrank.tree import (
+    Ensemble, Split, SortedColumns, _best_split, apply_tree, fit_tree, sort_columns,
+)
 
 from split_reference import reference_best_split
 
@@ -50,9 +52,16 @@ def bits(split):
 
 
 def node_columns(X, idx):
-    """The node's share of the once-sorted columns, as fit_tree partitions them."""
+    """The node's share of the once-sorted columns and their value ranks, as
+    fit_tree partitions them."""
     full = sort_columns(X)
-    return full[np.isin(full, idx)].reshape(X.shape[1], -1)
+    kept = np.isin(full.order, idx)
+
+    def share(table, rows):
+        return table[kept[rows]].reshape(table.shape[0], -1)
+
+    ranks = tuple((rows, share(table, rows)) for rows, table in full.ranks)
+    return SortedColumns(full.values, share(full.order, slice(None)), ranks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,7 +101,7 @@ def test_every_tree_split_is_the_reference_split(problem, leaves):
 def test_presorted_columns_give_the_same_bytes(problem, leaves):
     X, y, min_leaf, bins = problem
     alone = fit_tree(X, y, leaves, min_leaf, bins)
-    presorted = fit_tree(X, y, leaves, min_leaf, bins, column_order=sort_columns(X))
+    presorted = fit_tree(X, y, leaves, min_leaf, bins, columns=sort_columns(X))
     dump = lambda tree: dumps_ensemble(Ensemble(trees=[tree], num_features=X.shape[1]))
     assert dump(presorted) == dump(alone)
 
@@ -108,3 +117,70 @@ def test_tied_columns_keep_row_order(seed):
         found = _best_split(np.ascontiguousarray(X.T), y, idx, node_columns(X, idx),
                             min_leaf, 0)
         assert bits(found) == bits(reference_best_split(X, y, idx, min_leaf, 0))
+
+
+def tie_heavy_column(draw, n):
+    """One to three levels, a mostly-zero column, or one value."""
+    kind = draw(st.sampled_from(["levels", "sparse", "constant"]))
+    if kind == "constant":
+        return np.full(n, draw(st.sampled_from([0.0, -0.0, 2.5])))
+    if kind == "sparse":
+        column = np.zeros(n)
+        hits = draw(st.lists(st.integers(0, n - 1), max_size=3))
+        column[hits] = draw(st.sampled_from([-1.0, 0.5, 3.0]))
+        return column
+    levels = draw(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 4.0]), min_size=1,
+                           max_size=3))
+    return np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    n = draw(st.integers(2, 60))
+    X = np.column_stack([tie_heavy_column(draw, n) for _ in range(draw(st.integers(1, 5)))])
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n,
+                               max_size=n)))
+    if draw(st.booleans()):
+        y += np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    return X, y, draw(st.integers(1, 5)), draw(st.integers(2, 8))
+
+
+def assert_tree_is_the_reference(X, y, min_leaf, leaves):
+    """Every split is the oracle's, every leaf position is apply_tree's, and a
+    tree that stops short of its budget has no leaf the oracle would split."""
+    positions = np.full(X.shape[0], -1, dtype=np.intp)
+    tree = fit_tree(X, y, leaves, min_leaf, columns=sort_columns(X), leaf_of_row=positions)
+    np.testing.assert_array_equal(positions, apply_tree(tree, X))
+    stack = [(tree.root, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        expected = reference_best_split(X, y, rows, min_leaf)
+        if not isinstance(node, Split):
+            assert tree.leaf_count == leaves or expected is None
+            continue
+        assert expected is not None
+        assert (node.feature, node.threshold.hex()) == (expected[1], expected[2].hex())
+        assert bits(_best_split(np.ascontiguousarray(X.T), y, rows, node_columns(X, rows),
+                                min_leaf)) == bits(expected)
+        mask = X[rows, node.feature] <= node.threshold
+        stack += [(node.left, rows[mask]), (node.right, rows[~mask])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_problems())
+def test_tie_heavy_trees_match_the_reference(problem):
+    assert_tree_is_the_reference(*problem)
+
+
+def test_column_with_many_values_takes_wide_ranks():
+    """A column with more than 65,536 distinct values ranks in int32, beside
+    uint16 columns, and still splits as the oracle does."""
+    rng = np.random.default_rng(4)
+    n = (1 << 16) + 500
+    X = np.column_stack([rng.integers(0, 3, n), rng.permutation(n) * 0.25,
+                         rng.integers(0, 2, n)]).astype(np.float64)
+    y = np.where(X[:, 1] > n * 0.1, 1.0, 0.0) + X[:, 0] + rng.normal(scale=0.1, size=n)
+    columns = sort_columns(X)
+    dtypes = {int(f): table.dtype for rows, table in columns.ranks for f in np.arange(3)[rows]}
+    assert dtypes == {0: np.uint16, 1: np.int32, 2: np.uint16}
+    assert_tree_is_the_reference(X, y, 3, 4)

@@ -89,3 +89,29 @@ def test_traced_cli_builds_each_matrix_once(tmp_path, capsys):
         assert stats["data.parse"].calls > 0 and stats["data.parse"].self_s > 0
         assert stats["data.dense"].calls == matrices, argv[:4]
         assert stats["data.dense"].self_s > 0
+
+
+@pytest.mark.parametrize("valid", [False, True], ids=["train", "train-valid"])
+def test_exact_training_fits_each_tree_once_and_routes_only_validation_rows(
+        tmp_path, capsys, valid):
+    """One ``tree.fit`` span per tree; ``apply_tree`` runs on validation rows only."""
+    files = []
+    for seed in (2, 3):
+        ds = thresholded_linear_dataset(n_queries=5, n_docs=10, n_features=4, seed=seed)
+        files.append(tmp_path / f"{seed}.txt")
+        files[-1].write_text(format_dataset(ds))
+    argv = ["train", "--train", files[0], "--bins", "0", "--trees", "4", "--leaves", "4",
+            "--out", tmp_path / "model.txt"]
+    if valid:
+        argv += ["--valid", files[1]]
+    tracer = spans.Tracer()
+    uninstall = tracer.install(layers.HOOKS)
+    try:
+        assert main([str(a) for a in argv]) == 0
+    finally:
+        uninstall()
+    capsys.readouterr()
+    assert tracer.missing_sites == []
+    stats = tracer.layers()
+    assert stats["tree.fit"].calls == 4
+    assert stats["tree.apply"].calls == 4 if valid else "tree.apply" not in stats

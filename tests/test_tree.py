@@ -8,7 +8,7 @@ from plrank import (
     fit_tree,
     predict_ensemble_matrix,
 )
-from plrank.tree import Split
+from plrank.tree import Split, sort_columns
 
 from tree_reference import (
     build_tree,
@@ -168,7 +168,9 @@ def test_fit_validates_inputs():
     with pytest.raises(ValidationError):
         fit_tree(X, np.zeros(4), 2)
     with pytest.raises(ValidationError):
-        fit_tree(X, np.zeros(3), 2, column_order=np.zeros((1, 2), dtype=np.int32))
+        fit_tree(X, np.zeros(3), 2, columns=sort_columns(np.zeros((2, 1))))
+    with pytest.raises(ValidationError):
+        fit_tree(X, np.zeros(3), 2, leaf_of_row=np.zeros(2, dtype=np.intp))
 
 
 def test_predict_single_leaf_any_row():
