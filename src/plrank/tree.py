@@ -487,7 +487,7 @@ def fit_tree(
         search = leaf_count < leaf_limit
         goes_left = XT[feat] <= cut
         left = goes_left.take(entry.idx)
-        kept = None  # the left child's share of the sorted rows, if searched
+        kept = None  # which sorted rows go left; only searched children need it
         if search and entry.columns is not None:
             kept = goes_left.take(entry.columns.order)
         for side, sorted_side in ((left, kept), (~left, kept if kept is None else ~kept)):

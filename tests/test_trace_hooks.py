@@ -114,4 +114,7 @@ def test_exact_training_fits_each_tree_once_and_routes_only_validation_rows(
     assert tracer.missing_sites == []
     stats = tracer.layers()
     assert stats["tree.fit"].calls == 4
-    assert stats["tree.apply"].calls == 4 if valid else "tree.apply" not in stats
+    if valid:
+        assert stats["tree.apply"].calls == 4
+    else:
+        assert "tree.apply" not in stats
