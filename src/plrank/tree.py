@@ -208,34 +208,27 @@ class SortedColumns:
 
     ``values`` is the (features x rows) float64 matrix and ``order`` each
     column's row ids sorted by value, ties by row id, as int32. ``ranks``
-    holds each column's dense value ranks in that sorted order, so two sorted
-    neighbours tie exactly when their ranks are equal. A column with at most
-    65,536 distinct values keeps uint16 ranks and a wider one int32: ``ranks``
-    holds one (columns, table) pair per dtype in use. A node of a tree holds
-    its own share of ``order`` and ``ranks`` (:meth:`compress`) beside the
-    whole of ``values``.
+    holds each column's dense int32 value ranks in that sorted order, so two
+    sorted neighbours tie exactly when their ranks are equal. A node of a
+    tree holds its own share of ``order`` and ``ranks`` (:meth:`compress`)
+    beside the whole of ``values``.
     """
 
     values: np.ndarray
     order: np.ndarray
-    ranks: tuple[tuple[slice | np.ndarray, np.ndarray], ...]
+    ranks: np.ndarray
 
     def compress(self, kept: np.ndarray) -> "SortedColumns":
         """The share of the rows where ``kept``, a mask aligned with ``order``, is set."""
-        return SortedColumns(
-            self.values,
-            np.compress(kept.ravel(), self.order).reshape(self.order.shape[0], -1),
-            tuple((rows, np.compress(kept[rows].ravel(), table).reshape(table.shape[0], -1))
-                  for rows, table in self.ranks),
-        )
+        m, mask = self.order.shape[0], kept.ravel()
+        return SortedColumns(self.values, np.compress(mask, self.order).reshape(m, -1),
+                             np.compress(mask, self.ranks).reshape(m, -1))
 
     def rank_changes(self, lo: int, hi: int) -> np.ndarray:
         """(features x rows) mask, set at ``j`` in ``lo..hi - 1`` where the
         value rank rises from sorted row ``j`` to ``j + 1``."""
-        changed = np.empty(self.order.shape, dtype=bool)
-        changed[:, :lo] = changed[:, hi:] = False
-        for rows, table in self.ranks:
-            changed[rows, lo:hi] = table[:, lo + 1 : hi + 1] != table[:, lo:hi]
+        changed = np.zeros(self.order.shape, dtype=bool)
+        np.not_equal(self.ranks[:, lo + 1 : hi + 1], self.ranks[:, lo:hi], out=changed[:, lo:hi])
         return changed
 
 
@@ -254,17 +247,7 @@ def sort_columns(X: np.ndarray) -> SortedColumns:
         order[f] = np.argsort(column, kind="stable")
         ordered = column.take(order[f])
         np.cumsum(ordered[1:] != ordered[:-1], dtype=np.int32, out=ranks[f, 1:])
-    wide = ranks.max(axis=1, initial=0) > np.iinfo(np.uint16).max
-    tables = []
-    for rows, dtype in ((~wide, np.uint16), (wide, np.int32)):
-        if rows.all():
-            rows = slice(None)
-        elif rows.any():
-            rows = np.flatnonzero(rows)
-        else:
-            continue
-        tables.append((rows, ranks[rows].astype(dtype, copy=False)))
-    return SortedColumns(values, order, tuple(tables))
+    return SortedColumns(values, order, ranks)
 
 
 def _bin_codes(values: np.ndarray, bins: int) -> np.ndarray:
@@ -378,15 +361,11 @@ def _best_split(
     left_sum = y.take(columns.order)
     np.cumsum(left_sum, axis=1, out=left_sum)
     left_sum = left_sum.ravel().take(cuts)
-    # Each feature's cuts end where its row does; the cuts become left counts.
-    ends = np.searchsorted(cuts, np.arange(n, m * n + 1, n))
-    cuts -= np.repeat(np.arange(-1, m * n - 1, n), np.diff(ends, prepend=0))
-    found = _strongest(left_sum, cuts, total, n)
+    found = _strongest(left_sum, cuts % n + 1, total, n)
     if found is None:
         return None
     gain, best = found
-    feat = int(np.searchsorted(ends, best, side="right"))
-    pos = int(cuts[best]) - 1
+    feat, pos = divmod(int(cuts[best]), n)
     below, above = XT[feat, columns.order[feat, pos : pos + 2]].tolist()
     # The midpoint overflows to inf above DBL_MAX / 2 and rounds up to
     # ``above`` between adjacent doubles; ``below`` cuts the same partition.
@@ -462,7 +441,7 @@ def fit_tree(
     feature: list[int] = []
     threshold: list[float] = []
     first_child: list[int] = []
-    rows: list[np.ndarray] = []
+    rows: list[np.ndarray | None] = []
 
     def grow(idx: np.ndarray, share: SortedColumns | None, search: bool) -> _Growable | None:
         feature.append(-1)
@@ -482,6 +461,7 @@ def fit_tree(
         _, feat, cut = entry.split
         k = entry.node
         feature[k], threshold[k], first_child[k] = feat, cut, len(rows)
+        rows[k] = None  # only leaves' rows are read once the tree is grown
         leaf_count += 1
         # Nothing reads the splits of the two children that fill the budget.
         search = leaf_count < leaf_limit
