@@ -1,10 +1,13 @@
-"""Per-context reference implementation of the Plackett-Luce likelihood.
+"""Exactly rounded per-context reference of the Plackett-Luce likelihood.
 
-This is the implementation the flat context table replaced: contexts are
-deduplicated by a ``frozenset`` of their members, and every quantity loops
-over the stored contexts one at a time. Tests compare the table with it bit
-for bit (the linear trainer, whose sums now run in a different order, to a
-relative 1e-10).
+Contexts are deduplicated by a ``frozenset`` of their members, every
+quantity loops over the stored contexts one at a time, and every sum is a
+``math.fsum``: each result is its terms' exactly rounded sum. The library
+adds the same terms in its own order, so tests hold it to :data:`BOUND`
+times the sum of the terms' absolute values (:func:`within`). A result whose
+terms cancel is held to the size of its terms, not to its own size, and a
+probability to its context's total of 1. The linear trainer is compared
+with its own loop to a relative 1e-10.
 
 Contexts here are ``ContextSet`` values with query-local member indices; a
 query is a ``RefQuery`` that ties them to global document ids.
@@ -15,6 +18,7 @@ library rather than the loops above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +27,10 @@ from plrank import linear, pl_objective
 from plrank.data import QueryGroup
 from plrank.permutation import ContextSet, PermutationSet, sample_permutation
 from plrank.pl_objective import CURVATURE_EPS, MAX_LEAF_OUTPUT
+
+# Allowed error relative to the sum of a result's absolute terms: about
+# 4,500 units in the last place, room for sums over a few hundred members.
+BOUND = 1e-12
 
 
 def permutation_set(
@@ -69,46 +77,16 @@ def build_contexts(
     return contexts, raw_terms
 
 
-def softmax(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
+def exact_softmax(values: np.ndarray) -> np.ndarray:
+    """exp(v - max) over its exactly rounded sum."""
+    exps = np.exp(values - values.max())
+    return exps / math.fsum(exps.tolist())
 
 
-def build_workspace(scores: np.ndarray, contexts: list[ContextSet]) -> list[np.ndarray]:
-    """p(d | context) of every member, one array per context."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return [
-        softmax(scores[np.asarray(ctx.member_indices, dtype=np.intp)])
-        for ctx in contexts
-    ]
-
-
-def response_from_workspace(
-    scores: np.ndarray, contexts: list[ContextSet], probs_per_context: list[np.ndarray]
-) -> np.ndarray:
-    resp = np.zeros(np.asarray(scores).shape[0], dtype=np.float64)
-    for ctx, probs in zip(contexts, probs_per_context):
-        members = np.asarray(ctx.member_indices, dtype=np.intp)
-        resp[members] -= probs
-        resp[ctx.champion_index] += 1.0
-    return resp
-
-
-def pseudo_response(scores: np.ndarray, contexts: list[ContextSet]) -> np.ndarray:
-    return response_from_workspace(scores, contexts, build_workspace(scores, contexts))
-
-
-def log_likelihood(scores: np.ndarray, contexts: list[ContextSet]) -> float:
-    scores = np.asarray(scores, dtype=np.float64)
-    total = 0.0
-    for ctx in contexts:
-        member_scores = scores[np.asarray(ctx.member_indices, dtype=np.intp)]
-        high = member_scores.max()
-        total += scores[ctx.champion_index] - high - np.log(
-            np.exp(member_scores - high).sum()
-        )
-    return float(total)
+def within(got, expected, scale) -> bool:
+    """|got - expected| <= BOUND * scale everywhere; NaN never passes."""
+    error = np.abs(np.asarray(got, dtype=np.float64) - expected)
+    return bool(np.all(error <= BOUND * np.asarray(scale)))
 
 
 @dataclass
@@ -128,64 +106,98 @@ class RefQuery:
         ]
 
     def refresh(self, all_scores: np.ndarray) -> np.ndarray:
-        local = all_scores[self.doc_ids]
-        self.probs_per_context = [softmax(local[mem]) for mem in self.members]
+        local = np.asarray(all_scores, dtype=np.float64)[self.doc_ids]
+        self.probs_per_context = [exact_softmax(local[mem]) for mem in self.members]
         return local
 
 
-def booster_responses(queries: list[RefQuery], all_scores: np.ndarray) -> np.ndarray:
-    """The booster's per-document gradient, query by query."""
-    responses = np.zeros(all_scores.shape[0], dtype=np.float64)
+def booster_objective(queries: list[RefQuery], all_scores: np.ndarray) -> tuple[float, float]:
+    """The log-likelihood and its error scale.
+
+    A context adds (s_champion - max) - log Z; its scale is the size of
+    both parts plus 1, because an error of relative size d in Z moves
+    log Z by d.
+    """
+    terms, scales = [], []
     for q in queries:
         local = q.refresh(all_scores)
-        responses[q.doc_ids] = response_from_workspace(
-            local, q.contexts, q.probs_per_context
-        )
-    return responses
+        for ctx, members in zip(q.contexts, q.members):
+            high = local[members].max()
+            log_total = math.log(math.fsum(np.exp(local[members] - high).tolist()))
+            gap = local[ctx.champion_index] - high
+            terms.append(gap - log_total)
+            scales.append(abs(gap) + abs(log_total) + 1.0)
+    return math.fsum(terms), math.fsum(scales)
 
 
-def booster_objective(queries: list[RefQuery], all_scores: np.ndarray) -> float:
-    """The booster's log-likelihood: per-query sums, then a sum over queries."""
-    return sum(log_likelihood(all_scores[q.doc_ids], q.contexts) for q in queries)
+def _response_terms(queries: list[RefQuery], all_scores: np.ndarray) -> list[list[float]]:
+    """Per global document: +1 per context it wins, -p per context it is in."""
+    terms: list[list[float]] = [[] for _ in range(np.asarray(all_scores).shape[0])]
+    for q in queries:
+        q.refresh(all_scores)
+        for ctx, members, probs in zip(q.contexts, q.members, q.probs_per_context):
+            for doc, p in zip(q.doc_ids[members].tolist(), probs.tolist()):
+                terms[doc].append(-p)
+            terms[int(q.doc_ids[ctx.champion_index])].append(1.0)
+    return terms
+
+
+def booster_responses(
+    queries: list[RefQuery], all_scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The booster's per-document gradient and its error scale."""
+    terms = _response_terms(queries, all_scores)
+    return (np.array([math.fsum(t) for t in terms]),
+            np.array([math.fsum(map(abs, t)) for t in terms]))
+
+
+def newton_stats(
+    assign: np.ndarray, n_leaves: int, queries: list[RefQuery], all_scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per leaf: L'(0), its scale, L''(0) and its scale.
+
+    L'(0) sums the response terms of the leaf's documents. L''(0) sums
+    m * (m - 1) over contexts, m being the context's probability mass in the
+    leaf; its scale sums m * m + m.
+    """
+    grad_terms: list[list[float]] = [[] for _ in range(n_leaves)]
+    for doc, terms in enumerate(_response_terms(queries, all_scores)):
+        grad_terms[int(assign[doc])].extend(terms)
+    curv_terms: list[list[float]] = [[] for _ in range(n_leaves)]
+    for q in queries:
+        leaf_of = np.asarray(assign)[q.doc_ids]
+        for members, probs in zip(q.members, q.probs_per_context):
+            for leaf in range(n_leaves):
+                mass = math.fsum(probs[leaf_of[members] == leaf].tolist())
+                curv_terms[leaf].append(mass)
+    grad = np.array([math.fsum(t) for t in grad_terms])
+    grad_scale = np.array([math.fsum(map(abs, t)) for t in grad_terms])
+    curv = np.array([math.fsum(m * (m - 1.0) for m in t) for t in curv_terms])
+    curv_scale = np.array([math.fsum(m * m + m for m in t) for t in curv_terms])
+    return grad, grad_scale, curv, curv_scale
 
 
 def newton_leaf_outputs(
-    assign: np.ndarray,
-    n_leaves: int,
-    queries: list[RefQuery],
-    responses: np.ndarray,
-) -> np.ndarray:
-    grad = np.bincount(assign, weights=responses, minlength=n_leaves)
-    curv = np.zeros(n_leaves, dtype=np.float64)
-    for query in queries:
-        leaf_of = assign[query.doc_ids]
-        for members, probs in zip(query.members, query.probs_per_context):
-            mass = np.bincount(leaf_of[members], weights=probs, minlength=n_leaves)
-            curv += mass * (mass - 1.0)
+    assign: np.ndarray, n_leaves: int, queries: list[RefQuery], all_scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Applied outputs -L'/L'' and, per leaf, the error the bound allows.
+
+    With |g - G| <= BOUND * SG and |c - C| <= BOUND * SC, the quotient
+    moves by at most (BOUND * SG + |G / C| * BOUND * SC) / (|C| - BOUND * SC),
+    and clipping never widens a gap. A leaf whose |C| lies within
+    BOUND * SC of CURVATURE_EPS may be zeroed on one side only: any output
+    is allowed there.
+    """
+    grad, grad_scale, curv, curv_scale = newton_stats(assign, n_leaves, queries, all_scores)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = -grad / curv
-    out[np.abs(curv) < CURVATURE_EPS] = 0.0
-    return np.clip(out, -MAX_LEAF_OUTPUT, MAX_LEAF_OUTPUT)
-
-
-def leaf_newton_stats(leaf_docs, queries: list[RefQuery]) -> tuple[float, float]:
-    leaf = set(int(d) for d in leaf_docs)
-    lprime = 0.0
-    ldouble = 0.0
-    for query in queries:
-        doc_ids = query.doc_ids
-        for ctx, members, probs in zip(
-            query.contexts, query.members, query.probs_per_context
-        ):
-            in_leaf = np.fromiter(
-                (int(doc_ids[m]) in leaf for m in members), dtype=bool, count=len(members)
-            )
-            mass = float(probs[in_leaf].sum())
-            if int(doc_ids[ctx.champion_index]) in leaf:
-                lprime += 1.0
-            lprime -= mass
-            ldouble += mass * (mass - 1.0)
-    return lprime, ldouble
+        slack = (BOUND * grad_scale + np.abs(out) * BOUND * curv_scale) / (
+            np.abs(curv) - BOUND * curv_scale)
+    flat = np.abs(curv) < CURVATURE_EPS
+    out[flat] = 0.0
+    slack[flat] = 0.0
+    slack[np.abs(np.abs(curv) - CURVATURE_EPS) <= BOUND * curv_scale] = np.inf
+    return np.clip(out, -MAX_LEAF_OUTPUT, MAX_LEAF_OUTPUT), slack
 
 
 def linear_objective_and_gradient(

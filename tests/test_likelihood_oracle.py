@@ -1,8 +1,10 @@
-"""The flat context table against the per-context reference, bit for bit.
+"""The library's likelihood against the exactly rounded per-context reference.
 
-Every quantity the booster reads from the table (contexts, probabilities,
-gradient, log-likelihood, Newton leaf outputs) must equal what the old loop
-over contexts computes, to the last bit, on datasets with interleaved query
+Contexts, champions and raw term counts must equal the reference's exactly.
+Every quantity the booster computes from them (probabilities, gradient,
+log-likelihood, Newton curvature and leaf outputs) must lie within
+``pl_reference.BOUND`` of the reference's exactly rounded value, relative to
+the sum of its terms' absolute values, on datasets with interleaved query
 blocks, single-document queries, duplicate contexts across samples, k >= n,
 extreme and tied scores, and leaves that hold no context member.
 """
@@ -10,7 +12,6 @@ extreme and tied scores, and leaves that hold no context member.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,7 +108,7 @@ def test_contexts_match_member_set_dedup(ds, k, objectives, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(problems())
-def test_probabilities_gradient_and_loglik_bit_identical(problem):
+def test_probabilities_gradient_and_loglik_within_bound(problem):
     ds, psets, refs, scores = problem
     table = QueryContexts.stack(psets)
     workspace = table.refresh(scores)
@@ -117,21 +118,18 @@ def test_probabilities_gradient_and_loglik_bit_identical(problem):
     got = [workspace.probs[c - length:c]
            for c, length in zip(table.champions, table.lengths)]
     assert len(got) == len(expected)
-    assert all(same_bits(a, b) for a, b in zip(got, expected))
+    assert all(a.shape == b.shape and ref.within(a, b, 1.0) for a, b in zip(got, expected))
     assert not workspace.probs[table.champions].any()
 
     responses = response_from_workspace(workspace, table)
-    assert same_bits(responses, ref.booster_responses(refs, scores))
-    assert same_bits(log_likelihood(scores, table), float(ref.booster_objective(refs, scores)))
+    assert ref.within(responses, *ref.booster_responses(refs, scores))
+    assert ref.within(log_likelihood(scores, table), *ref.booster_objective(refs, scores))
 
 
-@settings(max_examples=150, deadline=None)
-@given(problems(), st.data())
-def test_newton_leaf_outputs_bit_identical(problem, data):
-    ds, psets, refs, scores = problem
-    n_leaves = data.draw(st.integers(1, 6))
-    # The last leaf holds no document at all, or only documents of queries
-    # without contexts; with one leaf every document shares it.
+def leaf_assignment(data, ds, refs, n_leaves):
+    """A random leaf per document. The last leaf holds no document at all,
+    or only documents of queries without contexts; with one leaf every
+    document shares it."""
     in_contexts = np.zeros(ds.num_documents, dtype=bool)
     for q in refs:
         in_contexts[q.doc_ids] = True
@@ -139,41 +137,54 @@ def test_newton_leaf_outputs_bit_identical(problem, data):
         st.integers(0, max(0, n_leaves - 2)),
         min_size=ds.num_documents, max_size=ds.num_documents)), dtype=np.intp)
     assign[~in_contexts] = n_leaves - 1
+    return assign
 
+
+@settings(max_examples=150, deadline=None)
+@given(problems(), st.data())
+def test_newton_leaf_outputs_within_bound(problem, data):
+    ds, psets, refs, scores = problem
+    n_leaves = data.draw(st.integers(1, 6))
+    assign = leaf_assignment(data, ds, refs, n_leaves)
     table = QueryContexts.stack(psets)
     responses = response_from_workspace(table.refresh(scores), table)
-    ref_responses = ref.booster_responses(refs, scores)
     got = newton_leaf_outputs(assign, n_leaves, table, responses)
-    expected = ref.newton_leaf_outputs(assign, n_leaves, refs, ref_responses)
-    assert same_bits(got, expected)
+    expected, slack = ref.newton_leaf_outputs(assign, n_leaves, refs, scores)
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(got - expected) <= slack)
 
 
 @settings(max_examples=60, deadline=None)
 @given(problems(), st.data())
 def test_leaf_newton_stats_match_reference(problem, data):
-    """The two-leaf statistics sum in another order: equal to 1e-12."""
+    """The two-leaf statistics: L'(0) and the curvature L''(0), within the bound."""
     ds, psets, refs, scores = problem
     leaf = data.draw(st.lists(st.integers(0, ds.num_documents - 1), min_size=1,
                               unique=True))
     queries = [QueryContexts.create(q.doc_ids, p) for q, p in zip(refs, psets)]
-    for q in [*queries, *refs]:
+    for q in queries:
         q.refresh(scores)
-    expected = ref.leaf_newton_stats(leaf, refs)
-    assert leaf_newton_stats(leaf, queries) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assign = np.zeros(ds.num_documents, dtype=np.intp)
+    assign[leaf] = 1
+    grad, grad_scale, curv, curv_scale = ref.newton_stats(assign, 2, refs, scores)
+    lprime, ldouble = leaf_newton_stats(leaf, queries)
+    assert ref.within(lprime, grad[1], grad_scale[1])
+    assert ref.within(ldouble, curv[1], curv_scale[1])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 300), st.integers(1, 12), st.integers(1, 4),
        st.integers(0, 2**16), st.data())
 def test_single_query_long_contexts(n, k, objectives, seed, data):
-    """Long contexts exercise numpy's pairwise summation blocks (> 8, > 128)."""
+    """Long contexts: sums over up to 300 members."""
     text = "".join(f"{g} qid:1 1:0.5\n" for g in data.draw(
         st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     group = parse_dataset(text).groups[0]
     pset, contexts, _ = sample_both(group, k, objectives, seed)
     scores = np.array(data.draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n)))
-    assert same_bits(pseudo_response(scores, pset), ref.pseudo_response(scores, contexts))
-    assert same_bits(log_likelihood(scores, pset), ref.log_likelihood(scores, contexts))
+    query = [ref.RefQuery(np.arange(n), contexts)]
+    assert ref.within(pseudo_response(scores, pset), *ref.booster_responses(query, scores))
+    assert ref.within(log_likelihood(scores, pset), *ref.booster_objective(query, scores))
 
 
 def test_curvature_adds_contexts_in_order_for_one_leaf():
