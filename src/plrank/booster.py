@@ -154,7 +154,7 @@ def train(
             for group in dataset.groups
         )
         contexts = QueryContexts.stack([p for p in psets if p.num_contexts])
-        if not contexts.lengths.size:
+        if not contexts.num_contexts:
             raise ConfigError(
                 "likelihood loss needs at least one query with 2+ documents"
             )

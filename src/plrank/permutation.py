@@ -1,18 +1,19 @@
-"""Sampling of top-K ground-truth permutations with compressed storage.
+"""Sampling of top-K ground-truth permutations, stored as the sampled orders.
 
 Relevance grades tie frequently, so many ground-truth permutations are
 consistent with the grades. Position j of a sampled permutation induces one
 context: the documents not yet placed (the members), of which the one placed
 at j is the champion. Contexts repeat heavily across samples, so each is
-stored once. Within a query the members are everything but the prefix
+kept once. Within a query the members are everything but the prefix
 ``perm[:j]``, so two contexts have the same members exactly when they have
 the same prefix set; deduplicating by that set hashes at most K documents
 rather than up to the whole query.
 
-A query's contexts are stored as one flat table of global document ids:
-each context's members in ascending query-local order, then its champion.
-``lengths`` holds the member count of each context, so context c occupies
-``lengths[c] + 1`` consecutive entries.
+A query's contexts are stored as its sampled orders (samples x n
+query-local document indices) and a kept mask over (sample, position <
+depth): position j of sample s is kept when its prefix set first occurs
+there. A kept position's members are the rest of its order, so the storage
+is one entry per order position, however many contexts share them.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ class ContextSet:
 
 @dataclass(eq=False)
 class PermutationSet:
-    """Deduplicated contexts of all sampled permutations for one query.
+    """The sampled orders of one query and which of their contexts are kept.
 
-    ``table`` and ``lengths`` are laid out as the module docstring says;
+    ``orders`` holds query-local indices, one row per sample; ``kept`` has
+    one column per position that leaves 2+ members (the depth).
     ``doc_ids`` are the query's global document ids in query-local order.
     """
 
-    table: np.ndarray
-    lengths: np.ndarray
+    orders: np.ndarray
+    kept: np.ndarray
     doc_ids: np.ndarray
     k: int
     raw_term_count: int
@@ -54,32 +56,25 @@ class PermutationSet:
 
     @property
     def num_contexts(self) -> int:
-        return self.lengths.size
-
-    def local_table(self) -> np.ndarray:
-        """The table with every global id replaced by its query-local index."""
-        if not self.table.size:
-            return np.zeros(0, dtype=np.intp)
-        local = np.zeros(int(self.doc_ids.max()) + 1, dtype=np.intp)
-        local[self.doc_ids] = np.arange(self.doc_ids.size)
-        return local[self.table]
+        return int(np.count_nonzero(self.kept))
 
     @property
     def contexts(self) -> list[ContextSet]:
-        """The stored contexts as :class:`ContextSet` values, built on demand."""
-        pieces = np.split(self.local_table(), np.cumsum(self.lengths + 1)[:-1])
+        """The kept contexts as :class:`ContextSet` values, built on demand.
+
+        They are listed by sample, then position: in order of first occurrence.
+        """
         return [
-            ContextSet(tuple(piece[:-1].tolist()), int(piece[-1]))
-            for piece in pieces
-            if piece.size
+            ContextSet(tuple(sorted(self.orders[s, j:].tolist())), int(self.orders[s, j]))
+            for s, j in zip(*np.nonzero(self.kept))
         ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermutationSet):
             return NotImplemented
         return (
-            np.array_equal(self.table, other.table)
-            and np.array_equal(self.lengths, other.lengths)
+            np.array_equal(self.orders, other.orders)
+            and np.array_equal(self.kept, other.kept)
             and np.array_equal(self.doc_ids, other.doc_ids)
             and (self.k, self.raw_term_count, self.objective_count)
             == (other.k, other.raw_term_count, other.objective_count)
@@ -103,11 +98,11 @@ def build_permutations(
     num_objectives: int,
     rng: np.random.Generator,
 ) -> PermutationSet:
-    """Sample ``num_objectives`` top-K permutations and store their contexts.
+    """Sample ``num_objectives`` top-K permutations and mark their contexts.
 
-    Contexts with a single member are dropped (their conditional probability
-    is identically 1), and duplicates across samples are kept once, in order
-    of first occurrence with the champion of that occurrence.
+    Contexts with a single member are not stored (their conditional
+    probability is identically 1), and duplicates across samples are kept
+    once, at their first occurrence with the champion of that occurrence.
     """
     if k < 1:
         raise ValidationError(f"top-K cutoff must be >= 1, got {k}")
@@ -118,41 +113,20 @@ def build_permutations(
     n = relevances.shape[0]
     depth = max(0, min(k, n - 1))  # positions that leave 2+ members
     seen: set[frozenset[int]] = set()
-    ranks: list[np.ndarray] = []  # per kept context: the rank of every document
-    positions: list[int] = []
-    champions: list[int] = []
-    for _ in range(num_objectives):
-        perm = sample_permutation(relevances, rng)
-        rank = np.empty(n, dtype=np.intp)
-        rank[perm] = np.arange(n)
-        placed = perm[:depth].tolist()
+    orders = np.empty((num_objectives, n), dtype=np.int32)
+    kept = np.zeros((num_objectives, depth), dtype=bool)
+    for s in range(num_objectives):
+        orders[s] = sample_permutation(relevances, rng)
+        placed = orders[s, :depth].tolist()
         for j in range(depth):
             key = frozenset(placed[:j])
-            if key in seen:
-                continue
-            seen.add(key)
-            ranks.append(rank)
-            positions.append(j)
-            champions.append(placed[j])
-
-    position = np.array(positions, dtype=np.intp)
-    lengths = n - position
-    local = np.empty(int(lengths.sum()) + lengths.size, dtype=np.intp)
-    if positions:
-        # Row c marks the members of context c, the documents ranked at or
-        # after its position; nonzero() lists each row's members in
-        # ascending order, and the champion takes the slot after them.
-        is_member = np.stack(ranks) >= position.reshape(-1, 1)
-        slots = np.cumsum(lengths + 1) - 1
-        member_slot = np.ones(local.size, dtype=bool)
-        member_slot[slots] = False
-        local[member_slot] = np.nonzero(is_member)[1]
-        local[slots] = champions
-    doc_ids = np.asarray(group.doc_ids, dtype=np.intp)
+            if key not in seen:
+                seen.add(key)
+                kept[s, j] = True
     return PermutationSet(
-        table=doc_ids[local].astype(np.int32),
-        lengths=lengths,
-        doc_ids=doc_ids,
+        orders=orders,
+        kept=kept,
+        doc_ids=np.asarray(group.doc_ids, dtype=np.intp),
         k=k,
         raw_term_count=num_objectives * depth,
         objective_count=num_objectives,

@@ -1,6 +1,6 @@
 """Plackett-Luce likelihood, its functional gradient, and leaf Newton steps.
 
-The log-likelihood of one query is the sum over its stored contexts of
+The log-likelihood of one query is the sum over its kept contexts of
 log p(champion | context), where p is a softmax over the member scores.
 Its derivative with respect to one document's score is
 
@@ -11,17 +11,26 @@ which is the regression target for the next boosted tree. Leaf values are
 then set by a one-dimensional Newton step on the likelihood restricted to a
 shared offset of the leaf's documents.
 
-Every context of every query lives in one flat table of global document ids
-(:class:`QueryContexts`), laid out as :mod:`plrank.permutation` stores one
-query: each context's members, then its champion. One refresh computes all
-softmaxes with a few whole-table calls: a gather of the scores, a
-``maximum.reduceat`` for the per-context maxima, an in-place ``exp``, and
-per-context sums taken as row sums of 2-D blocks of equal-length contexts.
-The gradient is one ``bincount`` over the table, and the Newton curvature
-one ``bincount`` over (context, leaf) pairs. Each of these adds in the order
-a loop over the contexts would, so the results are bit-identical to it. (A
-block's row sums add like ``.sum()`` of each row alone; ``add.reduceat`` and
-zero-padded rows do not.)
+Every query's sampled orders live in :class:`QueryContexts`. A kept context
+at position j of a sample has as members the order's positions j onwards,
+so every context of a sample shares its tail: the positions at or past the
+depth (at most K). One refresh computes, per sample,
+
+* the tail: scores shifted by the tail's maximum M_t, exponentiated, and
+  summed to T with one ``add.reduceat`` over all samples;
+* the head: for each kept context j, exp(s_i - M_j) at the head positions
+  i >= j, M_j being the highest member score, and the context's total
+  Z_j = sum of those + exp(M_t - M_j) * T. Every term is positive and one
+  of them is 1, so no difference of sums is taken and nothing underflows
+  to a zero total.
+
+A tail document's probability in context j is exp(s - M_t) times
+exp(M_t - M_j) / Z_j, so its gradient weighs exp(s - M_t) by one per-sample
+sum over the kept contexts; a head document's sums its own column of the
+head block. The gradient is one ``bincount`` over head, tail and champion
+entries, and the Newton curvature one ``bincount`` of the tail's mass per
+(sample, leaf) plus one over the head block: O(n + K^2) per sample, not
+one entry per member of every context.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .permutation import ContextSet, PermutationSet
@@ -54,63 +62,84 @@ def conditional_probs(scores: np.ndarray, context: ContextSet) -> np.ndarray:
 
 @dataclass
 class PLWorkspace:
-    """Every context's softmax at one score vector.
+    """Every kept context's softmax at one score vector.
 
-    ``probs`` is aligned with the table: p(member | context) at member
-    entries and 0.0 at champion entries. Per context, ``gaps`` is the
-    champion's score minus the highest member score and ``totals`` the sum of
-    exp(member score - highest member score).
+    Per context: ``highs`` is the highest member score M_j, ``totals`` the
+    sum Z_j of exp(member score - M_j), ``head_probs`` its row of
+    p(member | context) at the head positions (0 elsewhere), and
+    ``tail_weights`` exp(M_t - M_j) / Z_j. ``tail_exp`` holds
+    exp(s - M_t) at every tail position.
     """
 
     scores: np.ndarray
-    probs: np.ndarray
-    gaps: np.ndarray
+    highs: np.ndarray
     totals: np.ndarray
+    head_probs: np.ndarray
+    tail_weights: np.ndarray
+    tail_exp: np.ndarray
 
 
 class QueryContexts:
-    """The stored contexts of one or more queries as one flat table.
+    """The sampled orders of one or more queries, split into head and tail.
 
-    ``table`` holds global document ids; context c has ``lengths[c]``
-    members followed by its champion. ``query_of_context`` numbers the
-    queries in the order they were stacked. ``workspace`` is the softmax at
-    the scores of the last :meth:`refresh`.
+    Samples without a kept context are dropped. ``head`` holds each sample's
+    first ``depth`` global document ids, padded to the widest depth;
+    ``tail`` the rest of every sample in one run, sample after sample. Kept
+    contexts are listed by query, sample and position (``context_sample``,
+    ``context_pos``). ``workspace`` is the softmax at the scores of the last
+    :meth:`refresh`.
     """
 
-    def __init__(self, table: np.ndarray, lengths: np.ndarray, query_sizes: Sequence[int]):
-        self.table = np.asarray(table, dtype=np.intp)
-        self.lengths = np.asarray(lengths, dtype=np.intp)
-        self.num_queries = len(query_sizes)
-        self.query_of_context = np.repeat(np.arange(self.num_queries), query_sizes)
-        self.widths = self.lengths + 1
-        self.champions = np.cumsum(self.widths) - 1  # table position of each champion
-        starts = self.champions - self.lengths
-        # reduceat over these runs alternately the members and the champion.
-        self.bounds = np.column_stack([starts, self.champions]).ravel()
-        # Contexts grouped by member count: (count, contexts, their starts).
-        order = np.argsort(self.lengths, kind="stable")
-        counts, splits = np.unique(self.lengths[order], return_index=True)
-        self.blocks = [
-            (int(count), rows, starts[rows])
-            for count, rows in zip(counts, np.split(order, splits[1:]))
-        ]
+    def __init__(self, orders: Sequence[np.ndarray], kept: Sequence[np.ndarray]):
+        """``orders[q]`` holds query q's samples as global ids (samples x n),
+        ``kept[q]`` its kept mask (samples x depth)."""
+        rows = [mask.any(axis=1) for mask in kept]
+        width = max((mask.shape[1] for mask in kept), default=0)
+        num_samples = sum(int(r.sum()) for r in rows)
+        self.head = np.zeros((num_samples, width), dtype=np.intp)
+        kept_head = np.zeros((num_samples, width), dtype=bool)
+        depth = np.zeros(num_samples, dtype=np.intp)
+        tails, tail_lengths = [np.zeros(0, dtype=np.intp)], [depth[:0]]
+        start = 0
+        for order, mask, row in zip(orders, kept, rows):
+            order, d = order[row], mask.shape[1]
+            stop = start + order.shape[0]
+            self.head[start:stop, :d] = order[:, :d]
+            kept_head[start:stop, :d] = mask[row]
+            depth[start:stop] = d
+            tails.append(order[:, d:].ravel())
+            tail_lengths.append(np.full(order.shape[0], order.shape[1] - d))
+            start = stop
+        self.head_pad = np.arange(width) >= depth.reshape(-1, 1)
+        self.tail = np.concatenate(tails).astype(np.intp, copy=False)
+        tail_lengths = np.concatenate(tail_lengths)
+        self.tail_starts = np.cumsum(tail_lengths) - tail_lengths
+        self.sample_of_tail = np.repeat(np.arange(num_samples), tail_lengths)
+        self.context_sample, self.context_pos = np.nonzero(kept_head)
+        self.champions = self.head[self.context_sample, self.context_pos]
+        self.context_head = self.head[self.context_sample]
+        # Where a context's row of the head block holds its members.
+        self.context_mask = (np.arange(width) >= self.context_pos.reshape(-1, 1)) & (
+            ~self.head_pad[self.context_sample]
+        )
+        self.response_keys = np.concatenate(
+            [self.context_head.ravel(), self.tail, self.champions]
+        )
         self.workspace: PLWorkspace | None = None
+
+    @property
+    def num_contexts(self) -> int:
+        return self.champions.size
 
     @classmethod
     def create(cls, doc_ids: Sequence[int], pset: PermutationSet) -> "QueryContexts":
         """One query's contexts, its local document i taken as id ``doc_ids[i]``."""
-        table = np.asarray(doc_ids, dtype=np.intp)[pset.local_table()]
-        return cls(table, pset.lengths, [pset.num_contexts])
+        return cls([np.asarray(doc_ids, dtype=np.intp)[pset.orders]], [pset.kept])
 
     @classmethod
     def stack(cls, psets: Sequence[PermutationSet]) -> "QueryContexts":
         """The contexts of every set in order, under the global ids they carry."""
-        empty = [np.zeros(0, dtype=np.intp)]
-        return cls(
-            np.concatenate([p.table for p in psets] or empty),
-            np.concatenate([p.lengths for p in psets] or empty),
-            [p.num_contexts for p in psets],
-        )
+        return cls([p.doc_ids[p.orders] for p in psets], [p.kept for p in psets])
 
     def refresh(self, scores: np.ndarray) -> PLWorkspace:
         """Compute (and keep) every context's softmax at global ``scores``.
@@ -122,38 +151,56 @@ class QueryContexts:
         scores = np.asarray(scores, dtype=np.float64)
         if self.workspace is not None and np.array_equal(self.workspace.scores, scores):
             return self.workspace
-        self.workspace = None  # frees the old probabilities before the new ones exist
-        values = scores[self.table]
-        if self.lengths.size:
-            high = np.maximum.reduceat(values, self.bounds)[::2]
-            values -= np.repeat(high, self.widths)
-        gaps = values[self.champions]
-        np.exp(values, out=values)
-        totals = np.empty(self.lengths.size)
-        for count, rows, starts in self.blocks:
-            totals[rows] = sliding_window_view(values, count)[starts].sum(axis=1)
-        values /= np.repeat(totals, self.widths)
-        values[self.champions] = 0.0
-        self.workspace = PLWorkspace(scores.copy(), values, gaps, totals)
+        self.workspace = None  # frees the old softmax before the new one exists
+        tail_exp = scores[self.tail]
+        tail_high = np.maximum.reduceat(tail_exp, self.tail_starts)
+        tail_exp -= tail_high[self.sample_of_tail]
+        np.exp(tail_exp, out=tail_exp)
+        tail_total = np.add.reduceat(tail_exp, self.tail_starts)
+
+        head = scores[self.head]
+        head[self.head_pad] = -np.inf
+        # Highest member score of a context at each head position: the
+        # suffix maximum of the head, or the tail's maximum if higher.
+        suffix = np.maximum.accumulate(head[:, ::-1], axis=1)[:, ::-1]
+        samples = self.context_sample
+        highs = np.maximum(suffix[samples, self.context_pos], tail_high[samples])
+        probs = np.exp(
+            head[samples] - highs.reshape(-1, 1),
+            out=np.zeros(self.context_head.shape),
+            where=self.context_mask,
+        )
+        tail_scale = np.exp(tail_high[samples] - highs)
+        totals = probs.sum(axis=1) + tail_scale * tail_total[samples]
+        probs /= totals.reshape(-1, 1)
+        self.workspace = PLWorkspace(
+            scores.copy(), highs, totals, probs, tail_scale / totals, tail_exp
+        )
         return self.workspace
 
-    def curvature(
-        self, probs: np.ndarray, leaf_of_entry: np.ndarray, n_leaves: int
-    ) -> np.ndarray:
-        """Per leaf, the sum over contexts of mass * (mass - 1).
+    def curvature(self, leaf_of_doc: np.ndarray, n_leaves: int) -> np.ndarray:
+        """Per leaf, the sum over contexts of mass * (mass - 1) at the workspace.
 
         A context's mass in a leaf is the summed probability of its members
-        there. Both sums run in table order, as a loop over contexts adds.
+        there: its head row's entries in the leaf, plus its tail weight times
+        the tail's exp mass in the leaf, one ``bincount`` per (sample, leaf).
         """
-        size = self.lengths.size * n_leaves
-        keys = np.repeat(np.arange(0, size, n_leaves), self.widths)
-        keys += leaf_of_entry
-        mass = np.bincount(keys, weights=probs, minlength=size)
-        # Not a sum along axis 0 of the (context, leaf) table: with a single
-        # leaf that sum adds pairwise.
-        return np.bincount(
-            np.arange(size) % n_leaves, weights=mass * (mass - 1.0), minlength=n_leaves
-        )
+        workspace = self.workspace
+        num_samples = self.head.shape[0]
+        tail_mass = np.bincount(
+            self.sample_of_tail * n_leaves + leaf_of_doc[self.tail],
+            weights=workspace.tail_exp,
+            minlength=num_samples * n_leaves,
+        ).reshape(num_samples, n_leaves)
+        keys = leaf_of_doc[self.context_head]
+        keys += np.arange(0, self.num_contexts * n_leaves, n_leaves).reshape(-1, 1)
+        head_mass = np.bincount(
+            keys.ravel(),
+            weights=workspace.head_probs.ravel(),
+            minlength=self.num_contexts * n_leaves,
+        ).reshape(self.num_contexts, n_leaves)
+        mass = head_mass + workspace.tail_weights.reshape(-1, 1) * tail_mass[self.context_sample]
+        return (mass * (mass - 1.0)).sum(axis=0)
 
 
 def _as_table(scores: np.ndarray, contexts: PermutationSet | QueryContexts) -> QueryContexts:
@@ -166,16 +213,13 @@ def log_likelihood(scores: np.ndarray, contexts: PermutationSet | QueryContexts)
     """Summed log p(champion | context); computed via log-sum-exp, always <= 0.
 
     ``scores`` are query-local for a :class:`PermutationSet` and global for a
-    :class:`QueryContexts`. Each query's terms are summed in order, then the
-    query sums.
+    :class:`QueryContexts`.
     """
     table = _as_table(scores, contexts)
     workspace = table.refresh(scores)
-    terms = workspace.gaps - np.log(workspace.totals)
-    per_query = np.bincount(
-        table.query_of_context, weights=terms, minlength=table.num_queries
-    )
-    return float(sum(per_query.tolist()))
+    terms = workspace.scores[table.champions] - workspace.highs
+    terms -= np.log(workspace.totals)
+    return float(terms.sum())
 
 
 def pseudo_response(scores: np.ndarray, contexts: PermutationSet | QueryContexts) -> np.ndarray:
@@ -185,14 +229,22 @@ def pseudo_response(scores: np.ndarray, contexts: PermutationSet | QueryContexts
 
 
 def response_from_workspace(workspace: PLWorkspace, contexts: QueryContexts) -> np.ndarray:
-    """The gradient as one ``bincount`` over the table.
+    """The gradient as one ``bincount`` over head, tail and champion entries.
 
-    Member entries weigh -p and champion entries +1, so every document's
-    sum runs through its contexts in table order.
+    Head entries weigh -p, tail entries -exp(s - M_t) times their sample's
+    summed tail weight, and champion entries +1.
     """
-    weights = np.negative(workspace.probs)
-    weights[contexts.champions] = 1.0
-    resp = np.bincount(contexts.table, weights=weights, minlength=workspace.scores.size)
+    sample_weight = np.bincount(
+        contexts.context_sample,
+        weights=workspace.tail_weights,
+        minlength=contexts.head.shape[0],
+    )
+    weights = np.concatenate([
+        np.negative(workspace.head_probs).ravel(),
+        np.negative(workspace.tail_exp) * sample_weight[contexts.sample_of_tail],
+        np.ones(contexts.num_contexts),
+    ])
+    resp = np.bincount(contexts.response_keys, weights=weights, minlength=workspace.scores.size)
     return resp.astype(np.float64, copy=False)  # bincount of nothing counts in ints
 
 
@@ -212,10 +264,9 @@ def leaf_newton_stats(
     for query in queries:
         if query.workspace is None:
             raise ValidationError("query workspace not built")
-        probs = query.workspace.probs
-        in_leaf = np.isin(query.table, leaf).astype(np.intp)
-        lprime += float(in_leaf[query.champions].sum() - probs @ in_leaf)
-        ldouble += float(query.curvature(probs, in_leaf, 2)[1])
+        in_leaf = np.isin(np.arange(query.workspace.scores.size), leaf)
+        lprime += float(response_from_workspace(query.workspace, query)[in_leaf].sum())
+        ldouble += float(query.curvature(in_leaf.astype(np.intp), 2)[1])
     return lprime, ldouble
 
 
@@ -233,7 +284,7 @@ def newton_leaf_outputs(
     uphill; its magnitude is clamped to :data:`MAX_LEAF_OUTPUT`.
     """
     grad = np.bincount(assign, weights=responses, minlength=n_leaves)
-    curv = contexts.curvature(contexts.workspace.probs, assign[contexts.table], n_leaves)
+    curv = contexts.curvature(assign, n_leaves)
     # A curvature below CURVATURE_EPS can overflow the quotient; that output is zeroed.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = -grad / curv

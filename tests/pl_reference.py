@@ -31,21 +31,63 @@ from plrank.pl_objective import CURVATURE_EPS, MAX_LEAF_OUTPUT
 # Allowed error relative to the sum of a result's absolute terms: about
 # 4,500 units in the last place, room for sums over a few hundred members.
 BOUND = 1e-12
+# Below the smallest normal float, numbers carry fewer digits: an absolute
+# error this small is allowed whatever the scale.
+FLOOR = float(np.finfo(np.float64).tiny)
+
+
+def allowed(scale):
+    """The error the bound allows a result whose terms' absolute sum is ``scale``."""
+    return BOUND * np.asarray(scale) + FLOOR
 
 
 def permutation_set(
     contexts: list[ContextSet], k: int, raw_term_count: int, objective_count: int
 ) -> PermutationSet:
-    """A set of hand-written contexts whose global ids are the local ones."""
-    entries = [i for c in contexts for i in (*c.member_indices, c.champion_index)]
+    """Hand-written contexts over documents 0..n-1, as sampled orders.
+
+    A context whose members are the rest of the previous order from its
+    position on takes that position of the previous order; any other starts
+    a new order, which places the documents outside its members first.
+    """
+    n = max((max(c.member_indices) + 1 for c in contexts), default=0)
+    orders: list[list[int]] = []
+    kept: list[list[bool]] = []
+    for ctx in contexts:
+        members = sorted(ctx.member_indices)
+        pos = n - len(members)
+        rest = [ctx.champion_index] + [m for m in members if m != ctx.champion_index]
+        if not orders or sorted(orders[-1][pos:]) != members or any(kept[-1][pos:]):
+            orders.append([d for d in range(n) if d not in ctx.member_indices])
+            kept.append([False] * max(0, min(k, n - 1)))
+        orders[-1][pos:] = rest
+        kept[-1][pos] = True
     return PermutationSet(
-        table=np.array(entries, dtype=np.int32),
-        lengths=np.array([len(c.member_indices) for c in contexts], dtype=np.intp),
-        doc_ids=np.arange(max(entries, default=-1) + 1),
+        orders=np.array(orders, dtype=np.int32).reshape(len(orders), n),
+        kept=np.array(kept, dtype=bool).reshape(len(orders), max(0, min(k, n - 1))),
+        doc_ids=np.arange(n),
         k=k,
         raw_term_count=raw_term_count,
         objective_count=objective_count,
     )
+
+
+def context_entries(table: pl_objective.QueryContexts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per kept context of a refreshed table: its members' global ids in
+    ascending order, and the workspace's p(member | context) for each, read
+    from the context's head row and its sample's tail."""
+    workspace = table.workspace
+    depth = np.count_nonzero(~table.head_pad, axis=1)
+    tail_ends = np.append(table.tail_starts[1:], table.tail.size)
+    entries = []
+    for c, (s, j) in enumerate(zip(table.context_sample, table.context_pos)):
+        tail = slice(table.tail_starts[s], tail_ends[s])
+        ids = np.concatenate([table.head[s, j:depth[s]], table.tail[tail]])
+        probs = np.concatenate([workspace.head_probs[c, j:depth[s]],
+                                workspace.tail_exp[tail] * workspace.tail_weights[c]])
+        order = np.argsort(ids, kind="stable")
+        entries.append((ids[order], probs[order]))
+    return entries
 
 
 def build_contexts(
@@ -84,9 +126,9 @@ def exact_softmax(values: np.ndarray) -> np.ndarray:
 
 
 def within(got, expected, scale) -> bool:
-    """|got - expected| <= BOUND * scale everywhere; NaN never passes."""
+    """|got - expected| <= allowed(scale) everywhere; NaN never passes."""
     error = np.abs(np.asarray(got, dtype=np.float64) - expected)
-    return bool(np.all(error <= BOUND * np.asarray(scale)))
+    return bool(np.all(error <= allowed(scale)))
 
 
 @dataclass
@@ -182,21 +224,20 @@ def newton_leaf_outputs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Applied outputs -L'/L'' and, per leaf, the error the bound allows.
 
-    With |g - G| <= BOUND * SG and |c - C| <= BOUND * SC, the quotient
-    moves by at most (BOUND * SG + |G / C| * BOUND * SC) / (|C| - BOUND * SC),
-    and clipping never widens a gap. A leaf whose |C| lies within
-    BOUND * SC of CURVATURE_EPS may be zeroed on one side only: any output
-    is allowed there.
+    With |g - G| <= a = allowed(SG) and |c - C| <= b = allowed(SC), the
+    quotient moves by at most (a + |G / C| * b) / (|C| - b), and clipping
+    never widens a gap. A leaf whose |C| lies within b of CURVATURE_EPS may
+    be zeroed on one side only: any output is allowed there.
     """
     grad, grad_scale, curv, curv_scale = newton_stats(assign, n_leaves, queries, all_scores)
+    a, b = allowed(grad_scale), allowed(curv_scale)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = -grad / curv
-        slack = (BOUND * grad_scale + np.abs(out) * BOUND * curv_scale) / (
-            np.abs(curv) - BOUND * curv_scale)
+        slack = (a + np.abs(out) * b) / (np.abs(curv) - b)
     flat = np.abs(curv) < CURVATURE_EPS
     out[flat] = 0.0
     slack[flat] = 0.0
-    slack[np.abs(np.abs(curv) - CURVATURE_EPS) <= BOUND * curv_scale] = np.inf
+    slack[np.abs(np.abs(curv) - CURVATURE_EPS) <= b] = np.inf
     return np.clip(out, -MAX_LEAF_OUTPUT, MAX_LEAF_OUTPUT), slack
 
 

@@ -12,6 +12,7 @@ extreme and tied scores, and leaves that hold no context member.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,12 +99,19 @@ def test_contexts_match_member_set_dedup(ds, k, objectives, seed):
         pset, contexts, raw = sample_both(group, k, objectives, seed)
         assert pset.contexts == contexts
         assert pset.raw_term_count == raw
+        assert pset.orders.dtype == np.int32
+        assert pset.orders.shape == (objectives, len(group.doc_ids))
+        assert pset.kept.shape == (objectives, max(0, min(k, len(group.doc_ids) - 1)))
+        if not contexts:
+            continue
         doc_ids = np.asarray(group.doc_ids)
-        expected = [int(doc_ids[i]) for c in contexts
-                    for i in (*c.member_indices, c.champion_index)]
-        assert pset.table.dtype == np.int32
-        assert pset.table.tolist() == expected
-        assert pset.lengths.tolist() == [len(c.member_indices) for c in contexts]
+        expected = [([int(doc_ids[i]) for i in c.member_indices], int(doc_ids[c.champion_index]))
+                    for c in contexts]
+        table = QueryContexts.stack([pset])
+        table.refresh(np.zeros(ds.num_documents))
+        got = [(ids.tolist(), champion) for (ids, _), champion
+               in zip(ref.context_entries(table), table.champions.tolist())]
+        assert got == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,11 +123,9 @@ def test_probabilities_gradient_and_loglik_within_bound(problem):
     for q in refs:
         q.refresh(scores)
     expected = [p for q in refs for p in q.probs_per_context]
-    got = [workspace.probs[c - length:c]
-           for c, length in zip(table.champions, table.lengths)]
+    got = [probs for _, probs in ref.context_entries(table)]
     assert len(got) == len(expected)
     assert all(a.shape == b.shape and ref.within(a, b, 1.0) for a, b in zip(got, expected))
-    assert not workspace.probs[table.champions].any()
 
     responses = response_from_workspace(workspace, table)
     assert ref.within(responses, *ref.booster_responses(refs, scores))
@@ -187,32 +193,6 @@ def test_single_query_long_contexts(n, k, objectives, seed, data):
     assert ref.within(log_likelihood(scores, pset), *ref.booster_objective(query, scores))
 
 
-def test_curvature_adds_contexts_in_order_for_one_leaf():
-    """Masses of varied size, so a pairwise sum over contexts would differ."""
-    rng = np.random.default_rng(3)
-    lengths = rng.integers(2, 6, 300)
-    table = QueryContexts(np.zeros(int((lengths + 1).sum()), dtype=np.intp), lengths,
-                          [lengths.size])
-    probs = rng.random(table.table.size) * 10.0 ** rng.integers(-8, 3, table.table.size)
-    probs[table.champions] = 0.0
-    leaf_of_entry = np.zeros(table.table.size, dtype=np.intp)
-    expected = np.zeros(1)
-    for end, length in zip(table.champions, lengths):
-        mass = np.bincount(leaf_of_entry[end - length:end],
-                           weights=probs[end - length:end], minlength=1)
-        expected += mass * (mass - 1.0)
-    assert same_bits(table.curvature(probs, leaf_of_entry, 1), expected)
-
-
-def test_block_row_sums_match_one_dimensional_sums():
-    """The property the table's per-context totals rest on."""
-    rng = np.random.default_rng(0)
-    for length in (2, 7, 8, 9, 100, 128, 129, 300, 1000):
-        block = rng.random((5, length))
-        sums = block.sum(axis=1)
-        assert all(same_bits(sums[i], block[i].sum()) for i in range(5))
-
-
 def test_refresh_reuses_the_softmax_of_equal_scores():
     ds = parse_dataset("2 qid:1 1:0\n1 qid:1 1:0\n0 qid:1 1:0\n")
     table = QueryContexts.stack([build_permutations(ds.groups[0], 3, 1,
@@ -223,7 +203,7 @@ def test_refresh_reuses_the_softmax_of_equal_scores():
     scores[0] = 0.4  # changed in place: recomputed
     second = table.refresh(scores)
     assert second is not first
-    assert not same_bits(second.probs, first.probs)
+    assert not same_bits(second.head_probs, first.head_probs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,3 +230,50 @@ def test_linear_objective_matches_per_context_loop(ds, k, objectives, seed, data
     assert math.isclose(obj, ref_obj, rel_tol=1e-10, abs_tol=1e-12)
     scale = max(1.0, float(np.abs(ref_grad).max()))
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10 * scale)
+
+
+def wide_gap_problem(top_high: bool):
+    """Four top-graded documents above 30 others; ``top_high`` puts the top
+    scores 800 above the rest, otherwise the rest sit 800 above the top."""
+    grades = [2] * 4 + [0] * 30
+    ds = parse_dataset("".join(f"{g} qid:1 1:0.5\n" for g in grades))
+    pset, contexts, _ = sample_both(ds.groups[0], 6, 3, 11)
+    noise = np.random.default_rng(5).uniform(-1.0, 1.0, len(grades))
+    scores = noise + np.where(np.array(grades) > 0, 800.0, 0.0)
+    if not top_high:
+        scores = noise + np.where(np.array(grades) > 0, 0.0, 800.0)
+    return ds, pset, [ref.RefQuery(ds.groups[0].doc_ids, contexts)], scores
+
+
+@pytest.mark.parametrize("top_high", [True, False], ids=["head-above", "tail-above"])
+def test_wide_score_gap_stays_finite_and_within_bound(top_high):
+    """A single shift per sample would underflow every total past the gap."""
+    ds, pset, refs, scores = wide_gap_problem(top_high)
+    table = QueryContexts.stack([pset])
+    loglik = log_likelihood(scores, table)
+    responses = response_from_workspace(table.workspace, table)
+    assert np.isfinite(loglik) and np.isfinite(responses).all()
+    assert ref.within(loglik, *ref.booster_objective(refs, scores))
+    assert ref.within(responses, *ref.booster_responses(refs, scores))
+    for n_leaves in (2, 3):
+        assign = np.arange(ds.num_documents) % n_leaves
+        got = newton_leaf_outputs(assign, n_leaves, table, responses)
+        expected, slack = ref.newton_leaf_outputs(assign, n_leaves, refs, scores)
+        assert np.isfinite(got).all()
+        assert np.all(np.abs(got - expected) <= slack)
+
+
+def test_workspace_holds_one_entry_per_order_position():
+    """Per sample, n entries (head and tail), plus a depth-wide head row per
+    context; not one entry per member of every context."""
+    n, k, objectives = 200, 5, 3
+    ds = parse_dataset("".join(f"{i % 3} qid:1 1:0.5\n" for i in range(n)))
+    pset = build_permutations(ds.groups[0], k, objectives, np.random.default_rng(4))
+    table = QueryContexts.stack([pset])
+    workspace = table.refresh(np.zeros(n))
+    samples = int(pset.kept.any(axis=1).sum())
+    assert table.head.shape == (samples, k)
+    assert workspace.tail_exp.size + table.head.size == samples * n
+    assert workspace.head_probs.shape == (pset.num_contexts, k)
+    members = sum(len(c.member_indices) for c in pset.contexts)
+    assert workspace.tail_exp.size + workspace.head_probs.size < members / 2

@@ -17,7 +17,7 @@ from plrank import (
 from plrank.pl_objective import MAX_LEAF_OUTPUT, newton_leaf_outputs
 
 from helpers import make_dataset
-from pl_reference import leaf_newton_value, permutation_set
+from pl_reference import context_entries, leaf_newton_value, permutation_set
 
 
 def toy_pset(k=2):
@@ -34,8 +34,8 @@ def toy_pset(k=2):
 def probs_per_context(scores, pset):
     """p(member | context) of every context, one array per context."""
     q = QueryContexts.create(np.arange(len(scores)), pset)
-    probs = q.refresh(scores).probs
-    return [probs[c - length:c] for c, length in zip(q.champions, q.lengths)]
+    q.refresh(scores)
+    return [probs for _, probs in context_entries(q)]
 
 
 def random_pset(rng, n, k, objectives=1):
