@@ -1,14 +1,20 @@
 """Pinned SHA-256 of `plrank train` model files and standard output.
 
-The exact-mode model bytes are an invariant of the toolkit: a change that
-only makes training faster must leave them as they are. The features are
-rounded to two decimals, so every column has tied values and the tie order
-of the split search is covered too. The standard output (one objective line
-per iteration, plus validation NDCG with ``--valid``) and the full-precision
-objective values of the trace are pinned as well, so the log-likelihood is
-held to the same bits as the model. So are the linear ListMLE model and
-its output, and the `plrank predict` scores of the exact-mode model on a file
-whose qid blocks interleave.
+Model bytes are an invariant of the toolkit: a change that only makes
+training faster must leave them as they are. A change that adds the
+likelihood's terms in another order moves the likelihood models' bytes in
+the last bits. Such a change is checked against the exactly rounded
+reference (``tests/test_likelihood_oracle.py``) and re-takes these pins in
+a commit of its own that lists them old -> new. The three square-loss
+(MART) pins never touch the likelihood and must not move with it.
+
+The features are rounded to two decimals, so every column has tied values
+and the tie order of the split search is covered too. The standard output
+(one objective line per iteration, plus validation NDCG with ``--valid``)
+and the full-precision objective values of the trace are pinned as well,
+so the log-likelihood is held to the same bits as the model. So are the
+linear ListMLE model and its output, and the `plrank predict` scores of
+the exact-mode model on a file whose qid blocks interleave.
 """
 
 import hashlib
@@ -22,9 +28,9 @@ from helpers import thresholded_linear_dataset
 
 GOLDEN = {
     ("--bins", "0"):
-        "dc3e5d372f6ec82825f4bfe2698f7d4dd896033b04849be5bd9da2c493acd79d",
+        "c14b2548ecfe447423ca7425f5f6a61cd0f6554eb273a9cd164b694d1e4d420c",
     ("--bins", "16"):
-        "7bbf5f0735740382f036bbdf218f50578249903a6bb181acef426275d9aeff50",
+        "24195cdf1f76a26327e2d2a424e660c95716ea8870318843ec44ade98429513f",
     ("--bins", "0", "--loss", "mart1", "--min-leaf", "3"):
         "845a7128fd4f779e7fb93a4e4d9450043a395d5947aab881c39e6a3bcd0ecc50",
     ("--bins", "0", "--loss", "mart2", "--min-leaf", "2"):
@@ -44,19 +50,19 @@ GOLDEN_STDOUT = {
     ("--bins", "0", "--loss", "cmart1", "--min-leaf", "2"):
         "990523fc834e89223ffa7dfc5d5a9ace27a44305729fe06e6a5464d8a68db335",
 }
-WARM_START = "58f5e1d249040bcf80c43e92dde727d7cb9175e53264d45684b723404ed4ca63"
+WARM_START = "a70726a9636fc71443d08158cc126e2990da45a6ba979985c846bc9da50ca0e3"
 WARM_START_STDOUT = "05d3af8b8d925e094362978be03273117467cb1025e6379d6a3b2b4c8a9c020a"
-VALID = "c8461d11d80085bc2c5b47d982dc141c482eb04d862b2248c6f0bdbe78f4a203"
+VALID = "31de869f1ee5f95f4faa478efe8e418be39d0a64d8cbc213ad2297ac46aa1218"
 VALID_STDOUT = "7a90b7ca197c520beb4a2105542398beff032446b546146d6f62cbfd1ebcac38"
-LINEAR = "3f11edf3c5f84e14a5784db34cdb03dde49dfb3e4c38b1d5f25a74b19eb0304b"
+LINEAR = "90a7bb02c8a4be6d5c1f84d6ccd9a6357693226652c6198040a0f01d00a6d91c"
 LINEAR_STDOUT = "3c16893ef07d8b9ea50ba60ce57fa298662618c180c3316132bfd625d53e5584"
 # `plrank predict` output of the ``--bins 0`` model on the interleaved file.
-PREDICT_INTERLEAVED = "9f17f955755cc1b662b90bdd303af8b64c1be86d48c167cdca6107bad7844e91"
+PREDICT_INTERLEAVED = "aa9da0ff92f0b2c4157f3ab32fc52f7da2a69933aaaa4624be20864a30d5d49e"
 # SHA-256 of the initial and per-iteration objectives, as repr() joined by
 # spaces, of an in-process training per histogram setting.
 OBJECTIVES = {
-    0: "e6e9eed731861a351940e67262250df205a6dcc523e9523561c94267b26d8e19",
-    16: "49efc729fb5e03d8e961995a8f16c8acd224f250ed7df8b241857cdc6004af0d",
+    0: "e92826e8178b1612d8b19860d02fbaa4cd8b487f9cd2983a3a004ffe6675b781",
+    16: "f54fdb7d2e058b0f9f091b86ab0c972a4595c82c311ab4235018616b74157c56",
 }
 
 
