@@ -169,10 +169,13 @@ class Ensemble:
     """A boosted model. Neither it nor its trees change, so it holds the trees
     as given; ``dataclasses.replace`` builds a changed one.
 
-    Building raises :class:`ValidationError` unless the header fields are
-    what a model file can hold: a known tree loss, an integer ``top_k >= 1``
-    and ``num_features >= 0``, and a finite ``learning_rate`` and
-    ``init_score``. The messages name the model-file keys.
+    ``num_features`` defaults to one more than the highest split feature (0
+    with no splits). Building raises :class:`ValidationError` unless the
+    model is what a model file can hold: a known tree loss, an integer
+    ``top_k >= 1`` and ``num_features >= 0`` above every split feature, and
+    a finite ``learning_rate`` and ``init_score``. The header messages name
+    the model-file keys; a split outside the features names its tree and
+    node.
     """
 
     trees: tuple[RegressionTree, ...] = ()
@@ -180,7 +183,7 @@ class Ensemble:
     init_score: float = 0.0
     loss: str = "plrank"
     top_k: int = 10
-    num_features: int = 0
+    num_features: int | None = None
     # Derived from trees, so equality, repr and the model file ignore it.
     _routing: _Routing = field(init=False, repr=False, compare=False)
 
@@ -190,12 +193,22 @@ class Ensemble:
         for key, number in (("alpha", self.learning_rate), ("init", self.init_score)):
             if not math.isfinite(number):
                 raise ValidationError(f"{key} must be finite, got {number!r}")
+        object.__setattr__(self, "trees", tuple(self.trees))
+        widths = [int(tree.feature.max(initial=-1)) + 1 for tree in self.trees]
+        if self.num_features is None:
+            object.__setattr__(self, "num_features", max(widths, default=0))
         for key, number, floor in (("topk", self.top_k, 1), ("features", self.num_features, 0)):
             if isinstance(number, bool) or not isinstance(number, (int, np.integer)):
                 raise ValidationError(f"{key} must be an integer, got {number!r}")
             if number < floor:
                 raise ValidationError(f"{key} must be >= {floor}, got {number}")
-        object.__setattr__(self, "trees", tuple(self.trees))
+        for t, (tree, width) in enumerate(zip(self.trees, widths)):
+            if width > self.num_features:
+                i = int(np.argmax(tree.feature >= self.num_features))
+                raise ValidationError(
+                    f"tree {t} node {i + 1}: feature index {tree.feature[i] + 1} "
+                    f"outside 1..{self.num_features}"
+                )
         object.__setattr__(self, "_routing", _Routing.of(self.trees))
 
     def __reduce__(self):

@@ -220,6 +220,25 @@ def test_ensemble_rejects_a_header_no_model_file_holds(fields, message):
     Ensemble(top_k=np.int64(3), num_features=np.int64(0))
 
 
+def test_feature_count_defaults_to_the_highest_split():
+    stump = build_tree((2, 0.5, 1.0, -1.0))
+    assert Ensemble().num_features == 0
+    assert Ensemble(trees=[build_tree(0.5)]).num_features == 0
+    ensemble = Ensemble(trees=[build_tree(0.5), stump])
+    assert ensemble.num_features == 3
+    assert parse_ensemble(dumps_ensemble(ensemble)) == ensemble
+    assert Ensemble(trees=[stump], num_features=5).num_features == 5
+
+
+@pytest.mark.parametrize("features, node, index", [(0, 1, 1), (1, 3, 3), (2, 3, 3)])
+def test_split_past_the_feature_count_rejected(features, node, index):
+    # These once built and saved a file that load rejected.
+    trees = [build_tree(0.5), build_tree((0, 0.0, 1.0, (2, 0.5, 1.0, -1.0)))]
+    with pytest.raises(ValidationError) as info:
+        Ensemble(trees=trees, num_features=features)
+    assert str(info.value) == f"tree 1 node {node}: feature index {index} outside 1..{features}"
+
+
 def test_unknown_loss_names_its_header_line():
     with pytest.raises(ValidationError, match="^line 2: unknown loss 'bogus'$") as info:
         parse_ensemble(tree_model("L 0 v=0.5 n=3", loss="bogus"))
