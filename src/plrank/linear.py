@@ -60,7 +60,7 @@ class LinearModel:
 def _query_contexts(
     dataset: Dataset, k: int, objectives: int, seed: int, width: int
 ) -> tuple[np.ndarray, QueryContexts]:
-    """Feature rows by global document id, and every query's context table.
+    """Feature rows by global document id, and every query's sampled orders.
 
     Rows of queries without contexts meet only zero gradient entries.
     """

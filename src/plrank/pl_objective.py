@@ -97,21 +97,20 @@ class QueryContexts:
         width = max((mask.shape[1] for mask in kept), default=0)
         num_samples = sum(int(r.sum()) for r in rows)
         self.head = np.zeros((num_samples, width), dtype=np.intp)
+        self.head_pad = np.ones((num_samples, width), dtype=bool)
         kept_head = np.zeros((num_samples, width), dtype=bool)
-        depth = np.zeros(num_samples, dtype=np.intp)
-        tails, tail_lengths = [np.zeros(0, dtype=np.intp)], [depth[:0]]
+        tails, tail_lengths = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
         start = 0
         for order, mask, row in zip(orders, kept, rows):
             order, d = order[row], mask.shape[1]
             stop = start + order.shape[0]
             self.head[start:stop, :d] = order[:, :d]
+            self.head_pad[start:stop, :d] = False
             kept_head[start:stop, :d] = mask[row]
-            depth[start:stop] = d
             tails.append(order[:, d:].ravel())
             tail_lengths.append(np.full(order.shape[0], order.shape[1] - d))
             start = stop
-        self.head_pad = np.arange(width) >= depth.reshape(-1, 1)
-        self.tail = np.concatenate(tails).astype(np.intp, copy=False)
+        self.tail = np.concatenate(tails)
         tail_lengths = np.concatenate(tail_lengths)
         self.tail_starts = np.cumsum(tail_lengths) - tail_lengths
         self.sample_of_tail = np.repeat(np.arange(num_samples), tail_lengths)
@@ -203,7 +202,7 @@ class QueryContexts:
         return (mass * (mass - 1.0)).sum(axis=0)
 
 
-def _as_table(scores: np.ndarray, contexts: PermutationSet | QueryContexts) -> QueryContexts:
+def _as_contexts(scores: np.ndarray, contexts: PermutationSet | QueryContexts) -> QueryContexts:
     if isinstance(contexts, PermutationSet):
         return QueryContexts.create(np.arange(np.asarray(scores).shape[0]), contexts)
     return contexts
@@ -215,17 +214,17 @@ def log_likelihood(scores: np.ndarray, contexts: PermutationSet | QueryContexts)
     ``scores`` are query-local for a :class:`PermutationSet` and global for a
     :class:`QueryContexts`.
     """
-    table = _as_table(scores, contexts)
-    workspace = table.refresh(scores)
-    terms = workspace.scores[table.champions] - workspace.highs
+    contexts = _as_contexts(scores, contexts)
+    workspace = contexts.refresh(scores)
+    terms = workspace.scores[contexts.champions] - workspace.highs
     terms -= np.log(workspace.totals)
     return float(terms.sum())
 
 
 def pseudo_response(scores: np.ndarray, contexts: PermutationSet | QueryContexts) -> np.ndarray:
     """Ascent-direction gradient of the log-likelihood per document score."""
-    table = _as_table(scores, contexts)
-    return response_from_workspace(table.refresh(scores), table)
+    contexts = _as_contexts(scores, contexts)
+    return response_from_workspace(contexts.refresh(scores), contexts)
 
 
 def response_from_workspace(workspace: PLWorkspace, contexts: QueryContexts) -> np.ndarray:
