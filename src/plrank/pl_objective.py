@@ -20,14 +20,14 @@ depth (at most K). One refresh computes, per sample,
   summed to T with one ``add.reduceat`` over all samples;
 * the head: for each kept context j, exp(s_i - M_j) at the head positions
   i >= j, M_j being the highest member score, and the context's total
-  Z_j = sum of those + exp(M_t - M_j) * T. Every term is positive and one
-  of them is 1, so no difference of sums is taken and nothing underflows
-  to a zero total.
+  Z_j = sum of those + exp(M_t - M_j) * T. Every term is positive and the
+  highest member adds exp(0) = 1, so Z_j >= 1: no difference of sums is
+  taken and no total underflows to zero.
 
 A tail document's probability in context j is exp(s - M_t) times
 exp(M_t - M_j) / Z_j, so its gradient weighs exp(s - M_t) by one per-sample
-sum over the kept contexts; a head document's sums its own column of the
-head block. The gradient is one ``bincount`` over head, tail and champion
+sum over the kept contexts; a head document's gradient sums its column of
+the head block. The gradient is one ``bincount`` over head, tail and champion
 entries, and the Newton curvature one ``bincount`` of the tail's mass per
 (sample, leaf) plus one over the head block: O(n + K^2) per sample, not
 one entry per member of every context.
