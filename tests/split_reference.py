@@ -35,40 +35,45 @@ def exact_candidates(values, ysub, total, min_leaf_docs):
     return gains, valid, np.where((v[:-1] <= mid) & (mid < v[1:]), mid, v[:-1])
 
 
-def binned_candidates(values, ysub, total, min_leaf_docs, bins):
-    """Gains at uniform-histogram boundaries over the node's value range.
+def binned_candidates(column, idx, ysub, total, min_leaf_docs, bins):
+    """Gains at the boundaries of quantile bins coded once over the whole column.
 
-    The reported threshold is the largest value in the left bins, so routing
-    by ``value <= threshold`` reproduces the histogram partition exactly.
+    The ``d`` distinct values of the training ``column`` are ranked, and rank
+    ``r`` goes to bin ``r * w // d`` with ``w = min(bins, d)``. The node's rows
+    ``idx`` are binned in increasing row order, and a cut follows each bin
+    the node fills. The reported threshold is the largest training value in
+    the left bins (a zero as +0.0), so routing by ``value <= threshold``
+    reproduces the histogram partition of every training row.
     """
-    n = values.size
-    lo = values.min()
-    hi = values.max()
-    if lo == hi:
-        return None
-    bin_idx = np.minimum(
-        ((values - lo) * (bins / (hi - lo))).astype(np.int64), bins - 1
-    )
-    counts = np.bincount(bin_idx, minlength=bins)
-    sums = np.bincount(bin_idx, weights=ysub, minlength=bins)
-    bin_max = np.full(bins, -np.inf)
-    np.maximum.at(bin_max, bin_idx, values)
+    n = idx.size
+    distinct = np.unique(column)
+    d = distinct.size
+    w = min(bins, d)
+    bin_of_distinct = np.arange(d) * w // d
+    tops = np.array([distinct[bin_of_distinct <= b].max() for b in range(w)]) + 0.0
+    codes = bin_of_distinct[np.searchsorted(distinct, column[idx])]
+    counts = np.bincount(codes, minlength=w)
+    sums = np.bincount(codes, weights=ysub, minlength=w)
     left_cnt = np.cumsum(counts)[:-1].astype(np.float64)
     right_cnt = n - left_cnt
     left_sum = np.cumsum(sums)[:-1]
     right_sum = total - left_sum
-    valid = (left_cnt >= min_leaf_docs) & (right_cnt >= min_leaf_docs)
+    valid = (counts[:-1] > 0) & (left_cnt >= min_leaf_docs) & (right_cnt >= min_leaf_docs)
     if not valid.any():
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = (
             left_sum**2 / left_cnt + right_sum**2 / right_cnt - total * total / n
         )
-    return gains, valid, np.maximum.accumulate(bin_max)[:-1]
+    return gains, valid, tops[:-1]
 
 
 def reference_best_split(X, y, idx, min_leaf_docs, bins=0):
-    """Strongest (gain, feature, threshold) for the documents in ``idx``."""
+    """Strongest (gain, feature, threshold) for the documents in ``idx``.
+
+    ``X`` is the whole training matrix: histogram bins are coded from its
+    columns, not from the node's rows.
+    """
     n = idx.size
     if n < 2 * min_leaf_docs:
         return None
@@ -78,11 +83,10 @@ def reference_best_split(X, y, idx, min_leaf_docs, bins=0):
     total = ysub.sum()
     best = None
     for feat in range(X.shape[1]):
-        values = X[idx, feat]
         if bins:
-            found = binned_candidates(values, ysub, total, min_leaf_docs, bins)
+            found = binned_candidates(X[:, feat], idx, ysub, total, min_leaf_docs, bins)
         else:
-            found = exact_candidates(values, ysub, total, min_leaf_docs)
+            found = exact_candidates(X[idx, feat], ysub, total, min_leaf_docs)
         if found is None:
             continue
         gains, valid, thresholds = found
