@@ -4,9 +4,10 @@ One iteration computes the loss-specific pseudo-responses over all documents,
 fits one regression tree to them, and advances the per-document scores by the
 learning rate times the tree output. The tree is built once, with its final
 leaf outputs: Newton values for the likelihood loss, mean responses for the
-square losses. Exact split search reads the columns sorted and ranked once
-per run, and the fit hands back each training document's leaf, so only
-validation documents are routed through the new tree.
+square losses. Split search reads the columns sorted and ranked (exact) or
+coded into quantile bins (histogram) once per run, and the fit hands back
+each training document's leaf, so only validation documents are routed
+through the new tree.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .tree import (
     Ensemble,
     RegressionTree,
     apply_tree,
+    bin_columns,
     fit_tree,
     predict_ensemble_matrix,
     sort_columns,
@@ -138,7 +140,8 @@ def train(
         width = max(width, config.init_model.num_features)
     X = dense_features(dataset, width)
     n_docs = X.shape[0]
-    columns = None if config.histogram_bins else sort_columns(X)
+    bins = config.histogram_bins
+    columns = bin_columns(X, bins) if bins else sort_columns(X)
 
     if config.init_model is not None:
         scores = predict_ensemble_matrix(config.init_model, X)
@@ -203,7 +206,7 @@ def train(
             responses = targets - scores
 
         tree = fit_tree(
-            X, responses, config.leaves, config.min_leaf_docs, config.histogram_bins,
+            X, responses, config.leaves, config.min_leaf_docs, bins,
             columns=columns, leaf_of_row=leaf_of_row, leaf_values=leaf_values,
         )
         outputs = tree.value[tree.feature < 0]

@@ -14,8 +14,10 @@ parent's sorted rows and their ranks, so no node sorts, and a cut lies
 wherever the rank rises between two sorted neighbours. The tree search
 knows each training row's leaf, so the caller gets those leaf positions
 without routing the rows again, and it can set the leaf outputs before the
-one build of the tree. An optional uniform-histogram mode trades exactness
-for speed; its bins span each node's own value range.
+one build of the tree. An optional histogram mode trades exactness for
+speed: a training run codes each column once into at most B quantile bins
+(:func:`bin_columns`), and a node counts its rows and adds their responses
+per bin with two ``bincount`` calls, cutting after each bin it fills.
 
 A tree is one preorder node table (:class:`RegressionTree`): fitting emits
 it, the model file is it line for line, and prediction routes every row
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -230,6 +232,7 @@ class SortedColumns:
     values: np.ndarray
     order: np.ndarray
     ranks: np.ndarray
+    bins: ClassVar[int] = 0  # exact search
 
     def compress(self, kept: np.ndarray) -> "SortedColumns":
         """The share of the rows where ``kept``, a mask aligned with ``order``, is set."""
@@ -243,6 +246,10 @@ class SortedColumns:
         changed = np.zeros(self.order.shape, dtype=bool)
         np.not_equal(self.ranks[:, lo + 1 : hi + 1], self.ranks[:, lo:hi], out=changed[:, lo:hi])
         return changed
+
+    def goes_left(self, feature: int, threshold: float) -> np.ndarray:
+        """Which rows ``value <= threshold`` routes left on ``feature``."""
+        return self.values[feature] <= threshold
 
 
 def sort_columns(X: np.ndarray) -> SortedColumns:
@@ -263,26 +270,56 @@ def sort_columns(X: np.ndarray) -> SortedColumns:
     return SortedColumns(values, order, ranks)
 
 
-def _bin_codes(values: np.ndarray, bins: int) -> np.ndarray:
-    """Uniform bins over each row's own range, offset by ``row * bins``.
+@dataclass(frozen=True, eq=False)
+class BinnedColumns:
+    """A feature matrix coded into quantile bins: what histogram split search reads.
 
-    Overwrites ``values``. A constant row lands wholly in its first bin.
+    Column ``f`` ranks its ``d`` distinct values and puts rank ``r`` in bin
+    ``r * w // d``, with ``w = min(bins, d)``: codes rise with the value, and
+    no column has more bins than values. ``keys`` is the (features x rows)
+    table of ``f * width + code``, one histogram slot per (feature, bin),
+    where ``width`` is the widest column's ``w``. ``thresholds`` is the
+    (features x width) table of the largest training value in bins ``<= b``
+    (a zero as +0.0), so ``value <= thresholds[f, b]`` routes every training
+    row of bins ``<= b`` left and no other. Every node reads the whole table.
     """
-    lo = values.min(axis=1, keepdims=True)
-    span = values.max(axis=1, keepdims=True) - lo
-    span[span == 0.0] = np.inf
-    with np.errstate(over="ignore"):
-        scale = bins / span
-    values -= lo
-    # A range narrower than bins / DBL_MAX overflows the scale: divide first.
-    tiny = np.isinf(scale[:, 0])
-    values[tiny] /= span[tiny]
-    scale[tiny] = bins
-    values *= scale
-    codes = values.astype(np.int64)
-    np.minimum(codes, bins - 1, out=codes)
-    codes += np.arange(0, values.shape[0] * bins, bins)[:, None]
-    return codes
+
+    keys: np.ndarray
+    thresholds: np.ndarray
+    bins: int
+
+    def goes_left(self, feature: int, threshold: float) -> np.ndarray:
+        """Which rows ``value <= threshold`` routes left on ``feature``, for a
+        threshold of the table: their bins are at most its bin."""
+        width = self.thresholds.shape[1]
+        top = feature * width + int(np.searchsorted(self.thresholds[feature], threshold))
+        return self.keys[feature] <= top
+
+
+def bin_columns(X: np.ndarray, bins: int) -> BinnedColumns:
+    """Code every column of ``X`` once into at most ``bins`` quantile bins.
+
+    A training run builds this once and hands it to every :func:`fit_tree`;
+    its nodes only count rows and add responses per key.
+    """
+    values = np.asarray(X, dtype=np.float64).T
+    codes, tops = [], []
+    for column in values:
+        distinct, rank = np.unique(column, return_inverse=True)
+        d = distinct.size
+        w = min(bins, d)
+        codes.append(rank * w // d)
+        # The last distinct value of each bin, as the bins rise.
+        last = np.flatnonzero(np.diff(np.arange(d) * w // d, append=w))
+        tops.append(distinct[last] + 0.0)
+    width = max((top.size for top in tops), default=1)
+    thresholds = np.empty((len(tops), width))
+    for f, top in enumerate(tops):
+        thresholds[f, : top.size] = top
+        thresholds[f, top.size :] = top[-1]  # every bin past the last holds the column
+    keys = np.array(codes, dtype=np.intp).reshape(values.shape)
+    keys += np.arange(0, keys.shape[0] * width, width)[:, None]
+    return BinnedColumns(keys, thresholds, bins)
 
 
 def _sse_gains(
@@ -323,49 +360,48 @@ def _strongest(
 
 
 def _best_split(
-    XT: np.ndarray,
     y: np.ndarray,
     idx: np.ndarray,
-    columns: SortedColumns | None,
+    columns: SortedColumns | BinnedColumns,
     min_leaf_docs: int,
-    bins: int = 0,
 ) -> tuple[float, int, float] | None:
     """Strongest (gain, feature, threshold) for the documents in ``idx``.
 
-    ``XT`` is the (features x documents) matrix and ``idx`` the node's
-    documents in increasing order. Gain is the squared-error reduction, and
-    every feature is scored at once: the candidate cuts of all features are
-    one flat list, and only they get a gain. Exact mode (``bins == 0``) reads
-    ``columns``, the node's share of :func:`sort_columns`: a cut lies where
-    the value rank rises between two sorted neighbours, at the midpoint of
-    their values.
+    ``idx`` holds the node's documents in increasing order. Gain is the
+    squared-error reduction, and every feature is scored at once: the
+    candidate cuts of all features are one flat list, and only they get a
+    gain. Exact mode reads ``columns``, the node's share of
+    :func:`sort_columns`: a cut lies where the value rank rises between two
+    sorted neighbours, at the midpoint of their values. Histogram mode reads
+    the whole of :func:`bin_columns`: one ``bincount`` of the node's keys
+    counts its rows per (feature, bin) and one adds their responses, both in
+    row order; a cut follows each bin the node fills, at the largest
+    training value in the bins up to it.
     """
-    m = XT.shape[0]
     n = idx.size
-    if n < 2 * min_leaf_docs or not m:
+    if n < 2 * min_leaf_docs:
         return None
     ysub = y[idx]
     if ysub.max() == ysub.min():
         return None
     total = ysub.sum()
-    if bins:
-        codes = _bin_codes(np.take(XT, idx, axis=1), bins)
-        flat = codes.ravel()
-        # Cut j of feature f, at f * bins + j, puts bins 0..j left.
-        counts = np.bincount(flat, minlength=m * bins).reshape(m, bins)
-        sums = np.bincount(flat, weights=np.tile(ysub, m), minlength=m * bins)
-        left_cnt = np.cumsum(counts, axis=1).ravel()
-        left_sum = np.cumsum(sums.reshape(m, bins), axis=1).ravel()
-        cuts = np.flatnonzero((left_cnt >= min_leaf_docs) & (n - left_cnt >= min_leaf_docs))
+    if columns.bins:
+        m, width = columns.thresholds.shape
+        keys = columns.keys.take(idx, axis=1).ravel()
+        counts = np.bincount(keys, minlength=m * width)
+        sums = np.bincount(keys, weights=np.tile(ysub, m), minlength=m * width)
+        # Slot f * width + b cuts feature f after bin b.
+        left_cnt = np.cumsum(counts.reshape(m, width), axis=1).ravel()
+        left_sum = np.cumsum(sums.reshape(m, width), axis=1).ravel()
+        cuts = np.flatnonzero(
+            (counts > 0) & (left_cnt >= min_leaf_docs) & (n - left_cnt >= min_leaf_docs)
+        )
         found = _strongest(left_sum.take(cuts), left_cnt.take(cuts), total, n)
         if found is None:
             return None
         gain, best = found
-        feat, pos = divmod(int(cuts[best]), bins)
-        # The largest value in the left bins, so routing by value <= threshold
-        # reproduces the histogram partition exactly.
-        left = XT[feat].take(idx)[codes[feat] <= feat * bins + pos]
-        return gain, feat, float(left.max())
+        cut = int(cuts[best])
+        return gain, cut // width, float(columns.thresholds.flat[cut])
     # Cut j of feature f, at f * n + j of the flat (features x rows) tables,
     # puts its first j + 1 sorted documents left; lo..hi keeps min_leaf_docs
     # on each side.
@@ -379,7 +415,7 @@ def _best_split(
         return None
     gain, best = found
     feat, pos = divmod(int(cuts[best]), n)
-    below, above = XT[feat, columns.order[feat, pos : pos + 2]].tolist()
+    below, above = columns.values[feat, columns.order[feat, pos : pos + 2]].tolist()
     # The midpoint overflows to inf above DBL_MAX / 2 and rounds up to
     # ``above`` between adjacent doubles; ``below`` cuts the same partition.
     threshold = 0.5 * (below + above)
@@ -392,7 +428,7 @@ def _best_split(
 class _Growable:
     node: int  # creation order, the tie-break across leaves
     idx: np.ndarray
-    columns: SortedColumns | None  # the node's share; exact mode only
+    columns: SortedColumns | BinnedColumns | None  # exact mode: the node's share
     split: tuple[float, int, float]
 
 
@@ -403,20 +439,22 @@ def fit_tree(
     min_leaf_docs: int = 1,
     bins: int = 0,
     *,
-    columns: SortedColumns | None = None,
+    columns: SortedColumns | BinnedColumns | None = None,
     leaf_of_row: np.ndarray | None = None,
     leaf_values: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> RegressionTree:
     """Fit an L-leaf tree to per-document responses by squared-error splits.
 
-    Exact search walks each column in sorted order: ``columns`` is
-    :func:`sort_columns` of ``features``, which a caller fitting many trees
-    to the same matrix builds once; without it the columns are sorted here. A
-    split hands each child its share of the parent's sorted rows and value
-    ranks, so nothing is sorted again, and ties are equal neighbouring ranks.
-    ``bins > 0`` switches to a uniform histogram with that many bins over
-    each node's own value range (a speed knob for wide data, off by default).
-    The two children of the split that fills the leaf budget are not
+    ``columns`` is what a caller fitting many trees to the same matrix
+    builds once; without it, it is built here. Exact search (``bins == 0``)
+    walks each column in sorted order: ``columns`` is :func:`sort_columns` of
+    ``features``. A split hands each child its share of the parent's sorted
+    rows and value ranks, so nothing is sorted again, and ties are equal
+    neighbouring ranks. ``bins >= 2`` searches histograms of at most that
+    many quantile bins per feature, fixed for the run: ``columns`` is
+    :func:`bin_columns` of ``features`` with the same ``bins``, and each
+    node counts its rows' codes (a speed knob for large data, off by
+    default). The two children of the split that fills the leaf budget are not
     searched. Nodes are numbered in creation order while the tree grows and
     renumbered into the preorder table once it is done.
 
@@ -438,15 +476,13 @@ def fit_tree(
         raise ValidationError("features and responses must align")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 documents to fit a tree")
-    if bins:
-        columns = None  # histogram search reads only the feature-major matrix
-    elif columns is None:
-        columns = sort_columns(X)
-    elif columns.values.shape != X.shape[::-1]:
-        raise ValidationError("columns must be sort_columns of the features")
+    if columns is None:
+        columns = bin_columns(X, bins) if bins else sort_columns(X)
+    elif columns.bins != bins or (columns.keys if bins else columns.values).shape != X.shape[::-1]:
+        raise ValidationError("columns must be sort_columns, or bin_columns with the same "
+                              "bins, of the features")
     if leaf_of_row is not None and leaf_of_row.shape != y.shape:
         raise ValidationError("leaf_of_row must hold one entry per document")
-    XT = np.ascontiguousarray(X.T) if columns is None else columns.values
 
     # Creation-order columns of the table; a split's children are created
     # together, so node k's right child is first_child[k] + 1. A leaf keeps
@@ -456,12 +492,14 @@ def fit_tree(
     first_child: list[int] = []
     rows: list[np.ndarray | None] = []
 
-    def grow(idx: np.ndarray, share: SortedColumns | None, search: bool) -> _Growable | None:
+    def grow(
+        idx: np.ndarray, share: SortedColumns | BinnedColumns | None, search: bool
+    ) -> _Growable | None:
         feature.append(-1)
         threshold.append(0.0)
         first_child.append(-1)
         rows.append(idx)
-        split = _best_split(XT, y, idx, share, min_leaf_docs, bins) if search else None
+        split = _best_split(y, idx, share, min_leaf_docs) if search else None
         return None if split is None else _Growable(len(rows) - 1, idx, share, split)
 
     root = grow(np.arange(X.shape[0]), columns, True)
@@ -478,14 +516,14 @@ def fit_tree(
         leaf_count += 1
         # Nothing reads the splits of the two children that fill the budget.
         search = leaf_count < leaf_limit
-        goes_left = XT[feat] <= cut
+        goes_left = columns.goes_left(feat, cut)
         left = goes_left.take(entry.idx)
-        kept = None  # which sorted rows go left; only searched children need it
-        if search and entry.columns is not None:
+        kept = None  # which sorted rows go left; only searched exact children need it
+        if search and not bins:
             kept = goes_left.take(entry.columns.order)
         for side, sorted_side in ((left, kept), (~left, kept if kept is None else ~kept)):
             idx = entry.idx[side]
-            share = None
+            share = columns if bins else None
             if sorted_side is not None and idx.size >= 2 * min_leaf_docs:
                 share = entry.columns.compress(sorted_side)
             child = grow(idx, share, search)

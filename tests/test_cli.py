@@ -435,6 +435,19 @@ def test_train_binned_mode(tmp_path, train_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bins", ["0", "16"])
+def test_train_on_a_column_whose_range_exceeds_dbl_max(tmp_path, bins, capsys):
+    # max - min of this column overflows a double, which once crashed --bins.
+    data = tmp_path / "wide.txt"
+    data.write_text("0 qid:1 1:-1e308\n0 qid:1 1:-1e307\n2 qid:1 1:1e307\n2 qid:1 1:1e308\n")
+    model = tmp_path / "model.txt"
+    assert run(["train", "--train", str(data), "--trees", "2", "--bins", bins,
+                "--out", str(model)]) == 0
+    capsys.readouterr()
+    root = plrank.load_model(str(model)).trees[0].root
+    assert root.feature == 0 and -1e307 <= root.threshold < 1e307
+
+
 def test_train_with_init_model(tmp_path, train_file, capsys):
     first = tmp_path / "first.txt"
     run(["train", "--train", train_file, "--trees", "3", "--out", str(first)])

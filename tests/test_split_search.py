@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from plrank.model_io import dumps_ensemble
 from plrank.tree import (
-    Ensemble, Split, SortedColumns, _best_split, apply_tree, fit_tree, sort_columns,
+    Ensemble, Split, SortedColumns, _best_split, apply_tree, bin_columns, fit_tree,
+    sort_columns,
 )
 
 from split_reference import reference_best_split
@@ -70,8 +71,8 @@ def test_matches_reference_bit_for_bit(problem, data):
     idx = np.flatnonzero(keep)
     if idx.size == 0:
         idx = np.arange(n)
-    columns = None if bins else node_columns(X, idx)
-    found = _best_split(np.ascontiguousarray(X.T), y, idx, columns, min_leaf, bins)
+    columns = bin_columns(X, bins) if bins else node_columns(X, idx)
+    found = _best_split(y, idx, columns, min_leaf)
     assert bits(found) == bits(reference_best_split(X, y, idx, min_leaf, bins))
 
 
@@ -98,7 +99,8 @@ def test_every_tree_split_is_the_reference_split(problem, leaves):
 def test_presorted_columns_give_the_same_bytes(problem, leaves):
     X, y, min_leaf, bins = problem
     alone = fit_tree(X, y, leaves, min_leaf, bins)
-    presorted = fit_tree(X, y, leaves, min_leaf, bins, columns=sort_columns(X))
+    columns = bin_columns(X, bins) if bins else sort_columns(X)
+    presorted = fit_tree(X, y, leaves, min_leaf, bins, columns=columns)
     dump = lambda tree: dumps_ensemble(Ensemble(trees=[tree], num_features=X.shape[1]))
     assert dump(presorted) == dump(alone)
 
@@ -111,8 +113,7 @@ def test_tied_columns_keep_row_order(seed):
     y = rng.normal(size=200)
     idx = np.flatnonzero(rng.random(200) < 0.7)
     for min_leaf in (1, 5):
-        found = _best_split(np.ascontiguousarray(X.T), y, idx, node_columns(X, idx),
-                            min_leaf, 0)
+        found = _best_split(y, idx, node_columns(X, idx), min_leaf)
         assert bits(found) == bits(reference_best_split(X, y, idx, min_leaf, 0))
 
 
@@ -132,12 +133,13 @@ def tie_heavy_column(draw, n):
 
 
 @st.composite
-def tie_heavy_problems(draw):
+def tie_heavy_problems(draw, noise=True):
+    """Without ``noise`` every sum of the responses is exact."""
     n = draw(st.integers(2, 60))
     X = np.column_stack([tie_heavy_column(draw, n) for _ in range(draw(st.integers(1, 5)))])
     y = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n,
                                max_size=n)))
-    if draw(st.booleans()):
+    if noise and draw(st.booleans()):
         y += np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
     return X, y, draw(st.integers(1, 5)), draw(st.integers(2, 8))
 
@@ -146,8 +148,8 @@ def assert_tree_is_the_reference(X, y, min_leaf, leaves, bins=0):
     """Every split is the oracle's, every leaf position is apply_tree's, and a
     tree that stops short of its budget has no leaf the oracle would split."""
     positions = np.full(X.shape[0], -1, dtype=np.intp)
-    tree = fit_tree(X, y, leaves, min_leaf, bins, columns=None if bins else sort_columns(X),
-                    leaf_of_row=positions)
+    columns = bin_columns(X, bins) if bins else sort_columns(X)
+    tree = fit_tree(X, y, leaves, min_leaf, bins, columns=columns, leaf_of_row=positions)
     np.testing.assert_array_equal(positions, apply_tree(tree, X))
     stack = [(tree.root, np.arange(X.shape[0]))]
     while stack:
@@ -158,9 +160,8 @@ def assert_tree_is_the_reference(X, y, min_leaf, leaves, bins=0):
             continue
         assert expected is not None
         assert (node.feature, node.threshold.hex()) == (expected[1], expected[2].hex())
-        columns = None if bins else node_columns(X, rows)
-        assert bits(_best_split(np.ascontiguousarray(X.T), y, rows, columns, min_leaf,
-                                bins)) == bits(expected)
+        share = columns if bins else node_columns(X, rows)
+        assert bits(_best_split(y, rows, share, min_leaf)) == bits(expected)
         mask = X[rows, node.feature] <= node.threshold
         stack += [(node.left, rows[mask]), (node.right, rows[~mask])]
 
@@ -169,6 +170,23 @@ def assert_tree_is_the_reference(X, y, min_leaf, leaves, bins=0):
 @given(tie_heavy_problems(), BINS)
 def test_tie_heavy_trees_match_the_reference(problem, bins):
     assert_tree_is_the_reference(*problem, bins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_problems(noise=False), st.data())
+def test_a_bin_per_value_cuts_as_exact_search(problem, data):
+    """With at least as many bins as any column has values, and exact sums,
+    the histogram splits the same feature at every node and puts every row
+    in the same leaf as exact search. Only the thresholds differ: the largest
+    left value against the midpoint."""
+    X, y, min_leaf, leaves = problem
+    distinct = max(np.unique(column).size for column in X.T)
+    bins = data.draw(st.integers(max(2, distinct), 2**40))
+    exact_rows, binned_rows = (np.empty(X.shape[0], dtype=np.intp) for _ in range(2))
+    exact = fit_tree(X, y, leaves, min_leaf, leaf_of_row=exact_rows)
+    binned = fit_tree(X, y, leaves, min_leaf, bins, leaf_of_row=binned_rows)
+    np.testing.assert_array_equal(binned.feature, exact.feature)
+    np.testing.assert_array_equal(binned_rows, exact_rows)
 
 
 def test_column_with_many_values_keeps_its_ranks():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,28 @@ def test_binned_mode_splits_a_range_too_narrow_to_scale():
     tree = fit_tree(X, np.array([0.0, 0.0, 1.0, 1.0]), 2, bins=64)
     assert tree.root.threshold == 1e-310
     assert tree_sse(tree, X, np.array([0.0, 0.0, 1.0, 1.0])) == 0.0
+
+
+def test_binned_mode_splits_a_range_wider_than_dbl_max():
+    # max - min overflows a double, which once crashed the bin coding.
+    X = np.array([[-1e308], [-1e307], [1e307], [1e308]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    tree = fit_tree(X, y, 2, bins=16)
+    assert tree.root.threshold == -1e307
+    assert tree_sse(tree, X, y) == 0.0
+
+
+def test_histogram_memory_follows_the_data_not_the_bin_count():
+    """A column gets at most as many bins as it has values, so a huge bin
+    count costs what one bin per value costs."""
+    X = np.arange(40.0).reshape(10, 4)
+    y = np.arange(10.0)
+    per_value = fit_tree(X, y, 4, bins=10)
+    tracemalloc.start()
+    try:
+        huge = fit_tree(X, y, 4, bins=2**40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge == per_value
+    assert peak < 2**20
