@@ -313,10 +313,9 @@ def bin_columns(X: np.ndarray, bins: int) -> BinnedColumns:
         last = np.flatnonzero(np.diff(np.arange(d) * w // d, append=w))
         tops.append(distinct[last] + 0.0)
     width = max((top.size for top in tops), default=1)
-    thresholds = np.empty((len(tops), width))
-    for f, top in enumerate(tops):
-        thresholds[f, : top.size] = top
-        thresholds[f, top.size :] = top[-1]  # every bin past the last holds the column
+    # Every bin past a column's last holds the whole column.
+    thresholds = np.array([np.pad(top, (0, width - top.size), "edge") for top in tops])
+    thresholds = thresholds.reshape(len(tops), width)
     keys = np.array(codes, dtype=np.intp).reshape(values.shape)
     keys += np.arange(0, keys.shape[0] * width, width)[:, None]
     return BinnedColumns(keys, thresholds, bins)
@@ -447,16 +446,16 @@ def fit_tree(
 
     ``columns`` is what a caller fitting many trees to the same matrix
     builds once; without it, it is built here. Exact search (``bins == 0``)
-    walks each column in sorted order: ``columns`` is :func:`sort_columns` of
-    ``features``. A split hands each child its share of the parent's sorted
-    rows and value ranks, so nothing is sorted again, and ties are equal
-    neighbouring ranks. ``bins >= 2`` searches histograms of at most that
-    many quantile bins per feature, fixed for the run: ``columns`` is
+    walks each column in sorted order: ``columns`` is :func:`sort_columns`
+    of ``features``. A split hands each child its share of the parent's
+    sorted rows and value ranks, so nothing is sorted again, and ties are
+    equal neighbouring ranks. ``bins >= 2`` searches histograms of at most
+    that many quantile bins per feature, fixed for the run: ``columns`` is
     :func:`bin_columns` of ``features`` with the same ``bins``, and each
     node counts its rows' codes (a speed knob for large data, off by
-    default). The two children of the split that fills the leaf budget are not
-    searched. Nodes are numbered in creation order while the tree grows and
-    renumbered into the preorder table once it is done.
+    default). The two children of the split that fills the leaf budget are
+    not searched. Nodes are numbered in creation order while the tree grows
+    and renumbered into the preorder table once it is done.
 
     The leaves output their mean responses, unless ``leaf_values(positions,
     means)`` gives the outputs: ``positions`` is every row's leaf position

@@ -10,7 +10,7 @@ from plrank import (
     fit_tree,
     predict_ensemble_matrix,
 )
-from plrank.tree import Split, sort_columns
+from plrank.tree import Split, bin_columns, sort_columns
 
 from tree_reference import (
     build_tree,
@@ -171,6 +171,11 @@ def test_fit_validates_inputs():
         fit_tree(X, np.zeros(4), 2)
     with pytest.raises(ValidationError):
         fit_tree(X, np.zeros(3), 2, columns=sort_columns(np.zeros((2, 1))))
+    for columns in (sort_columns(X), bin_columns(X, 8), bin_columns(np.zeros((2, 1)), 4)):
+        with pytest.raises(ValidationError):
+            fit_tree(X, np.zeros(3), 2, bins=4, columns=columns)
+    with pytest.raises(ValidationError):
+        fit_tree(X, np.zeros(3), 2, columns=bin_columns(X, 4))
     with pytest.raises(ValidationError):
         fit_tree(X, np.zeros(3), 2, leaf_of_row=np.zeros(2, dtype=np.intp))
 
