@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=42)
     p_train.add_argument("--min-leaf", type=int, default=1)
     p_train.add_argument("--bins", type=int, default=0,
-                         help="histogram bins for split search (0 = exact)")
+                         help="split search on at most this many quantile bins per "
+                              "feature (0 = exact)")
     p_train.add_argument("--iterations", type=int, default=100,
                          help="optimizer cap for --loss listmle-linear")
     p_train.add_argument("--init-model", metavar="PATH")
