@@ -280,8 +280,9 @@ class BinnedColumns:
     table of ``f * width + code``, one histogram slot per (feature, bin),
     where ``width`` is the widest column's ``w``. ``thresholds`` is the
     (features x width) table of the largest training value in bins ``<= b``
-    (a zero as +0.0), so ``value <= thresholds[f, b]`` routes every training
-    row of bins ``<= b`` left and no other. Every node reads the whole table.
+    (a zero as +0.0, whichever sign its rows hold), so ``value <=
+    thresholds[f, b]`` routes every training row of bins ``<= b`` left and
+    no other. Every node reads the whole table.
     """
 
     keys: np.ndarray
@@ -313,7 +314,7 @@ def bin_columns(X: np.ndarray, bins: int) -> BinnedColumns:
         last = np.flatnonzero(np.diff(np.arange(d) * w // d, append=w))
         tops.append(distinct[last] + 0.0)
     width = max((top.size for top in tops), default=1)
-    # Every bin past a column's last holds the whole column.
+    # A bin past a column's last has the column's largest value.
     thresholds = np.array([np.pad(top, (0, width - top.size), "edge") for top in tops])
     thresholds = thresholds.reshape(len(tops), width)
     keys = np.array(codes, dtype=np.intp).reshape(values.shape)
