@@ -9,6 +9,7 @@ as 0.0. Lines sharing a qid form one query group, contiguous or not.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable
@@ -99,9 +100,12 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     """Parse LETOR-format text into a :class:`Dataset`.
 
     ``source`` may be a string, an open text file, or any iterable of lines.
-    ``#`` starts a comment that runs to the end of the line.
+    A string is split into lines as :func:`load_dataset` splits a file: at
+    ``\n``, ``\r`` and ``\r\n`` only; other Unicode line breaks such as
+    ``\x0c`` or ``\u2028`` separate tokens, as any whitespace does. ``#``
+    starts a comment that runs to the end of the line.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     rows_of: dict[int, list[int]] = {}
     grades: list[int] = []
     counts: list[int] = []

@@ -3,11 +3,16 @@
 Scores are w . h(d). The objective sums log p(champion | context) over the
 sampled top-K ground-truth contexts of every query and subtracts the ridge
 term w'w / 2; it is smooth and concave, so a quasi-Newton ascent from w = 0
-finds the global optimum.
+finds the global optimum. The ascent is a limited-memory BFGS written here in
+numpy (:func:`_minimize` on the negated objective): ten correction pairs, a
+first step of length 1 along the gradient, and a strong-Wolfe line search.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +25,11 @@ from .pl_objective import QueryContexts, log_likelihood, pseudo_response
 from .tree import _feature_rows
 
 GRADIENT_TOL = 1e-6
+# L-BFGS-B's default stop on a step's relative objective reduction (1e7 eps).
+REDUCTION_TOL = 1e7 * float(np.finfo(np.float64).eps)
+_PAIRS = 10  # correction pairs the inverse-Hessian estimate keeps
+_DECREASE, _CURVATURE = 1e-4, 0.9  # strong-Wolfe constants
+_LINE_TRIALS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +89,95 @@ def _objective_and_gradient(
     return objective, gradient
 
 
+def _minimize(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x: np.ndarray,
+    iterations: int,
+    on_step: Callable[[float], None],
+) -> np.ndarray:
+    """Minimize ``fun(x) -> (f, gradient)`` by limited-memory BFGS from ``x``.
+
+    Stops by the rules :func:`train_linear` states, read for ``f``, and
+    returns the last accepted point. ``on_step`` receives each accepted
+    point's value, which was evaluated there anyway.
+    """
+    f, g = fun(x)
+    pairs: deque = deque(maxlen=_PAIRS)  # (s, y, 1 / s'y), oldest first
+    reduction = math.inf
+    for _ in range(iterations):
+        if np.max(np.abs(g)) <= GRADIENT_TOL or reduction <= REDUCTION_TOL:
+            break
+        q = g.copy()  # the two-loop recursion: q = H g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ q))
+            q -= alphas[-1] * y
+        if pairs:
+            _, y, rho = pairs[-1]
+            q /= rho * float(y @ y)  # H0 = s'y / y'y of the newest pair
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * float(y @ q)) * s
+        step = 1.0 if pairs else 1.0 / float(np.linalg.norm(g))
+        accepted = _wolfe_step(fun, x, f, g, -q, step)
+        if accepted is None:
+            break
+        x_new, f_new, g_new = accepted
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        on_step(f)
+    return x
+
+
+def _wolfe_step(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x: np.ndarray,
+    f: float,
+    g: np.ndarray,
+    direction: np.ndarray,
+    step: float,
+) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """``(point, value, gradient)`` of a strong-Wolfe step along ``direction``.
+
+    Doubles the step until a trial brackets one, then tries the zero of the
+    secant of the directional slopes at the bracket's ends, kept in its middle
+    80% (the midpoint when the slopes do not rise toward the far end). After
+    ``_LINE_TRIALS`` trials it returns the lowest point of sufficient
+    decrease, or None if no trial decreased ``f``.
+    """
+    slope = float(g @ direction)
+    if not slope < 0:
+        return None
+    lo, hi = (0.0, slope, None), None  # (step, slope, (point, value, gradient))
+    f_lo = f
+    for _ in range(_LINE_TRIALS):
+        point = x + step * direction
+        value, grad = fun(point)
+        trial = (step, float(grad @ direction), (point, value, grad))
+        if not value <= f + _DECREASE * step * slope or value >= f_lo:
+            hi = trial
+        elif abs(trial[1]) <= -_CURVATURE * slope:
+            return trial[2]
+        else:
+            if trial[1] * (1.0 if hi is None else hi[0] - lo[0]) >= 0:
+                hi = lo
+            lo, f_lo = trial, value
+        if hi is None:
+            step *= 2.0
+            continue
+        (a, sa, _), (b, sb, _) = lo, hi
+        if (sb - sa) * (b - a) > 0:
+            margin = 0.1 * abs(b - a)
+            step = min(max(a - sa * (b - a) / (sb - sa), min(a, b) + margin),
+                       max(a, b) - margin)
+        else:
+            step = (a + b) / 2
+    return lo[2]
+
+
 def train_linear(
     dataset: Dataset,
     k: int = 10,
@@ -87,42 +186,32 @@ def train_linear(
     seed: int = 42,
     on_iteration: Callable[[str], None] | None = None,
 ) -> LinearModel:
-    """Maximize the penalized likelihood from w = 0 with L-BFGS-B.
+    """Maximize the penalized likelihood from w = 0 by limited-memory BFGS.
 
-    Stops at the iteration cap or when the projected gradient drops below
-    :data:`GRADIENT_TOL`. Queries without ranking information (single
-    document) contribute only the prior, which keeps their pull at w = 0.
+    Stops at the first of: ``iterations`` steps; every gradient entry within
+    :data:`GRADIENT_TOL` of zero; a step that raises the objective by at most
+    :data:`REDUCTION_TOL` relative to ``max(|f_k|, |f_k+1|, 1)`` (the test
+    L-BFGS-B applies by default); a line search that finds no increase, which
+    keeps the last accepted weights. Queries without ranking information
+    (single document) contribute only the prior, which keeps their pull at
+    w = 0.
     """
     if iterations < 1:
         raise ConfigError(f"iteration cap must be >= 1, got {iterations}")
     width = dataset.max_feature_index
     if width == 0:
         return LinearModel(weights=np.zeros(0))
-    # Here, not at module level: importing scipy.optimize takes longer than
-    # most commands that never fit a linear model.
-    from scipy.optimize import minimize
-
     X, contexts = _query_contexts(dataset, k, objectives, seed, width)
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
         obj, grad = _objective_and_gradient(w, X, contexts)
         return -obj, -grad
 
-    count = [0]
+    steps = itertools.count(1)
 
-    def callback(intermediate_result) -> None:
-        # By this parameter name, scipy passes the accepted point's result,
-        # whose ``fun`` it has already evaluated.
-        count[0] += 1
+    def report(value: float) -> None:
         if on_iteration is not None:
-            on_iteration(f"iter={count[0]} objective={-intermediate_result.fun:.6f}")
+            on_iteration(f"iter={next(steps)} objective={-value:.6f}")
 
-    result = minimize(
-        negated,
-        np.zeros(width, dtype=np.float64),
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"maxiter": iterations, "gtol": GRADIENT_TOL, "maxcor": 10},
-    )
-    return LinearModel(weights=result.x)
+    weights = _minimize(negated, np.zeros(width, dtype=np.float64), iterations, report)
+    return LinearModel(weights=weights)

@@ -25,7 +25,9 @@ line after its left subtree. Each line reads straight into one table row,
 whose tree derives its children and checks its shape. The reader accepts
 only what saving writes (the header keys in this order, numbers as ``repr``
 spells them, ``\n`` line ends, and the derived ids and children), so saving
-a loaded model rewrites its file byte for byte.
+a loaded model rewrites its file byte for byte. The same holds for a linear
+model file: ``linear M=<m>``, then ``w[i]=<repr>`` for i = 1..m, each line
+ending in ``\n``.
 """
 
 from __future__ import annotations
@@ -121,18 +123,25 @@ def parse_ensemble(text: str) -> Ensemble:
     if pos >= len(lines) or lines[pos] != "end":
         raise ParseError("missing 'end' marker", pos + 1)
     ensemble = Ensemble(trees=trees, **{name: value for name, (value, _) in fields.items()})
-    canonical = dumps_ensemble(ensemble)
-    if canonical != text:
-        # Header order, number spellings, line ends, trailing lines: every
-        # file accepted here is exactly what saving its model writes.
-        pairs = enumerate(zip_longest(text.split("\n"), canonical.split("\n")))
-        line, got, wanted = next((i, a, b) for i, (a, b) in pairs if a != b)
-        if wanted:
-            expected = repr(wanted)
-        else:
-            expected = "a final line break" if got is None else "the end of the file"
-        raise ValidationError(f"not in canonical v1 form: expected {expected}", line + 1)
+    _require_canonical(text, dumps_ensemble(ensemble), "v1 form")
     return ensemble
+
+
+def _require_canonical(text: str, canonical: str, form: str) -> None:
+    """Reject ``text`` unless it is ``canonical``, naming the first line that differs.
+
+    Header order, number spellings, line ends, trailing lines: every file
+    accepted is exactly what saving its model writes.
+    """
+    if canonical == text:
+        return
+    pairs = enumerate(zip_longest(text.split("\n"), canonical.split("\n")))
+    line, got, wanted = next((i, a, b) for i, (a, b) in pairs if a != b)
+    if wanted:
+        expected = repr(wanted)
+    else:
+        expected = "a final line break" if got is None else "the end of the file"
+    raise ValidationError(f"not in canonical {form}: expected {expected}", line + 1)
 
 
 def _parse_tree(block: list[str], offset: int, num_features: int) -> RegressionTree:
@@ -198,7 +207,9 @@ def parse_linear(text: str) -> LinearModel:
         if not wmatch or int(wmatch.group(1)) != i:
             raise ParseError(f"bad weight record {line!r}", i + 1)
         weights[i - 1] = _finite(wmatch.group(2), i + 1)
-    return LinearModel(weights=weights)
+    model = LinearModel(weights=weights)
+    _require_canonical(text, dumps_linear(model), "linear form")
+    return model
 
 
 def save_model(model: Ensemble | LinearModel, path: str) -> None:

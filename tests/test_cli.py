@@ -474,8 +474,8 @@ def test_import_leaves_scipy_out(module):
     assert python_with_plrank(f"import sys, {module}; print('scipy' in sys.modules)") == "False\n"
 
 
-def test_only_linear_training_imports_scipy(tmp_path, train_file):
-    """Tree train, predict and evaluate run without scipy; the linear fit loads it."""
+def test_no_command_imports_scipy(tmp_path, train_file):
+    """Tree train, linear train, predict and evaluate all run without scipy."""
     model, scores = tmp_path / "model.txt", tmp_path / "scores.txt"
     commands = [
         ["train", "--train", train_file, "--trees", "2", "--out", str(model)],
@@ -493,5 +493,5 @@ def test_only_linear_training_imports_scipy(tmp_path, train_file):
         "    print(argv[0], code, 'scipy' in sys.modules)\n"
     )
     assert out.splitlines() == [
-        "train 0 False", "predict 0 False", "evaluate 0 False", "train 0 True",
+        "train 0 False", "predict 0 False", "evaluate 0 False", "train 0 False",
     ]

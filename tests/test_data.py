@@ -169,6 +169,24 @@ def test_load_dataset_reads_universal_newlines(tmp_path):
     assert [g.doc_ids.tolist() for g in ds.groups] == [[0, 1], [2]]
 
 
+@pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028", "\r", "\r\n"],
+                         ids=["FF", "FS", "NEL", "LS", "CR", "CRLF"])
+@pytest.mark.parametrize("template", [
+    "1 qid:1 1:0.5{}2:0.25\n0 qid:1 1:0.1\n",  # inside a row
+    "1 qid:1 1:0.5{}0 qid:1 2:0.25\n",  # between rows
+], ids=["in-row", "between-rows"])
+def test_string_and_file_split_lines_alike(tmp_path, separator, template):
+    """A string splits at \\n, \\r and \\r\\n only, as a file does; other
+    Unicode line breaks once split a string but not the same file's bytes."""
+    text = template.format(separator)
+    path = tmp_path / "data.txt"
+    path.write_bytes(text.encode("utf-8"))
+    from_file, from_string = _outcome(load_dataset, str(path)), _outcome(parse_dataset, text)
+    assert from_string == from_file
+    if from_file is None:
+        assert_same_dataset(parse_dataset(text), load_dataset(str(path)))
+
+
 def test_load_dataset_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "data.txt"
     path.write_bytes(b"1 qid:1 1:1.0\n0 qid:1 1:2.0 # caf\xe9\n")

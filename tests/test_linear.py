@@ -1,7 +1,11 @@
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plrank.linear
-from plrank import LinearModel, evaluate, train_linear
+from plrank import LinearModel, evaluate, parse_dataset, train_linear
 from plrank.data import dense_features
 from plrank.errors import ConfigError, ValidationError
+from plrank.linear import GRADIENT_TOL, REDUCTION_TOL
 from plrank.model_io import dumps_linear, parse_linear
 
 from helpers import make_dataset, random_dataset
@@ -116,6 +121,117 @@ def test_reporting_iterations_costs_no_extra_evaluations(monkeypatch):
     assert loud.weights.tobytes() == quiet.weights.tobytes()
     reported = [line.split("objective=")[1] for line in lines]
     assert set(reported) <= {f"{value:.6f}" for value in calls[evaluations:]}
+
+
+def concave_quadratic(seed, n, curvatures):
+    """``-(x - x*)' A (x - x*) / 2`` negated for ``_minimize``, and its maximiser x*.
+
+    ``A`` is a random rotation of eigenvalues drawn from ``curvatures``.
+    """
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    hessian = (rotation * rng.uniform(*curvatures, n)) @ rotation.T
+    maximiser = rng.normal(scale=3.0, size=n)
+
+    def negated(x):
+        r = x - maximiser
+        return 0.5 * float(r @ hessian @ r), hessian @ r
+    return negated, maximiser
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_minimize_reaches_a_quadratic_maximiser(n, seed):
+    """With the relative-reduction stop off, the gradient test ends the fit.
+
+    Curvatures of at least 1e3 put every point that passes the gradient test
+    within 1e-8 of the maximiser. With the stop on, L-BFGS-B's default test
+    would end such a fit first, far from the maximiser: near a quadratic's
+    maximum each step gains only about |g|^2 / curvature.
+    """
+    negated, maximiser = concave_quadratic(seed, n, (1e3, 1e4))
+    values = []
+    with mock.patch.object(plrank.linear, "REDUCTION_TOL", 0.0):
+        x = plrank.linear._minimize(negated, np.zeros(n), 1000, values.append)
+    assert len(values) < 1000
+    assert np.max(np.abs(negated(x)[1])) <= GRADIENT_TOL
+    assert np.max(np.abs(x - maximiser)) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_minimize_stops_at_the_first_small_relative_reduction(n, seed):
+    negated, _ = concave_quadratic(seed, n, (1.0, 10.0))
+    values = [negated(np.zeros(n))[0]]
+    x = plrank.linear._minimize(negated, np.zeros(n), 1000, values.append)
+    reductions = [(a - b) / max(abs(a), abs(b), 1.0) for a, b in zip(values, values[1:])]
+    assert all(r > REDUCTION_TOL for r in reductions[:-1])
+    assert (reductions[-1] <= REDUCTION_TOL
+            or np.max(np.abs(negated(x)[1])) <= GRADIENT_TOL)
+
+
+def test_minimize_keeps_the_last_point_when_no_step_decreases():
+    # The reported gradient points the wrong way, so every trial rises.
+    start = np.array([1.0, -2.0])
+    values = []
+    x = plrank.linear._minimize(lambda x: (float(x @ x), -2 * x), start, 50, values.append)
+    assert values == [] and x.tolist() == start.tolist()
+
+
+def _perfbench_gen():
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("gen"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(perfbench)
+
+
+def scipy_objective(dataset, k, objectives, seed):
+    """The objective where scipy's L-BFGS-B stops, run to convergence with the
+    options plrank once passed it (it is the reference, not a dependency)."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    X, contexts = plrank.linear._query_contexts(dataset, k, objectives, seed,
+                                                dataset.max_feature_index)
+
+    def negated(w):
+        objective, gradient = plrank.linear._objective_and_gradient(w, X, contexts)
+        return -objective, -gradient
+    result = minimize(negated, np.zeros(dataset.max_feature_index), jac=True,
+                      method="L-BFGS-B",
+                      options={"maxiter": 1000, "gtol": GRADIENT_TOL, "maxcor": 10})
+    return -float(result.fun)
+
+
+def assert_converges_as_scipy(dataset, k, objectives, seed):
+    model = train_linear(dataset, k=k, objectives=objectives, iterations=1000, seed=seed)
+    reached, _ = library_linear_objective(model.weights, dataset, k, objectives, seed)
+    reference = scipy_objective(dataset, k, objectives, seed)
+    assert reached >= reference - 1e-7 * abs(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_queries=st.integers(1, 12), n_docs=st.integers(1, 12), n_features=st.integers(1, 8),
+       k=st.integers(1, 10), objectives=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_converged_objective_matches_scipy(n_queries, n_docs, n_features, k, objectives, seed):
+    dataset = random_dataset(np.random.default_rng(seed), n_queries, n_docs, n_features)
+    assert_converges_as_scipy(dataset, k, objectives, seed)
+
+
+@pytest.mark.parametrize("workload", ["letor-exact", "serve"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_converged_objective_matches_scipy_on_benchmark_data(workload, seed):
+    """The benchmark's training files and linear flags.
+
+    bigquery-hist is left out: its raw columns span 0.01 to 1,300, so both
+    optimizers stop by the relative-reduction test with gradient entries near
+    10, far from the optimum, at points that differ either way.
+    """
+    gen, workloads = _perfbench_gen()
+    w = workloads.WORKLOADS[workload]
+    dataset = parse_dataset(gen.letor_text(gen.make_table(seed, 1, w.train), w.train.style))
+    flags = dict(zip(w.linear_flags[::2], w.linear_flags[1::2]))
+    assert_converges_as_scipy(dataset, 10, int(flags["--objectives"]), 42)
 
 
 def test_linearly_rankable_dataset_recovered():

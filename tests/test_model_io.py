@@ -100,6 +100,24 @@ def test_unreadable_linear_weight_rejected():
         parse_linear("linear M=1\nw[1]=0.5x\n")
 
 
+@pytest.mark.parametrize("text, line, expected", [
+    ("linear M=1\nw[1]=+1.5\n", 2, "'w[1]=1.5'"),
+    ("linear M=2\nw[1]=0.5\nw[2]=1e0\n", 3, "'w[2]=1.0'"),
+    ("linear M=1\nw[1]=1_0\n", 2, "'w[1]=10.0'"),
+    ("linear M=1\nw[\u0661]=0.5\n", 2, "'w[1]=0.5'"),
+    ("linear M=01\nw[1]=0.5\n", 1, "'linear M=1'"),
+    ("linear M=1\r\nw[1]=0.5\r\n", 1, "'linear M=1'"),
+    ("linear M=1\nw[1]=0.5", 3, "a final line break"),
+], ids=["plus-sign", "exponent", "underscore", "arabic-indic-digit", "leading-zero",
+        "crlf", "no-final-newline"])
+def test_non_canonical_linear_file_rejected(text, line, expected):
+    """Each of these once loaded, and saving the model back changed the bytes."""
+    with pytest.raises(ValidationError) as info:
+        parse_linear(text)
+    assert str(info.value) == f"line {line}: not in canonical linear form: expected {expected}"
+    assert info.value.line == line
+
+
 def test_load_model_dispatches_on_header(tmp_path):
     epath = tmp_path / "e.model"
     save_model(trained_ensemble(), str(epath))
