@@ -26,7 +26,7 @@ from .tree import _feature_rows
 
 GRADIENT_TOL = 1e-6
 # L-BFGS-B's default stop on a step's relative objective reduction (1e7 eps).
-REDUCTION_TOL = 1e7 * float(np.finfo(np.float64).eps)
+_REDUCTION_TOL = 1e7 * float(np.finfo(np.float64).eps)
 _PAIRS = 10  # correction pairs the inverse-Hessian estimate keeps
 _DECREASE, _CURVATURE = 1e-4, 0.9  # strong-Wolfe constants
 _LINE_TRIALS = 20
@@ -105,7 +105,7 @@ def _minimize(
     pairs: deque = deque(maxlen=_PAIRS)  # (s, y, 1 / s'y), oldest first
     reduction = math.inf
     for _ in range(iterations):
-        if np.max(np.abs(g)) <= GRADIENT_TOL or reduction <= REDUCTION_TOL:
+        if np.max(np.abs(g)) <= GRADIENT_TOL or reduction <= _REDUCTION_TOL:
             break
         q = g.copy()  # the two-loop recursion: q = H g
         alphas = []
@@ -190,11 +190,11 @@ def train_linear(
 
     Stops at the first of: ``iterations`` steps; every gradient entry within
     :data:`GRADIENT_TOL` of zero; a step that raises the objective by at most
-    :data:`REDUCTION_TOL` relative to ``max(|f_k|, |f_k+1|, 1)`` (the test
-    L-BFGS-B applies by default); a line search that finds no increase, which
-    keeps the last accepted weights. Queries without ranking information
-    (single document) contribute only the prior, which keeps their pull at
-    w = 0.
+    1e7 machine epsilons (about 2.2e-9) relative to ``max(|f_k|, |f_k+1|, 1)``,
+    the test L-BFGS-B applies by default; a line search that finds no
+    increase, which keeps the last accepted weights. Queries without ranking
+    information (single document) contribute only the prior, which keeps
+    their pull at w = 0.
     """
     if iterations < 1:
         raise ConfigError(f"iteration cap must be >= 1, got {iterations}")

@@ -1,5 +1,9 @@
 """Shared builders for synthetic ranking datasets used across the tests."""
 
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from plrank import Dataset, parse_dataset
@@ -13,6 +17,16 @@ def letor_text(queries) -> str:
             feats = " ".join(f"{i}:{features[i]!r}" for i in sorted(features))
             lines.append(f"{grade} qid:{qid} {feats}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def perfbench_modules(*names):
+    """The named modules of the benchmark directory, imported read-only."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(perfbench)
 
 
 def make_dataset(queries) -> Dataset:

@@ -1,10 +1,7 @@
 import copy
 import dataclasses
-import importlib
 import math
 import pickle
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,10 +13,10 @@ import plrank.linear
 from plrank import LinearModel, evaluate, parse_dataset, train_linear
 from plrank.data import dense_features
 from plrank.errors import ConfigError, ValidationError
-from plrank.linear import GRADIENT_TOL, REDUCTION_TOL
+from plrank.linear import _REDUCTION_TOL, GRADIENT_TOL
 from plrank.model_io import dumps_linear, parse_linear
 
-from helpers import make_dataset, random_dataset
+from helpers import make_dataset, perfbench_modules, random_dataset
 from pl_reference import library_linear_objective
 
 
@@ -151,7 +148,7 @@ def test_minimize_reaches_a_quadratic_maximiser(n, seed):
     """
     negated, maximiser = concave_quadratic(seed, n, (1e3, 1e4))
     values = []
-    with mock.patch.object(plrank.linear, "REDUCTION_TOL", 0.0):
+    with mock.patch.object(plrank.linear, "_REDUCTION_TOL", 0.0):
         x = plrank.linear._minimize(negated, np.zeros(n), 1000, values.append)
     assert len(values) < 1000
     assert np.max(np.abs(negated(x)[1])) <= GRADIENT_TOL
@@ -165,8 +162,9 @@ def test_minimize_stops_at_the_first_small_relative_reduction(n, seed):
     values = [negated(np.zeros(n))[0]]
     x = plrank.linear._minimize(negated, np.zeros(n), 1000, values.append)
     reductions = [(a - b) / max(abs(a), abs(b), 1.0) for a, b in zip(values, values[1:])]
-    assert all(r > REDUCTION_TOL for r in reductions[:-1])
-    assert (reductions[-1] <= REDUCTION_TOL
+    assert len(reductions) < 1000
+    assert all(r > _REDUCTION_TOL for r in reductions[:-1])
+    assert (reductions[-1] <= _REDUCTION_TOL
             or np.max(np.abs(negated(x)[1])) <= GRADIENT_TOL)
 
 
@@ -176,15 +174,6 @@ def test_minimize_keeps_the_last_point_when_no_step_decreases():
     values = []
     x = plrank.linear._minimize(lambda x: (float(x @ x), -2 * x), start, 50, values.append)
     assert values == [] and x.tolist() == start.tolist()
-
-
-def _perfbench_gen():
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    sys.path.insert(0, perfbench)
-    try:
-        return importlib.import_module("gen"), importlib.import_module("workloads")
-    finally:
-        sys.path.remove(perfbench)
 
 
 def scipy_objective(dataset, k, objectives, seed):
@@ -223,11 +212,12 @@ def test_converged_objective_matches_scipy(n_queries, n_docs, n_features, k, obj
 def test_converged_objective_matches_scipy_on_benchmark_data(workload, seed):
     """The benchmark's training files and linear flags.
 
-    bigquery-hist is left out: its raw columns span 0.01 to 1,300, so both
-    optimizers stop by the relative-reduction test with gradient entries near
-    10, far from the optimum, at points that differ either way.
+    bigquery-hist is left out: its raw columns' standard deviations run from
+    0.01 to 360, so both optimizers stop by the relative-reduction test with
+    gradient entries near 10, far from the optimum, at points that differ
+    either way.
     """
-    gen, workloads = _perfbench_gen()
+    gen, workloads = perfbench_modules("gen", "workloads")
     w = workloads.WORKLOADS[workload]
     dataset = parse_dataset(gen.letor_text(gen.make_table(seed, 1, w.train), w.train.style))
     flags = dict(zip(w.linear_flags[::2], w.linear_flags[1::2]))

@@ -8,8 +8,6 @@ The benchmark files are only read here.
 """
 
 import importlib
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,20 +15,9 @@ import pytest
 from plrank import TrainConfig, format_dataset, train
 from plrank.cli import main
 
-from helpers import thresholded_linear_dataset
+from helpers import perfbench_modules, thresholded_linear_dataset
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _perfbench_modules():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return importlib.import_module("layers"), importlib.import_module("spans")
-    finally:
-        sys.path.remove(str(PERFBENCH))
-
-
-layers, spans = _perfbench_modules()
+layers, spans = perfbench_modules("layers", "spans")
 
 
 @pytest.mark.parametrize("hook", layers.HOOKS, ids=lambda h: f"{h.module}:{h.attr}")
