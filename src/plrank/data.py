@@ -5,6 +5,11 @@ Accepted line format: ``<grade> qid:<id> <index>:<value> ... # comment`` with
 one row of the table, in file order. Column ``t`` holds feature index
 ``t + 1``; the table is as wide as the largest index, absent features read
 as 0.0. Lines sharing a qid form one query group, contiguous or not.
+
+A file is read as a stream, one line at a time, so the text is never held
+whole. The parser keeps each feature token in 16 bytes (an int64 index and a
+float64 value) until the last line, then allocates the table once, at its
+final shape, and scatters the tokens into it a chunk at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .errors import ParseError, ValidationError, _open_text
 
 # Gains are 2^grade - 1; grades above this would lose exactness in float64.
 MAX_GRADE = 31
+# Feature tokens are moved from Python lists into arrays this many at a time.
+_CHUNK_TOKENS = 1 << 12
 
 
 @dataclass(eq=False)
@@ -104,6 +111,9 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     ``\n``, ``\r`` and ``\r\n`` only; other Unicode line breaks such as
     ``\x0c`` or ``\u2028`` separate tokens, as any whitespace does. ``#``
     starts a comment that runs to the end of the line.
+
+    Every line is checked before the table is allocated, so a malformed line
+    anywhere is reported before a table too large to allocate.
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     rows_of: dict[int, list[int]] = {}
@@ -111,6 +121,8 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     counts: list[int] = []
     indices: list[int] = []
     values: list[float] = []
+    chunks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    width = first = 0
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -121,24 +133,49 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
         grades.append(grade)
         indices += line_indices
         values += line_values
+        if len(indices) >= _CHUNK_TOKENS:
+            width = _stash(chunks, first, len(grades), indices, values, width)
+            first, indices, values = len(grades), [], []
+    width = _stash(chunks, first, len(grades), indices, values, width)
+    del indices, values
 
-    width = max(indices, default=0)
     try:
         features = np.zeros((len(grades), width), dtype=np.float64)
     except (MemoryError, ValueError, OverflowError):
         raise ValidationError(
             f"a table of {len(grades)} documents x {width} features cannot be allocated"
         ) from None
-    rows = np.repeat(np.arange(len(grades)), counts)
-    features[rows, np.array(indices, dtype=np.intp) - 1] = values
+    count_of = np.array(counts, dtype=np.intp)
+    for first, end, chunk_indices, chunk_values in chunks:
+        rows = np.repeat(np.arange(first, end), count_of[first:end])
+        features[rows, chunk_indices - 1] = chunk_values
     grade_of = np.array(grades, dtype=np.int64)
     groups = [QueryGroup(q, np.array(r, dtype=np.intp), features, grade_of)
               for q, r in rows_of.items()]
     return Dataset(features, grade_of, groups, max(grades, default=0))
 
 
+def _stash(chunks: list, first: int, end: int, indices: list[int], values: list[float],
+           width: int) -> int:
+    """Move the tokens of rows ``first..end-1`` into int64 and float64 arrays.
+
+    Returns the widest feature index seen so far. An index beyond int64 is not
+    stored: no table that wide can be allocated, so only its width matters.
+    """
+    if not indices:
+        return width
+    try:
+        chunk_indices = np.array(indices, dtype=np.int64)
+    except OverflowError:
+        return max(width, max(indices))
+    chunks.append((first, end, chunk_indices, np.array(values, dtype=np.float64)))
+    return max(width, int(chunk_indices.max()))
+
+
 def load_dataset(path: str) -> Dataset:
-    return parse_dataset(_open_text(path))
+    """Parse the LETOR file at ``path``, streamed line by line (see :func:`parse_dataset`)."""
+    with _open_text(path) as lines:
+        return parse_dataset(lines)
 
 
 def format_dataset(dataset: Dataset) -> str:
@@ -159,11 +196,17 @@ def format_dataset(dataset: Dataset) -> str:
 def dense_features(rows: Dataset | QueryGroup, m: int) -> np.ndarray:
     """The dense len(doc_ids) x m matrix of a dataset or of one of its groups.
 
-    Columns past the dataset's ``max_feature_index`` read as 0.0.
+    Columns past the dataset's ``max_feature_index`` read as 0.0. A whole
+    dataset at its own width is its table itself, as a read-only view, so no
+    copy is made.
     """
     width = rows.features.shape[1]
     if m < width:
         raise ValidationError(f"matrix width {m} is smaller than max feature index {width}")
+    if m == width and isinstance(rows, Dataset):
+        table = rows.features.view()
+        table.flags.writeable = False
+        return table
     out = np.zeros((len(rows.doc_ids), m), dtype=np.float64)
     out[:, :width] = rows.features[rows.doc_ids]
     return out

@@ -1,6 +1,10 @@
 """Exception types shared across the toolkit, and the reader of input files."""
 
-import io
+import codecs
+from typing import IO
+
+# Bytes the UTF-8 check reads at a time.
+_BLOCK = 1 << 18
 
 
 class PLRankError(Exception):
@@ -25,12 +29,49 @@ class ConfigError(PLRankError):
     """Training configuration that cannot be executed."""
 
 
-def _open_text(path: str, newline: str | None = None) -> io.StringIO:
-    """The file as UTF-8 text, read as ``open`` would; other bytes raise ParseError."""
+def _check_utf8(path: str) -> None:
+    """Raise ParseError, naming its line, at the first byte of ``path`` that is not UTF-8.
+
+    Reads ``_BLOCK`` bytes at a time; a character cut by the end of a block is
+    decoded with the next one.
+    """
+    offset, pending = 0, b""  # the file offset of pending's first byte
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return io.StringIO(raw.decode("utf-8"), newline=newline)
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path} is not UTF-8 text", line) from None
+        while True:
+            block = fh.read(_BLOCK)
+            data = pending + block if pending else block
+            try:
+                used = codecs.utf_8_decode(data, "strict", not block)[1]
+            except UnicodeDecodeError as exc:
+                line = _line_at(fh, offset + exc.start)
+                raise ParseError(f"{path} is not UTF-8 text", line) from None
+            if not block:
+                return
+            offset, pending = offset + used, data[used:]
+
+
+def _line_at(fh: IO[bytes], offset: int) -> int:
+    """The line that byte ``offset`` of the binary file ``fh`` lies on.
+
+    Lines end at each ``\n``, ``\r`` and ``\r\n``, as universal newlines
+    split them, also where a block boundary falls inside a ``\r\n``.
+    """
+    line, after_cr = 1, False
+    fh.seek(0)
+    while offset > 0 and (data := fh.read(min(_BLOCK, offset))):
+        offset -= len(data)
+        line += (data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+                 - (after_cr and data.startswith(b"\n")))
+        after_cr = data.endswith(b"\r")
+    return line
+
+
+def _open_text(path: str, newline: str | None = None) -> IO[str]:
+    """The file as a UTF-8 text stream, read as ``open`` reads it.
+
+    A bounded first pass checks every byte, so a file that is not UTF-8 raises
+    ParseError before any of it is parsed, naming the line of the first bad
+    byte. The caller closes the stream.
+    """
+    _check_utf8(path)
+    return open(path, encoding="utf-8", newline=newline)

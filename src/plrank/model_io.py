@@ -219,7 +219,8 @@ def save_model(model: Ensemble | LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> Ensemble | LinearModel:
-    text = _open_text(path, newline="").read()
+    with _open_text(path, newline="") as fh:
+        text = fh.read()
     if text.startswith(LINEAR_MAGIC + " "):
         return parse_linear(text)
     return parse_ensemble(text)

@@ -9,6 +9,7 @@ import pytest
 import plrank
 from plrank import TrainConfig, evaluate, load_dataset, train
 from plrank.data import dense_features
+from plrank import cli
 from plrank.cli import main
 from plrank.tree import predict_ensemble_matrix
 
@@ -495,3 +496,34 @@ def test_no_command_imports_scipy(tmp_path, train_file):
     assert out.splitlines() == [
         "train 0 False", "predict 0 False", "evaluate 0 False", "train 0 False",
     ]
+
+
+def test_allocator_policy_is_set_once_by_main_and_not_on_import(tmp_path, train_file):
+    """A stand-in libc records mallopt calls: none on import, one policy per process."""
+    model = tmp_path / "model.txt"
+    script = f"""
+import ctypes
+calls = []
+class Libc:
+    def __init__(self, name):
+        self.mallopt = lambda param, value: calls.append((param, value)) or 1
+ctypes.CDLL = Libc
+import plrank, plrank.cli
+print(calls)
+argv = ["train", "--train", {train_file!r}, "--trees", "1", "--out", {str(model)!r}]
+assert plrank.cli.main(argv) == 0 and plrank.cli.main(argv) == 0
+print(calls)
+"""
+    lines = python_with_plrank(script).splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == f"[(-3, {64 << 20}), (-1, {256 << 20})]"
+
+
+def test_allocator_policy_does_nothing_without_mallopt(monkeypatch, tmp_path, train_file):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    cli._set_allocator_policy.cache_clear()
+    try:
+        assert run(["train", "--train", train_file, "--trees", "1",
+                    "--out", str(tmp_path / "model.txt")]) == 0
+    finally:
+        cli._set_allocator_policy.cache_clear()

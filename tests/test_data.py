@@ -1,9 +1,13 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import letor_reference as ref
+from plrank import data, errors
 from plrank import (
     ParseError,
     ValidationError,
@@ -161,6 +165,18 @@ def test_dense_features_dataset_and_groups_share_one_table():
         dense_features(ds.groups[1], 2)
 
 
+def test_dense_features_of_a_dataset_at_its_width_is_its_table_read_only():
+    ds = parse_dataset("1 qid:2 2:0.5\n0 qid:1 1:-1.0\n")
+    same = dense_features(ds, 2)
+    assert np.shares_memory(same, ds.features) and same.tolist() == ds.features.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        same[0, 0] = 1.0
+    assert ds.features.flags.writeable
+    wider = dense_features(ds, 3)
+    assert not np.shares_memory(wider, ds.features) and wider.flags.writeable
+    assert not np.shares_memory(dense_features(ds.groups[0], 2), ds.features)
+
+
 def test_load_dataset_reads_universal_newlines(tmp_path):
     path = tmp_path / "data.txt"
     path.write_bytes(b"1 qid:1 1:1.0\r\n0 qid:1 2:2.0\r0 qid:2 1:3.0\n")
@@ -193,6 +209,99 @@ def test_load_dataset_rejects_bytes_that_are_not_utf8(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_dataset(str(path))
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["LF", "CR", "CRLF"])
+def test_utf8_error_counts_every_line_end(tmp_path, newline):
+    path = tmp_path / "data.txt"
+    lines = [b"1 qid:1 1:1.0", b"0 qid:1 1:2.0", b"0 qid:1 1:3.0 # caf\xe9", b""]
+    path.write_bytes(newline.join(lines))
+    with pytest.raises(ParseError, match="is not UTF-8 text") as exc:
+        load_dataset(str(path))
+    assert exc.value.line == 3
+
+
+def _universal_line(prefix: bytes) -> int:
+    """The line a byte after ``prefix`` lies on, as a universal-newline reader counts."""
+    return io.StringIO(prefix.decode("utf-8"), newline=None).read().count("\n") + 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+def test_utf8_error_names_its_line_across_read_blocks(tmp_path, monkeypatch, block):
+    """Short read blocks split \r\n pairs and multi-byte characters."""
+    monkeypatch.setattr(errors, "_BLOCK", block)
+    lines = [b"1 qid:1 1:1.0 # \xc3\xa9t\xc3\xa9", b"", b"0 qid:1 1:2.0 # \xe2\x82\xac", b"# x"]
+    good = b"\r\n".join(lines) + b"\r" + b"\n".join(lines) + b"\r\r\n"
+    path = tmp_path / "data.txt"
+    path.write_bytes(good)
+    assert load_dataset(str(path)).num_documents == 4
+    for cut in range(len(good) + 1):
+        if good[cut:cut + 1] and 0x80 <= good[cut] < 0xC0:
+            continue  # inside a character
+        for bad in (b"\xff", b"\xe2\x82"):  # a bad byte; a character cut short
+            path.write_bytes(good[:cut] + bad + good[cut:])
+            with pytest.raises(ParseError, match="is not UTF-8 text") as exc:
+                load_dataset(str(path))
+            assert exc.value.line == _universal_line(good[:cut]), (cut, bad)
+
+
+def test_utf8_error_past_the_first_read_block(tmp_path):
+    row = "0 qid:1 " + " ".join(f"{j}:0.5" for j in range(1, 47))
+    text = ("\r\n".join([row] * 2000) + "\r\n").encode()
+    assert len(text) > 2 * errors._BLOCK
+    path = tmp_path / "data.txt"
+    path.write_bytes(text + b"1 qid:1 1:0.5 # caf\xe9\r\n")
+    with pytest.raises(ParseError, match="is not UTF-8 text") as exc:
+        load_dataset(str(path))
+    assert exc.value.line == 2001
+
+
+def test_utf8_error_wins_over_an_earlier_malformed_line(tmp_path):
+    """Every byte is checked before the first line is parsed."""
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"x qid:1 1:1.0\n1 qid:1 1:2.0 # \xff\n")
+    with pytest.raises(ParseError, match="is not UTF-8 text") as exc:
+        load_dataset(str(path))
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("chunk", [1, 2, data._CHUNK_TOKENS])
+def test_malformed_line_wins_over_an_unallocatable_table(monkeypatch, chunk):
+    """Every line is checked before the table is allocated, in any chunking."""
+    monkeypatch.setattr(data, "_CHUNK_TOKENS", chunk)
+    text = f"1 qid:1 {10**30}:0.5 2:1.0\n0 qid:1 1:0.25\n"
+    with pytest.raises(ValidationError, match=f"2 documents x {10**30} features"):
+        parse_dataset(text)
+    with pytest.raises(ParseError) as exc:
+        parse_dataset(text + "1 qid:1 1:x\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_chunked_parse_matches_one_chunk(monkeypatch, chunk):
+    text = ("2 qid:10 1:0.5 7:1.0 # first\n0 qid:3 2:-0.25\n\n3 qid:3\n"
+            "1 qid:10 4:1.5 2:-0.0 3:5e-324\n0 qid:4 9:2.5\n1 qid:3\n")
+    whole = parse_dataset(text)
+    monkeypatch.setattr(data, "_CHUNK_TOKENS", chunk)
+    assert_same_dataset(parse_dataset(text), whole)
+
+
+def test_load_dataset_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
+    """Tokens are held in 16 bytes each until the table is filled, not as Python objects."""
+    rng = np.random.default_rng(3)
+    fmt = "%d qid:%d " + " ".join(f"{j}:%.6f" for j in range(1, 47))
+    rows = [fmt % (g, 1 + i // 60, *x) for i, (g, x) in
+            enumerate(zip(rng.integers(0, 3, 3000).tolist(), rng.random((3000, 46)).tolist()))]
+    path = tmp_path / "data.txt"
+    path.write_text("\n".join(rows) + "\n")
+    tracemalloc.start()
+    try:
+        ds = load_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (3000, 46)
+    assert peak <= 4 * ds.features.nbytes
 
 
 @pytest.mark.parametrize("index", [10**15, 10**30])
