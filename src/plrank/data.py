@@ -137,7 +137,6 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
             width = _stash(chunks, first, len(grades), indices, values, width)
             first, indices, values = len(grades), [], []
     width = _stash(chunks, first, len(grades), indices, values, width)
-    del indices, values
 
     try:
         features = np.zeros((len(grades), width), dtype=np.float64)
