@@ -119,6 +119,22 @@ def mart_response(
 _feature_matrix = dense_features
 
 
+def sample_contexts(dataset: Dataset, k: int, objectives: int, seed: int) -> QueryContexts:
+    """Every query's sampled top-``k`` orders, stacked over the queries with
+    contexts. Query ``q`` samples from ``default_rng([seed, q])``, which
+    takes no negative number, so a negative seed or qid raises ConfigError.
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    psets = []
+    for group in dataset.groups:
+        if group.query_id < 0:
+            raise ConfigError(f"qid:{group.query_id} is negative; training needs qid >= 0")
+        rng = np.random.default_rng([seed, group.query_id])
+        psets.append(build_permutations(group, k, objectives, rng))
+    return QueryContexts.stack([p for p in psets if p.num_contexts])
+
+
 def train(
     dataset: Dataset,
     config: TrainConfig,
@@ -149,14 +165,7 @@ def train(
         scores = np.zeros(n_docs, dtype=np.float64)
 
     if config.loss == "plrank":
-        psets = (
-            build_permutations(
-                group, config.top_k, config.objectives,
-                np.random.default_rng([config.seed, group.query_id]),
-            )
-            for group in dataset.groups
-        )
-        contexts = QueryContexts.stack([p for p in psets if p.num_contexts])
+        contexts = sample_contexts(dataset, config.top_k, config.objectives, config.seed)
         if not contexts.num_contexts:
             raise ConfigError(
                 "likelihood loss needs at least one query with 2+ documents"

@@ -18,9 +18,11 @@ from typing import Callable
 
 import numpy as np
 
+from .booster import sample_contexts
 from .data import Dataset, dense_features
 from .errors import ConfigError, ValidationError
-from .permutation import build_permutations
+# Not called here; perfbench/layers.py hooks this name, so it stays importable.
+from .permutation import build_permutations  # noqa: F401
 from .pl_objective import QueryContexts, log_likelihood, pseudo_response
 from .tree import _feature_rows
 
@@ -74,10 +76,7 @@ def _query_contexts(
 
     Rows of queries without contexts meet only zero gradient entries.
     """
-    psets = [build_permutations(g, k, objectives, np.random.default_rng([seed, g.query_id]))
-             for g in dataset.groups]
-    contexts = QueryContexts.stack([p for p in psets if p.num_contexts])
-    return dense_features(dataset, width), contexts
+    return dense_features(dataset, width), sample_contexts(dataset, k, objectives, seed)
 
 
 def _objective_and_gradient(

@@ -9,15 +9,17 @@ form one flat list, and only they get a gain. Candidate thresholds are
 midpoints between consecutive distinct sorted feature values by default (the
 lower value where the midpoint would overflow or round onto the upper one).
 A training run sorts the columns once and ranks each column's distinct
-values (:func:`sort_columns`). Every split hands each child its share of the
-parent's sorted rows and their ranks, so no node sorts, and a cut lies
-wherever the rank rises between two sorted neighbours. The tree search
-knows each training row's leaf, so the caller gets those leaf positions
-without routing the rows again, and it can set the leaf outputs before the
-one build of the tree. An optional histogram mode trades exactness for
-speed: a training run codes each column once into at most B quantile bins
-(:func:`bin_columns`), and a node counts its rows and adds their responses
-per bin with two ``bincount`` calls, cutting after each bin it fills.
+values (:func:`sort_columns`). Each node of a tree is a span of one row
+index, which a split partitions in place by ``value <= threshold`` on the
+table; in exact mode it partitions one copy of the sorted rows and their
+ranks alike, so no node sorts, and a cut lies wherever the rank rises
+between two sorted neighbours. The tree search knows each training row's
+leaf, so the caller gets those leaf positions without routing the rows
+again, and it can set the leaf outputs before the one build of the tree. An
+optional histogram mode trades exactness for speed: a training run codes
+each column once into at most B quantile bins (:func:`bin_columns`), and a
+node counts its rows and adds their responses per bin with two ``bincount``
+calls, cutting after each bin it fills.
 
 A tree is one preorder node table (:class:`RegressionTree`): fitting emits
 it, the model file is it line for line, and prediction routes every row
@@ -29,6 +31,7 @@ path rejects NaN in its input.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar
@@ -221,11 +224,12 @@ class Ensemble:
 class SortedColumns:
     """Rows of a feature matrix sorted per column: what exact split search reads.
 
-    ``values`` is the (features x rows) float64 matrix and ``order`` each
-    column's row ids sorted by value, ties by row id, as int32. ``ranks``
-    holds each column's dense int32 value ranks in that sorted order, so two
-    sorted neighbours tie exactly when their ranks are equal. A node of a
-    tree holds its own share of ``order`` and ``ranks`` (:meth:`compress`)
+    ``values`` is the (features x rows) float64 matrix, a transposed view of
+    the table, and ``order`` each column's row ids sorted by value, ties by
+    row id, as int32. ``ranks`` holds each column's dense int32 value ranks
+    in that sorted order, so two sorted neighbours tie exactly when their
+    ranks are equal. A tree node reads its own (features x node rows) span
+    of a partitioned copy of ``order`` and ``ranks`` (see :func:`fit_tree`)
     beside the whole of ``values``.
     """
 
@@ -234,32 +238,15 @@ class SortedColumns:
     ranks: np.ndarray
     bins: ClassVar[int] = 0  # exact search
 
-    def compress(self, kept: np.ndarray) -> "SortedColumns":
-        """The share of the rows where ``kept``, a mask aligned with ``order``, is set."""
-        m, mask = self.order.shape[0], kept.ravel()
-        return SortedColumns(self.values, np.compress(mask, self.order).reshape(m, -1),
-                             np.compress(mask, self.ranks).reshape(m, -1))
-
-    def rank_changes(self, lo: int, hi: int) -> np.ndarray:
-        """(features x rows) mask, set at ``j`` in ``lo..hi - 1`` where the
-        value rank rises from sorted row ``j`` to ``j + 1``."""
-        changed = np.zeros(self.order.shape, dtype=bool)
-        np.not_equal(self.ranks[:, lo + 1 : hi + 1], self.ranks[:, lo:hi], out=changed[:, lo:hi])
-        return changed
-
-    def goes_left(self, feature: int, threshold: float) -> np.ndarray:
-        """Which rows ``value <= threshold`` routes left on ``feature``."""
-        return self.values[feature] <= threshold
-
 
 def sort_columns(X: np.ndarray) -> SortedColumns:
     """Sort every column of ``X`` once, ties by row id, and rank its values.
 
     A training run builds this once and hands it to every :func:`fit_tree`,
-    whose splits partition it down the tree, so no node sorts or compares
-    float values to find ties.
+    whose splits partition a copy of it down the tree, so no node sorts or
+    compares float values to find ties. ``values`` is ``X.T``, not a copy.
     """
-    values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    values = np.asarray(X, dtype=np.float64).T
     m, n = values.shape
     order = np.empty((m, n), dtype=np.int32)
     ranks = np.zeros((m, n), dtype=np.int32)
@@ -288,13 +275,6 @@ class BinnedColumns:
     keys: np.ndarray
     thresholds: np.ndarray
     bins: int
-
-    def goes_left(self, feature: int, threshold: float) -> np.ndarray:
-        """Which rows ``value <= threshold`` routes left on ``feature``, for a
-        threshold of the table: their bins are at most its bin."""
-        width = self.thresholds.shape[1]
-        top = feature * width + int(np.searchsorted(self.thresholds[feature], threshold))
-        return self.keys[feature] <= top
 
 
 def bin_columns(X: np.ndarray, bins: int) -> BinnedColumns:
@@ -406,7 +386,9 @@ def _best_split(
     # puts its first j + 1 sorted documents left; lo..hi keeps min_leaf_docs
     # on each side.
     lo, hi = min_leaf_docs - 1, n - min_leaf_docs
-    cuts = np.flatnonzero(columns.rank_changes(lo, hi))
+    changed = np.zeros(columns.order.shape, dtype=bool)
+    np.not_equal(columns.ranks[:, lo + 1 : hi + 1], columns.ranks[:, lo:hi], out=changed[:, lo:hi])
+    cuts = np.flatnonzero(changed)
     left_sum = y.take(columns.order)
     np.cumsum(left_sum, axis=1, out=left_sum)
     left_sum = left_sum.ravel().take(cuts)
@@ -424,14 +406,6 @@ def _best_split(
     return gain, feat, threshold
 
 
-@dataclass
-class _Growable:
-    node: int  # creation order, the tie-break across leaves
-    idx: np.ndarray
-    columns: SortedColumns | BinnedColumns | None  # exact mode: the node's share
-    split: tuple[float, int, float]
-
-
 def fit_tree(
     features: np.ndarray,
     responses: np.ndarray,
@@ -446,17 +420,21 @@ def fit_tree(
     """Fit an L-leaf tree to per-document responses by squared-error splits.
 
     ``columns`` is what a caller fitting many trees to the same matrix
-    builds once; without it, it is built here. Exact search (``bins == 0``)
-    walks each column in sorted order: ``columns`` is :func:`sort_columns`
-    of ``features``. A split hands each child its share of the parent's
-    sorted rows and value ranks, so nothing is sorted again, and ties are
-    equal neighbouring ranks. ``bins >= 2`` searches histograms of at most
-    that many quantile bins per feature, fixed for the run: ``columns`` is
-    :func:`bin_columns` of ``features`` with the same ``bins``, and each
-    node counts its rows' codes (a speed knob for large data, off by
-    default). The two children of the split that fills the leaf budget are
-    not searched. Nodes are numbered in creation order while the tree grows
-    and renumbered into the preorder table once it is done.
+    builds once, and only read; without it, it is built here. Each node is a
+    span of one row index, ``arange(n)``: a split sends rows left by ``value
+    <= threshold`` on ``features``, as prediction does, and partitions its
+    span in place and stably, so a node's rows stay in increasing order.
+    Exact search (``bins == 0``) walks each column in sorted order:
+    ``columns`` is :func:`sort_columns` of ``features``, and the tree
+    partitions one copy of its ``order`` and ``ranks`` alike, so nothing is
+    sorted again, and ties are equal neighbouring ranks. ``bins >= 2``
+    searches histograms of at most that many quantile bins per feature,
+    fixed for the run: ``columns`` is :func:`bin_columns` of ``features``
+    with the same ``bins``, and each node counts its rows' codes (a speed
+    knob for large data, off by default). The two children of the split
+    that fills the leaf budget are not searched. Nodes are numbered in
+    creation order while the tree grows and renumbered into the preorder
+    table once it is done.
 
     The leaves output their mean responses, unless ``leaf_values(positions,
     means)`` gives the outputs: ``positions`` is every row's leaf position
@@ -484,73 +462,85 @@ def fit_tree(
     if leaf_of_row is not None and leaf_of_row.shape != y.shape:
         raise ValidationError("leaf_of_row must hold one entry per document")
 
+    # Node [lo, hi) holds rows[lo:hi] and, in exact mode, the (m x hi - lo)
+    # share order[m * lo : m * hi] and ranks[m * lo : m * hi].
+    n, m = X.shape
+    rows = np.arange(n)
+    if not bins:
+        order, ranks = columns.order.ravel().copy(), columns.ranks.ravel().copy()
+        goes_left = np.empty(n, dtype=bool)  # set for a split node's rows only
+
+    def share(lo: int, hi: int) -> SortedColumns | BinnedColumns:
+        if bins:
+            return columns
+        shape = (m, hi - lo)
+        return SortedColumns(columns.values, order[m * lo : m * hi].reshape(shape),
+                             ranks[m * lo : m * hi].reshape(shape))
+
     # Creation-order columns of the table; a split's children are created
-    # together, so node k's right child is first_child[k] + 1. A leaf keeps
-    # its documents.
+    # together, so node k's right child is first_child[k] + 1.
     feature: list[int] = []
     threshold: list[float] = []
     first_child: list[int] = []
-    rows: list[np.ndarray | None] = []
+    size: list[int] = []
+    frontier: list[tuple[float, int, int, int, int, float]] = []  # (-gain, node, lo, hi, split)
 
-    def grow(
-        idx: np.ndarray, share: SortedColumns | BinnedColumns | None, search: bool
-    ) -> _Growable | None:
+    def grow(lo: int, hi: int, search: bool) -> None:
         feature.append(-1)
         threshold.append(0.0)
         first_child.append(-1)
-        rows.append(idx)
-        split = _best_split(y, idx, share, min_leaf_docs) if search else None
-        return None if split is None else _Growable(len(rows) - 1, idx, share, split)
+        size.append(hi - lo)
+        split = _best_split(y, rows[lo:hi], share(lo, hi), min_leaf_docs) if search else None
+        if split is not None:
+            # Creation order breaks ties in gain.
+            heapq.heappush(frontier, (-split[0], len(size) - 1, lo, hi, split[1], split[2]))
 
-    root = grow(np.arange(X.shape[0]), columns, True)
-    frontier = [root] if root is not None else []
+    grow(0, n, True)
     leaf_count = 1
-
     while leaf_count < leaf_limit and frontier:
-        pick = min(range(len(frontier)), key=lambda i: (-frontier[i].split[0], frontier[i].node))
-        entry = frontier.pop(pick)
-        _, feat, cut = entry.split
-        k = entry.node
-        feature[k], threshold[k], first_child[k] = feat, cut, len(rows)
-        rows[k] = None  # only leaves' rows are read once the tree is grown
+        _, k, lo, hi, feat, cut = heapq.heappop(frontier)
+        feature[k], threshold[k], first_child[k] = feat, cut, len(size)
         leaf_count += 1
         # Nothing reads the splits of the two children that fill the budget.
         search = leaf_count < leaf_limit
-        goes_left = columns.goes_left(feat, cut)
-        left = goes_left.take(entry.idx)
-        kept = None  # which sorted rows go left; only searched exact children need it
+        node = rows[lo:hi]
+        left = X[node, feat] <= cut
+        mid = lo + int(np.count_nonzero(left))
         if search and not bins:
-            kept = goes_left.take(entry.columns.order)
-        for side, sorted_side in ((left, kept), (~left, kept if kept is None else ~kept)):
-            idx = entry.idx[side]
-            share = columns if bins else None
-            if sorted_side is not None and idx.size >= 2 * min_leaf_docs:
-                share = entry.columns.compress(sorted_side)
-            child = grow(idx, share, search)
-            if child is not None:
-                frontier.append(child)
+            goes_left[node] = left
+            kept = goes_left.take(order[m * lo : m * hi])
+            for table in (order, ranks):
+                span = table[m * lo : m * hi]
+                right = np.compress(~kept, span)
+                span[: m * (mid - lo)] = np.compress(kept, span)
+                span[m * (mid - lo) :] = right
+        rows[lo:hi] = np.concatenate((np.compress(left, node), np.compress(~left, node)))
+        grow(lo, mid, search)
+        grow(mid, hi, search)
 
-    order: list[int] = []
+    preorder: list[int] = []
     stack = [0]
     while stack:
         k = stack.pop()
-        order.append(k)
+        preorder.append(k)
         if first_child[k] >= 0:
             stack += (first_child[k] + 1, first_child[k])
-    leaves = [k for k in order if first_child[k] < 0]
+    # In preorder the leaves' spans tile ``rows`` from the start.
+    leaves = [k for k in preorder if first_child[k] < 0]
+    sizes = [size[k] for k in leaves]
     positions = np.empty(y.size, dtype=np.intp) if leaf_of_row is None else leaf_of_row
-    for position, k in enumerate(leaves):
-        positions[rows[k]] = position
-    means = np.array([y[rows[k]].mean() for k in leaves])
-    feature_column = np.array(feature)[order]
+    positions[rows] = np.repeat(np.arange(len(leaves)), sizes)
+    starts = np.cumsum([0] + sizes).tolist()
+    means = np.array([y[rows[a:b]].mean() for a, b in zip(starts, starts[1:])])
+    feature_column = np.array(feature)[preorder]
     is_leaf = feature_column < 0
-    value = np.zeros(len(order))
+    value = np.zeros(len(preorder))
     value[is_leaf] = means if leaf_values is None else leaf_values(positions, means)
-    count = np.zeros(len(order), dtype=np.int64)
-    count[is_leaf] = [rows[k].size for k in leaves]
+    count = np.zeros(len(preorder), dtype=np.int64)
+    count[is_leaf] = sizes
     return RegressionTree(
         feature=feature_column,
-        threshold=np.array(threshold)[order],
+        threshold=np.array(threshold)[preorder],
         value=value,
         count=count,
     )

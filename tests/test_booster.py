@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from plrank import (
     evaluate,
     mart_response,
     train,
+    train_linear,
 )
 from plrank.data import dense_features
 from plrank.model_io import dumps_ensemble
@@ -79,6 +82,22 @@ def test_plrank_rejects_dataset_without_rankable_queries():
     ds = make_dataset([(1, [(1, {1: 0.0})]), (2, [(0, {1: 1.0})])])
     with pytest.raises(ConfigError):
         train(ds, small_config())
+
+
+@pytest.mark.parametrize("trainer", [
+    lambda ds, seed: train(ds, small_config(trees=1, seed=seed)),
+    lambda ds, seed: train_linear(ds, k=10, iterations=1, seed=seed),
+], ids=["plrank", "listmle-linear"])
+@pytest.mark.parametrize("qid, seed, message", [
+    (-5, 42, "qid:-5 is negative"),
+    (3, -1, "seed must be >= 0, got -1"),
+])
+def test_sampling_rejects_a_negative_seed_or_query_id(trainer, qid, seed, message):
+    """Each query samples from default_rng([seed, qid]), which takes no negative number."""
+    ds = make_dataset([(7, [(1, {1: 0.5}), (0, {1: 0.25})]),
+                       (qid, [(2, {1: 1.0}), (0, {1: 0.0})])])
+    with pytest.raises(ConfigError, match=message):
+        trainer(ds, seed)
 
 
 def test_empty_dataset_rejected():
@@ -200,3 +219,18 @@ def test_on_iteration_callback():
     train(ds, small_config(trees=3), on_iteration=seen.append)
     assert len(seen) == 3
     assert all(line.startswith("iter=") for line in seen)
+
+
+def test_exact_training_peak_memory_is_a_small_multiple_of_the_table():
+    """A tree partitions one copy of the sorted columns and reads the table
+    itself, rather than a feature-major copy and a share per frontier node."""
+    ds = thresholded_linear_dataset(n_queries=60, n_docs=50, n_features=46, seed=5,
+                                    decimals=0)
+    tracemalloc.start()
+    try:
+        train(ds, small_config(trees=3, leaves=30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (3000, 46)
+    assert peak <= 5 * ds.features.nbytes

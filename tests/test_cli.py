@@ -128,6 +128,37 @@ def test_exit_code_single_doc_queries(tmp_path, capsys):
     capsys.readouterr()
 
 
+NEGATIVE_QID = "2 qid:-5 1:1.0 2:0.5\n0 qid:-5 1:0.0 2:0.25\n1 qid:3 1:0.5\n0 qid:3 2:1.0\n"
+
+
+@pytest.mark.parametrize("loss", ["plrank", "listmle-linear"])
+@pytest.mark.parametrize("negative, flags, message", [
+    (True, [], "error: qid:-5 is negative"),
+    (False, ["--seed", "-1"], "error: seed must be >= 0, got -1"),
+])
+def test_exit_code_negative_seed_or_query_id(tmp_path, train_file, capsys, loss, negative,
+                                             flags, message):
+    data = tmp_path / "negative.txt"
+    data.write_text(NEGATIVE_QID)
+    argv = ["train", "--train", str(data) if negative else train_file, "--loss", loss,
+            "--trees", "1", *flags, "--out", str(tmp_path / "model.txt")]
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_negative_query_ids_predict_and_evaluate(tmp_path, train_file, capsys):
+    data = tmp_path / "negative.txt"
+    data.write_text(NEGATIVE_QID)
+    model, scores = tmp_path / "model.txt", tmp_path / "scores.txt"
+    assert run(["train", "--train", train_file, "--trees", "2", "--leaves", "2",
+                "--out", str(model)]) == 0
+    assert run(["predict", "--model", str(model), "--data", str(data),
+                "--out", str(scores)]) == 0
+    assert len(scores.read_text().splitlines()) == 4
+    assert run(["evaluate", "--data", str(data), "--scores", str(scores)]) == 0
+    assert "NDCG@10" in capsys.readouterr().out
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     assert run(["train", "--train", str(tmp_path / "absent.txt"),
                 "--out", str(tmp_path / "m.txt")]) == 4

@@ -180,6 +180,22 @@ def test_fit_validates_inputs():
         fit_tree(X, np.zeros(3), 2, leaf_of_row=np.zeros(2, dtype=np.intp))
 
 
+def test_fits_leave_the_callers_columns_alone():
+    """Every fit partitions its own copy of the index, so one sort_columns or
+    bin_columns result serves any number of trees."""
+    rng = np.random.default_rng(21)
+    X = np.round(rng.normal(size=(300, 6)), 1)
+    columns = {0: sort_columns(X), 16: bin_columns(X, 16)}
+    tables = (columns[0].order, columns[0].ranks, columns[16].keys)
+    before = [table.tobytes() for table in tables]
+    for seed in range(4):
+        y = np.random.default_rng(seed).normal(size=300)
+        for bins, shared in columns.items():
+            assert fit_tree(X, y, 8, 2, bins, columns=shared) == fit_tree(X, y, 8, 2, bins)
+    assert [table.tobytes() for table in tables] == before
+    assert np.shares_memory(sort_columns(X).values, X)
+
+
 def test_predict_single_leaf_any_row():
     tree = build_tree(2.5)
     assert predict_tree_row(tree, [123.0, -4.0]) == 2.5
