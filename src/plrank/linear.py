@@ -21,8 +21,7 @@ import numpy as np
 from .booster import sample_contexts
 from .data import Dataset, dense_features
 from .errors import ConfigError, ValidationError
-# Not called here; perfbench/layers.py hooks this name, so it stays importable.
-from .permutation import build_permutations  # noqa: F401
+from .permutation import build_permutations  # noqa: F401  (perfbench/layers.py hooks it)
 from .pl_objective import QueryContexts, log_likelihood, pseudo_response
 from .tree import _feature_rows
 

@@ -224,13 +224,12 @@ class Ensemble:
 class SortedColumns:
     """Rows of a feature matrix sorted per column: what exact split search reads.
 
-    ``values`` is the (features x rows) float64 matrix, a transposed view of
-    the table, and ``order`` each column's row ids sorted by value, ties by
-    row id, as int32. ``ranks`` holds each column's dense int32 value ranks
-    in that sorted order, so two sorted neighbours tie exactly when their
-    ranks are equal. A tree node reads its own (features x node rows) span
-    of a partitioned copy of ``order`` and ``ranks`` (see :func:`fit_tree`)
-    beside the whole of ``values``.
+    ``values`` is the (features x rows) float64 matrix, a view of the table,
+    and ``order`` each column's row ids sorted by value, ties by row id, as
+    int32. ``ranks`` holds each column's dense int32 value ranks in that
+    sorted order, so two sorted neighbours tie exactly when their ranks are
+    equal. Each tree partitions its own copy of ``order`` and ``ranks``
+    (:func:`fit_tree`).
     """
 
     values: np.ndarray
@@ -406,6 +405,13 @@ def _best_split(
     return gain, feat, threshold
 
 
+def _partition(span: np.ndarray, first: np.ndarray) -> None:
+    """Stably move the entries of ``span`` where ``first`` is set to its front."""
+    rest = span.compress(~first)
+    span[: span.size - rest.size] = span.compress(first)
+    span[span.size - rest.size :] = rest
+
+
 def fit_tree(
     features: np.ndarray,
     responses: np.ndarray,
@@ -420,21 +426,20 @@ def fit_tree(
     """Fit an L-leaf tree to per-document responses by squared-error splits.
 
     ``columns`` is what a caller fitting many trees to the same matrix
-    builds once, and only read; without it, it is built here. Each node is a
-    span of one row index, ``arange(n)``: a split sends rows left by ``value
-    <= threshold`` on ``features``, as prediction does, and partitions its
-    span in place and stably, so a node's rows stay in increasing order.
-    Exact search (``bins == 0``) walks each column in sorted order:
-    ``columns`` is :func:`sort_columns` of ``features``, and the tree
-    partitions one copy of its ``order`` and ``ranks`` alike, so nothing is
-    sorted again, and ties are equal neighbouring ranks. ``bins >= 2``
-    searches histograms of at most that many quantile bins per feature,
-    fixed for the run: ``columns`` is :func:`bin_columns` of ``features``
-    with the same ``bins``, and each node counts its rows' codes (a speed
-    knob for large data, off by default). The two children of the split
-    that fills the leaf budget are not searched. Nodes are numbered in
-    creation order while the tree grows and renumbered into the preorder
-    table once it is done.
+    builds once, and it is only read; without it, it is built here. Each
+    node is a span of one row index, which its split partitions in place by
+    ``value <= threshold`` on ``features``, as prediction routes, and
+    stably, so a node's rows stay in increasing order. Exact search
+    (``bins == 0``) walks each column in sorted order: ``columns`` is
+    :func:`sort_columns` of ``features``, and each tree partitions one copy
+    of its ``order`` and ``ranks`` alike, so nothing is sorted again, and
+    ties are equal neighbouring ranks. ``bins >= 2`` searches histograms of
+    at most that many quantile bins per feature, fixed for the run:
+    ``columns`` is :func:`bin_columns` of ``features`` with the same
+    ``bins``, and each node counts its rows' codes (a speed knob for large
+    data, off by default). The two children of the split that fills the leaf
+    budget are not searched. Nodes are numbered in creation order while the
+    tree grows and renumbered into the preorder table once it is done.
 
     The leaves output their mean responses, unless ``leaf_values(positions,
     means)`` gives the outputs: ``positions`` is every row's leaf position
@@ -509,12 +514,9 @@ def fit_tree(
         if search and not bins:
             goes_left[node] = left
             kept = goes_left.take(order[m * lo : m * hi])
-            for table in (order, ranks):
-                span = table[m * lo : m * hi]
-                right = np.compress(~kept, span)
-                span[: m * (mid - lo)] = np.compress(kept, span)
-                span[m * (mid - lo) :] = right
-        rows[lo:hi] = np.concatenate((np.compress(left, node), np.compress(~left, node)))
+            _partition(order[m * lo : m * hi], kept)
+            _partition(ranks[m * lo : m * hi], kept)
+        _partition(node, left)
         grow(lo, mid, search)
         grow(mid, hi, search)
 
