@@ -200,9 +200,9 @@ def train(
         if config.init_model is not None:
             valid_scores = predict_ensemble_matrix(config.init_model, valid_X)
 
-    def newton_values(leaf_of_row: np.ndarray, means: np.ndarray) -> np.ndarray:
+    def newton_values(leaf_of_row: np.ndarray, leaf_count: int) -> np.ndarray:
         # The leaf rule of the likelihood tree: Newton steps at this iteration's responses.
-        return newton_leaf_outputs(leaf_of_row, means.size, contexts, responses)
+        return newton_leaf_outputs(leaf_of_row, leaf_count, contexts, responses)
 
     leaf_values = newton_values if config.loss == "plrank" else None
     leaf_of_row = np.empty(n_docs, dtype=np.intp)

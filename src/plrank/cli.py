@@ -176,6 +176,8 @@ def _load_scores(path: str) -> np.ndarray:
             if not line:
                 continue
             try:
+                if "_" in line or not line.isascii():  # float reads both as digits
+                    raise ValueError(line)
                 value = float(line)
             except ValueError:
                 raise ValidationError(f"bad score {line!r}", lineno) from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Any, Callable, Iterable
 
 import numpy as np
 
@@ -62,9 +62,21 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, list[int], list[float]]:
+def _ascii(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``parse``, refusing the ``_`` and non-ASCII digits that ``int`` and ``float`` read."""
+    def read(text: str) -> Any:
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
+        return parse(text)
+    return read
+
+
+def _parse_line(tokens: list[str], lineno: int,
+                plain: bool) -> tuple[int, int, list[int], list[float]]:
+    """One data line's fields; ``plain`` says the line is ASCII and holds no ``_``."""
+    to_int, to_float = (int, float) if plain else (_ascii(int), _ascii(float))
     try:
-        grade = int(tokens[0])
+        grade = to_int(tokens[0])
     except ValueError:
         raise ParseError(f"bad relevance grade {tokens[0]!r}", lineno) from None
     if grade < 0:
@@ -75,7 +87,7 @@ def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, list[int], li
     if len(tokens) < 2 or not tokens[1].startswith("qid:"):
         raise ParseError("expected 'qid:<int>' after the grade", lineno)
     try:
-        qid = int(tokens[1][4:])
+        qid = to_int(tokens[1][4:])
     except ValueError:
         raise ParseError(f"bad qid field {tokens[1]!r}", lineno) from None
 
@@ -87,8 +99,8 @@ def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, list[int], li
         if not sep:
             raise ParseError(f"bad feature token {tok!r}", lineno)
         try:
-            idx = int(idx_s)
-            val = float(val_s)
+            idx = to_int(idx_s)
+            val = to_float(val_s)
         except ValueError:
             raise ParseError(f"bad feature token {tok!r}", lineno) from None
         if idx < 1:
@@ -127,7 +139,8 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        grade, qid, line_indices, line_values = _parse_line(tokens, lineno)
+        plain = raw.isascii() and "_" not in raw  # int and float read "_" and other digits
+        grade, qid, line_indices, line_values = _parse_line(tokens, lineno, plain)
         rows_of.setdefault(qid, []).append(len(grades))
         counts.append(len(line_indices))
         grades.append(grade)

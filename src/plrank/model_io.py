@@ -72,8 +72,7 @@ def dumps_ensemble(ensemble: Ensemble) -> str:
 
 
 _HEADER_RE = re.compile(r"^(\w+)=(.*)$")
-_LEAF_RE = re.compile(r"^L \d+ v=(\S+) n=(\d+)$")
-_NODE_RE = re.compile(r"^N \d+ f=(\d+) t=(\S+) l=\d+ r=\d+$")
+_NODE_RE = re.compile(r"L \d+ v=(\S+) n=(\d+)|N \d+ f=(\d+) t=(\S+) l=\d+ r=\d+")
 _TREE_RE = re.compile(r"^tree (\d+) nodes=(\d+)$")
 
 
@@ -147,26 +146,23 @@ def _require_canonical(text: str, canonical: str, form: str) -> None:
 def _parse_tree(block: list[str], offset: int, num_features: int) -> RegressionTree:
     """One tree's node lines (file lines ``offset + 1`` on) as its table.
 
-    Reads each line's kind and its ``f=``, ``t=``, ``v=`` and ``n=``. The
-    tree checks its own shape; a shape error names the ``tree`` line.
+    Reads each line's kind and its ``f=``, ``t=``, ``v=`` and ``n=`` as a
+    row. The tree checks its own shape; a shape error names the ``tree`` line.
     """
-    columns: tuple[list, ...] = ([], [], [], [])  # feature, threshold, value, count
+    rows = []  # (feature, threshold, value, count)
     for lineno, line in enumerate(block, start=offset + 1):
-        leaf = _LEAF_RE.match(line)
-        node = leaf or _NODE_RE.match(line)
-        if not node:
+        match = _NODE_RE.fullmatch(line)
+        if not match:
             raise ParseError(f"bad node record {line!r}", lineno)
-        if leaf:
-            row = -1, 0.0, _finite(leaf.group(1), lineno), int(leaf.group(2))
+        value, count, index, threshold = match.groups()
+        if index is None:
+            rows.append((-1, 0.0, _finite(value, lineno), int(count)))
+        elif 1 <= int(index) <= num_features:
+            rows.append((int(index) - 1, _finite(threshold, lineno), 0.0, 0))
         else:
-            index = int(node.group(1))
-            if not 1 <= index <= num_features:
-                raise ValidationError(f"feature index {index} outside 1..{num_features}", lineno)
-            row = index - 1, _finite(node.group(2), lineno), 0.0, 0
-        for column, entry in zip(columns, row):
-            column.append(entry)
+            raise ValidationError(f"feature index {int(index)} outside 1..{num_features}", lineno)
     try:
-        return RegressionTree(*columns)
+        return RegressionTree(*(zip(*rows) if rows else ((),) * 4))
     except ValidationError as exc:
         raise ValidationError(str(exc), offset) from None
 

@@ -21,12 +21,12 @@ each column once into at most B quantile bins (:func:`bin_columns`), and a
 node counts its rows and adds their responses per bin with two ``bincount``
 calls, cutting after each bin it fills.
 
-A tree is one preorder node table (:class:`RegressionTree`): fitting emits
-it, the model file is it line for line, and prediction routes every row
-through all trees of an ensemble together, one depth level per step. A tree
-is a read-only value, checked once when it is built; an :class:`Ensemble` is
-its trees and the routing table it stacks from them once. Every prediction
-path rejects NaN in its input.
+A tree is one preorder node table (:class:`RegressionTree`): fitting lists
+its nodes by span start, the larger span first; the model file is it line
+for line; and prediction routes every row through all trees of an ensemble
+together, one depth level per step. A tree is a read-only value, checked
+once when it is built; an :class:`Ensemble` is its trees and the routing
+table it stacks from them once. Every prediction path rejects NaN in its input.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ class Ensemble:
             if width > self.num_features:
                 i = int(np.argmax(tree.feature >= self.num_features))
                 raise ValidationError(
-                    f"tree {t} node {i + 1}: feature index {tree.feature[i] + 1} "
+                    f"tree {t} node {i}: feature index {tree.feature[i] + 1} "
                     f"outside 1..{self.num_features}"
                 )
         object.__setattr__(self, "_routing", _Routing.of(self.trees))
@@ -421,7 +421,7 @@ def fit_tree(
     *,
     columns: SortedColumns | BinnedColumns | None = None,
     leaf_of_row: np.ndarray | None = None,
-    leaf_values: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    leaf_values: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> RegressionTree:
     """Fit an L-leaf tree to per-document responses by squared-error splits.
 
@@ -438,14 +438,14 @@ def fit_tree(
     ``columns`` is :func:`bin_columns` of ``features`` with the same
     ``bins``, and each node counts its rows' codes (a speed knob for large
     data, off by default). The two children of the split that fills the leaf
-    budget are not searched. Nodes are numbered in creation order while the
-    tree grows and renumbered into the preorder table once it is done.
+    budget are not searched. A split puts its left child's rows first in its
+    span, so the table lists the nodes by span start, larger span first.
 
     The leaves output their mean responses, unless ``leaf_values(positions,
-    means)`` gives the outputs: ``positions`` is every row's leaf position
-    (its index among the leaves, in preorder, as :func:`apply_tree` numbers
-    them) and ``means`` the leaves' mean responses. ``leaf_of_row``, if
-    given, receives those positions. The tree is built once, when it is done.
+    leaf_count)`` gives them, and then no mean is computed: ``positions`` is
+    every row's leaf position (its index among the leaves, in preorder, as
+    :func:`apply_tree` numbers them). ``leaf_of_row``, if given, receives
+    those positions. The tree is built once, when it is done.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(responses, dtype=np.float64)
@@ -482,29 +482,23 @@ def fit_tree(
         return SortedColumns(columns.values, order[m * lo : m * hi].reshape(shape),
                              ranks[m * lo : m * hi].reshape(shape))
 
-    # Creation-order columns of the table; a split's children are created
-    # together, so node k's right child is first_child[k] + 1.
-    feature: list[int] = []
-    threshold: list[float] = []
-    first_child: list[int] = []
-    size: list[int] = []
+    # Each node in creation order: its span rows[start : start + size] and its
+    # split (feature -1 at a leaf).
+    nodes: list[tuple[int, int, int, float]] = []  # (start, size, feature, threshold)
     frontier: list[tuple[float, int, int, int, int, float]] = []  # (-gain, node, lo, hi, split)
 
     def grow(lo: int, hi: int, search: bool) -> None:
-        feature.append(-1)
-        threshold.append(0.0)
-        first_child.append(-1)
-        size.append(hi - lo)
+        nodes.append((lo, hi - lo, -1, 0.0))
         split = _best_split(y, rows[lo:hi], share(lo, hi), min_leaf_docs) if search else None
         if split is not None:
             # Creation order breaks ties in gain.
-            heapq.heappush(frontier, (-split[0], len(size) - 1, lo, hi, split[1], split[2]))
+            heapq.heappush(frontier, (-split[0], len(nodes) - 1, lo, hi, split[1], split[2]))
 
     grow(0, n, True)
     leaf_count = 1
     while leaf_count < leaf_limit and frontier:
         _, k, lo, hi, feat, cut = heapq.heappop(frontier)
-        feature[k], threshold[k], first_child[k] = feat, cut, len(size)
+        nodes[k] = lo, hi - lo, feat, cut
         leaf_count += 1
         # Nothing reads the splits of the two children that fill the budget.
         search = leaf_count < leaf_limit
@@ -520,31 +514,24 @@ def fit_tree(
         grow(lo, mid, search)
         grow(mid, hi, search)
 
-    preorder: list[int] = []
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        preorder.append(k)
-        if first_child[k] >= 0:
-            stack += (first_child[k] + 1, first_child[k])
-    # In preorder the leaves' spans tile ``rows`` from the start.
-    leaves = [k for k in preorder if first_child[k] < 0]
-    sizes = [size[k] for k in leaves]
+    # A split's span is its left child's, then its right child's, both non-empty:
+    # ordered by start, larger span first, the nodes are in preorder and the leaves tile rows.
+    start, size, feature, threshold = map(np.array, zip(*nodes))
+    preorder = np.lexsort((-size, start))
+    is_leaf = feature[preorder] < 0
+    leaf_size = size[preorder[is_leaf]]
     positions = np.empty(y.size, dtype=np.intp) if leaf_of_row is None else leaf_of_row
-    positions[rows] = np.repeat(np.arange(len(leaves)), sizes)
-    starts = np.cumsum([0] + sizes).tolist()
-    means = np.array([y[rows[a:b]].mean() for a, b in zip(starts, starts[1:])])
-    feature_column = np.array(feature)[preorder]
-    is_leaf = feature_column < 0
-    value = np.zeros(len(preorder))
-    value[is_leaf] = means if leaf_values is None else leaf_values(positions, means)
-    count = np.zeros(len(preorder), dtype=np.int64)
-    count[is_leaf] = sizes
+    positions[rows] = np.repeat(np.arange(leaf_count), leaf_size)
+    value = np.zeros(preorder.size)
+    if leaf_values is None:
+        value[is_leaf] = [part.mean() for part in np.split(y[rows], np.cumsum(leaf_size)[:-1])]
+    else:
+        value[is_leaf] = leaf_values(positions, leaf_count)
     return RegressionTree(
-        feature=feature_column,
-        threshold=np.array(threshold)[preorder],
+        feature=feature[preorder],
+        threshold=threshold[preorder],
         value=value,
-        count=count,
+        count=np.where(is_leaf, size[preorder], 0),
     )
 
 
@@ -630,7 +617,7 @@ class _Routing:
                 break
             if 2 * routed <= at.size:
                 node[live] = at
-                live, at, row_start = live[inner], at[inner], row_start[inner]
+                live, at, row_start = (a.compress(inner) for a in (live, at, row_start))
             goes_left = flat.take(row_start + self.column.take(at)) <= self.threshold.take(at)
             at = self.child.take(2 * at + goes_left)
         node[live] = at

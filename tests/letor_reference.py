@@ -44,9 +44,16 @@ class Dataset:
         return sum(len(g.documents) for g in self.groups)
 
 
+def _number(parse, text: str):
+    """``parse(text)``, refusing the ``_`` and non-ASCII digits int and float accept."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return parse(text)
+
+
 def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, dict[int, float]]:
     try:
-        grade = int(tokens[0])
+        grade = _number(int, tokens[0])
     except ValueError:
         raise ParseError(f"bad relevance grade {tokens[0]!r}", lineno) from None
     if grade < 0:
@@ -57,7 +64,7 @@ def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, dict[int, flo
     if len(tokens) < 2 or not tokens[1].startswith("qid:"):
         raise ParseError("expected 'qid:<int>' after the grade", lineno)
     try:
-        qid = int(tokens[1][4:])
+        qid = _number(int, tokens[1][4:])
     except ValueError:
         raise ParseError(f"bad qid field {tokens[1]!r}", lineno) from None
 
@@ -67,8 +74,8 @@ def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, dict[int, flo
         if not sep:
             raise ParseError(f"bad feature token {tok!r}", lineno)
         try:
-            idx = int(idx_s)
-            val = float(val_s)
+            idx = _number(int, idx_s)
+            val = _number(float, val_s)
         except ValueError:
             raise ParseError(f"bad feature token {tok!r}", lineno) from None
         if idx < 1:

@@ -202,6 +202,17 @@ def test_exit_code_unreadable_score(tmp_path, train_file, capsys):
     assert "line 3: bad score 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "0.\uff15"])
+def test_exit_code_score_with_underscore_or_non_ascii_digit(tmp_path, train_file, capsys, text):
+    # float reads "1_0" as 10.0 and "\u0663" as 3.0.
+    lines = ["0.5"] * len(Path(train_file).read_text().splitlines())
+    lines[0], lines[2] = "\u20030.25", text  # Unicode whitespace still strips
+    scores = tmp_path / "scores.txt"
+    scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["evaluate", "--data", train_file, "--scores", str(scores)]) == 3
+    assert f"line 3: bad score {text!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--train", "--data", "--scores", "--model"])
 def test_exit_code_bytes_not_utf8(tmp_path, train_file, capsys, flag):
     model, scores = tmp_path / "model.txt", tmp_path / "scores.txt"

@@ -78,7 +78,9 @@ def test_crlf_lines():
 
 @pytest.mark.parametrize(
     "line",
-    ["x qid:1 1:1.0", "1 qid:x 1:1.0", "1 1:1.0", "1 qid:1 1:abc", "1 qid:1 5"],
+    ["x qid:1 1:1.0", "1 qid:x 1:1.0", "1 1:1.0", "1 qid:1 1:abc", "1 qid:1 5",
+     # int and float read "_" and non-ASCII digits: "1_0:0_5" once stored 5.0 in feature 10.
+     "1 qid:1 1_0:0_5", "\u0663 qid:1 1:1.0", "1 qid:\u0661 1:1.0", "1\u2003qid:1 2:\uff15"],
 )
 def test_malformed_lines_raise_parse_error_with_lineno(line):
     with pytest.raises(ParseError) as exc:
@@ -316,7 +318,7 @@ VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                      1e308, -1e308, 1.7976931348623157e308]),
 )
-FILLER = st.sampled_from(["", "   ", "# a comment", "\t# 1 qid:1 2:3"])
+FILLER = st.sampled_from(["", "   ", "# a comment", "\t# 1 qid:1 2:3", "# 1_0 \u0663"])
 
 
 @st.composite
@@ -327,8 +329,8 @@ def document_lines(draw):
     indices = draw(st.lists(st.integers(1, 9), unique=True, max_size=6))
     spell = draw(st.sampled_from([repr, lambda v: f"{v:.17g}", lambda v: f"{v:e}"]))
     tokens = [str(grade), f"qid:{qid}", *(f"{i}:{spell(draw(VALUES))}" for i in indices)]
-    comment = draw(st.sampled_from(["", " # doc", "#x 1:2"]))
-    return draw(st.sampled_from([" ", "\t", "  "])).join(tokens) + comment
+    comment = draw(st.sampled_from(["", " # doc", "#x 1:2", " # 1_0:\u0663"]))
+    return draw(st.sampled_from([" ", "\t", "  ", "\u2003"])).join(tokens) + comment
 
 
 # A line that breaks one rule, or two at once: the first in token order wins,
@@ -340,6 +342,10 @@ BAD_LINES = st.sampled_from([
     "1 qid:1 2:1.0 2:3.0", "1 qid:1 1:nan", "1 qid:1 2:inf", "1 qid:1 3:-inf",
     "1 qid:1 4:1e309", "1 qid:1 1:nan 2:x", "1 qid:1 1:0.5 1:x", "1 qid:1 2:x 1:nan",
     "1 qid:1 0:x", "1 qid:1 3:1.0 0:1.0 3:2.0", "1 qid:1 2:1.0 2:nan",
+    # int and float read "_" between digits and non-ASCII digits; the format does not.
+    "1_0 qid:1", "\u0663 qid:1 1:1.0", "1 qid:1_0 1:1.0", "1 qid:\u0661 1:1.0",
+    "1 qid:1 1_0:0.5", "1 qid:1 1:0_5", "1 qid:1 1:\u0665", "1 qid:1\u20031:\uff15",
+    "1 qid:1 1:nan 2:1_0", "1 qid:1 2:1_0 1:nan", "1 qid:1 1:0.5 1:\u0665 # n_\xe9",
 ])
 
 

@@ -248,7 +248,7 @@ def test_feature_count_defaults_to_the_highest_split():
     assert Ensemble(trees=[stump], num_features=5).num_features == 5
 
 
-@pytest.mark.parametrize("features, node, index", [(0, 1, 1), (1, 3, 3), (2, 3, 3)])
+@pytest.mark.parametrize("features, node, index", [(0, 0, 1), (1, 2, 3), (2, 2, 3)])
 def test_split_past_the_feature_count_rejected(features, node, index):
     # These once built and saved a file that load rejected.
     trees = [build_tree(0.5), build_tree((0, 0.0, 1.0, (2, 0.5, 1.0, -1.0)))]
