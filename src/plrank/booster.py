@@ -151,10 +151,13 @@ def train(
     if not dataset.groups:
         raise ConfigError("training dataset has no queries")
 
-    width = dataset.max_feature_index
+    # The model covers the data and the warm start's declared features; the
+    # rows need only the data and the columns the warm start's splits read.
+    width = reads = dataset.max_feature_index
     if config.init_model is not None:
         width = max(width, config.init_model.num_features)
-    X = dense_features(dataset, width)
+        reads = max(reads, config.init_model.split_width)
+    X = dense_features(dataset, reads)
     n_docs = X.shape[0]
     bins = config.histogram_bins
     columns = bin_columns(X, bins) if bins else sort_columns(X)
@@ -194,7 +197,7 @@ def train(
         # Extra validation columns are harmless: trees only route on columns
         # seen during training.
         valid_X = dense_features(
-            valid_dataset, max(width, valid_dataset.max_feature_index)
+            valid_dataset, max(reads, valid_dataset.max_feature_index)
         )
         valid_scores = np.zeros(valid_X.shape[0], dtype=np.float64)
         if config.init_model is not None:

@@ -146,13 +146,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _dataset_scores(model: Ensemble | LinearModel, dataset: Dataset, strict: bool) -> np.ndarray:
-    model_width = model.num_features if isinstance(model, Ensemble) else model.weights.size
+    if isinstance(model, Ensemble):
+        model_width, reads = model.num_features, model.split_width
+    else:
+        model_width = reads = model.weights.size
     if strict and dataset.max_feature_index > model_width:
         raise ValidationError(
             f"data uses feature index {dataset.max_feature_index}, "
             f"model covers only {model_width}"
         )
-    X = dense_features(dataset, max(model_width, dataset.max_feature_index))
+    # Rows as wide as the model reads: a header may declare far more features.
+    X = dense_features(dataset, max(reads, dataset.max_feature_index))
     if isinstance(model, Ensemble):
         return predict_ensemble_matrix(model, X)
     return model.predict_matrix(X)

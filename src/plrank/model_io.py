@@ -74,6 +74,7 @@ def dumps_ensemble(ensemble: Ensemble) -> str:
 _HEADER_RE = re.compile(r"^(\w+)=(.*)$")
 _NODE_RE = re.compile(r"L \d+ v=(\S+) n=(\d+)|N \d+ f=(\d+) t=(\S+) l=\d+ r=\d+")
 _TREE_RE = re.compile(r"^tree (\d+) nodes=(\d+)$")
+_INT64_MAX = int(np.iinfo(np.int64).max)  # a node's f= and n= are stored as int64
 
 
 def parse_ensemble(text: str) -> Ensemble:
@@ -155,12 +156,16 @@ def _parse_tree(block: list[str], offset: int, num_features: int) -> RegressionT
         if not match:
             raise ParseError(f"bad node record {line!r}", lineno)
         value, count, index, threshold = match.groups()
-        if index is None:
-            rows.append((-1, 0.0, _finite(value, lineno), int(count)))
-        elif 1 <= int(index) <= num_features:
-            rows.append((int(index) - 1, _finite(threshold, lineno), 0.0, 0))
-        else:
+        if index is not None and not 1 <= int(index) <= num_features:
             raise ValidationError(f"feature index {int(index)} outside 1..{num_features}", lineno)
+        number = int(count or index)
+        if number > _INT64_MAX:
+            key = "n" if index is None else "f"
+            raise ValidationError(f"{key}={number} is past the 64-bit integer range", lineno)
+        if index is None:
+            rows.append((-1, 0.0, _finite(value, lineno), number))
+        else:
+            rows.append((number - 1, _finite(threshold, lineno), 0.0, 0))
     try:
         return RegressionTree(*(zip(*rows) if rows else ((),) * 4))
     except ValidationError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import QueryGroup
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,12 @@ def build_permutations(
     n = relevances.shape[0]
     depth = max(0, min(k, n - 1))  # positions that leave 2+ members
     seen: set[frozenset[int]] = set()
-    orders = np.empty((num_objectives, n), dtype=np.int32)
-    kept = np.zeros((num_objectives, depth), dtype=bool)
+    try:
+        orders = np.empty((num_objectives, n), dtype=np.int32)
+        kept = np.zeros((num_objectives, depth), dtype=bool)
+    except (MemoryError, ValueError, OverflowError):
+        raise ConfigError(f"objective count {num_objectives}: {num_objectives} orders of "
+                          f"{n} documents cannot be allocated") from None
     for s in range(num_objectives):
         orders[s] = sample_permutation(relevances, rng)
         placed = orders[s, :depth].tolist()

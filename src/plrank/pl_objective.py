@@ -201,6 +201,16 @@ class QueryContexts:
         mass = head_mass + workspace.tail_weights.reshape(-1, 1) * tail_mass[self.context_sample]
         return (mass * (mass - 1.0)).sum(axis=0)
 
+    def mean_rows(self, X: np.ndarray) -> np.ndarray:
+        """Per context, the mean of its members' rows of ``X`` weighed by
+        p(member | context) at the workspace; ``X`` has a row per global id."""
+        workspace = self.workspace
+        head = np.einsum("cw,cwf->cf", workspace.head_probs, X[self.context_head])
+        tail = X[self.tail]
+        tail *= workspace.tail_exp.reshape(-1, 1)
+        sums = np.add.reduceat(tail, self.tail_starts)
+        return head + workspace.tail_weights.reshape(-1, 1) * sums[self.context_sample]
+
 
 def _as_contexts(scores: np.ndarray, contexts: PermutationSet | QueryContexts) -> QueryContexts:
     if isinstance(contexts, PermutationSet):

@@ -219,6 +219,13 @@ class Ensemble:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
+    @property
+    def split_width(self) -> int:
+        """One past the highest feature a split routes on: the row width
+        scoring needs, which ``num_features`` may exceed."""
+        routing = self._routing
+        return int(routing.column.max(initial=-1, where=routing.split)) + 1
+
 
 @dataclass(frozen=True, eq=False)
 class SortedColumns:

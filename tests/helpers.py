@@ -29,6 +29,13 @@ def perfbench_modules(*names):
         sys.path.remove(perfbench)
 
 
+def one_leaf_model(features: int, count: int = 3) -> str:
+    """A model file of one one-leaf tree (output 0.5) under ``features=``."""
+    return ("plrank-model v1\nloss=plrank\nalpha=0.1\ntopk=10\n"
+            f"features={features}\ninit=0.0\ntrees=1\ntree 0 nodes=1\n"
+            f"L 0 v=0.5 n={count}\nend\n")
+
+
 def make_dataset(queries) -> Dataset:
     return parse_dataset(letor_text(queries))
 

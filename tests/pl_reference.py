@@ -12,7 +12,7 @@ with its own loop to a relative 1e-10.
 Contexts here are ``ContextSet`` values with query-local member indices; a
 query is a ``RefQuery`` that ties them to global document ids.
 
-Also here, at the end: two thin helpers only tests use, which call the
+Also here, at the end: three thin helpers only tests use, which call the
 library rather than the loops above.
 """
 
@@ -263,6 +263,20 @@ def linear_objective_and_gradient(
     return objective, gradient
 
 
+def linear_curvature(
+    weights: np.ndarray, terms: list[tuple[np.ndarray, list[ContextSet]]]
+) -> np.ndarray:
+    """The negated Hessian of the same objective, context by context:
+    the sum of X_c'(diag p - pp')X_c, plus I from the prior."""
+    curvature = np.eye(weights.size)
+    for X, contexts in terms:
+        for ctx in contexts:
+            members = X[np.asarray(ctx.member_indices, dtype=np.intp)]
+            probs = exact_softmax(members @ weights)
+            curvature += members.T @ (np.diag(probs) - np.outer(probs, probs)) @ members
+    return curvature
+
+
 def leaf_newton_value(leaf_docs, queries: list[pl_objective.QueryContexts]) -> float:
     """The library's Newton ratio L'(0)/L''(0); 0.0 when the direction is flat."""
     lprime, ldouble = pl_objective.leaf_newton_stats(leaf_docs, queries)
@@ -282,3 +296,12 @@ def library_linear_objective(
     weights = np.asarray(weights, dtype=np.float64)
     X, contexts = linear._query_contexts(dataset, k, objectives, seed, weights.size)
     return linear._objective_and_gradient(weights, X, contexts)
+
+
+def library_linear_curvature(
+    weights, dataset, k: int = 10, objectives: int = 1, seed: int = 42
+) -> np.ndarray:
+    """The matrix the linear trainer's Newton step solves against at ``weights``."""
+    weights = np.asarray(weights, dtype=np.float64)
+    X, contexts = linear._query_contexts(dataset, k, objectives, seed, weights.size)
+    return linear._curvature(weights, X, contexts)

@@ -13,7 +13,7 @@ from plrank import cli
 from plrank.cli import main
 from plrank.tree import predict_ensemble_matrix
 
-from helpers import letor_text, separable_dataset
+from helpers import letor_text, one_leaf_model, separable_dataset
 
 
 @pytest.fixture
@@ -256,6 +256,59 @@ def test_exit_code_bad_model_node(tmp_path, train_file, capsys, node):
     assert run(["predict", "--model", str(model), "--data", train_file,
                 "--out", str(tmp_path / "scores.txt")]) == 3
     assert "line 9" in capsys.readouterr().err
+
+
+HUGE = 10**20  # past int64, and too wide for any table
+
+
+@pytest.mark.parametrize("text, field", [
+    (one_leaf_model(3, count=HUGE - 1), f"n={HUGE - 1}"),
+    ("plrank-model v1\nloss=plrank\nalpha=0.1\ntopk=10\nfeatures=" f"{HUGE}\ninit=0.0\n"
+     f"trees=1\ntree 0 nodes=3\nN 0 f={HUGE - 1} t=0.5 l=1 r=2\n"
+     "L 1 v=1.0 n=1\nL 2 v=-1.0 n=1\nend\n", f"f={HUGE - 1}"),
+], ids=["count", "feature"])
+def test_exit_code_model_integer_past_int64(tmp_path, train_file, capsys, text, field):
+    """Both once exited 1 with an OverflowError traceback."""
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    assert run(["predict", "--model", str(model), "--data", train_file,
+                "--out", str(tmp_path / "scores.txt")]) == 3
+    assert f"line 9: {field} is past the 64-bit integer range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_wide_model_header_scores_at_the_width_the_model_reads(tmp_path, train_file, strict):
+    """Rows were once padded to the header's width, which no table can hold."""
+    model, scores = tmp_path / "wide.txt", tmp_path / "scores.txt"
+    model.write_text(one_leaf_model(HUGE))
+    assert run(["predict", *["--strict"] * strict, "--model", str(model),
+                "--data", train_file, "--out", str(scores)]) == 0
+    assert {float(v) for v in scores.read_text().split()} == {0.1 * 0.5}
+
+
+def test_warm_start_from_a_wide_header_keeps_its_width(tmp_path, train_file, capsys):
+    """The rows are as wide as the data and the warm start's splits; the
+    saved header still covers the warm start's declared features."""
+    width = load_dataset(train_file).max_feature_index
+    saved = []
+    for features in (width, HUGE):
+        init, out = tmp_path / f"init{features}.txt", tmp_path / f"out{features}.txt"
+        init.write_text(one_leaf_model(features))
+        assert run(["train", "--train", train_file, "--trees", "3", "--leaves", "4",
+                    "--init-model", str(init), "--out", str(out)]) == 0
+        saved.append(out.read_text())
+    capsys.readouterr()
+    assert f"\nfeatures={HUGE}\n" in saved[1]
+    assert saved[1].replace(f"features={HUGE}", f"features={width}") == saved[0]
+
+
+@pytest.mark.parametrize("loss", ["plrank", "listmle-linear"])
+def test_exit_code_objective_count_past_allocation(tmp_path, train_file, capsys, loss):
+    """It once exited 1 with numpy's ValueError from sampling the orders."""
+    assert run(["train", "--train", train_file, "--loss", loss, "--trees", "1",
+                "--objectives", str(HUGE), "--out", str(tmp_path / "model.txt")]) == 3
+    err = capsys.readouterr().err
+    assert f"objective count {HUGE}" in err and "cannot be allocated" in err
 
 
 @pytest.mark.parametrize("alpha, init, line", [

@@ -206,30 +206,52 @@ def test_refresh_reuses_the_softmax_of_equal_scores():
     assert not same_bits(second.head_probs, first.head_probs)
 
 
-@settings(max_examples=40, deadline=None)
-@given(ds=datasets(max_docs=9), k=st.integers(1, 10), objectives=st.integers(1, 4),
-       seed=st.integers(0, 2**16), data=st.data())
-def test_linear_objective_matches_per_context_loop(ds, k, objectives, seed, data):
-    """Linear ListMLE sums in another order: equal to a relative 1e-10."""
-    width = 3
+@st.composite
+def linear_problems(draw, width=3):
+    """A dataset with ``width`` drawn features, weights, sampling flags, and
+    the reference's (features, contexts) terms per query with a context."""
+    ds = draw(datasets(max_docs=9))
+    k, objectives, seed = draw(st.integers(1, 10)), draw(st.integers(1, 4)), draw(
+        st.integers(0, 2**16))
     lines = [f"{g} qid:{q} " + " ".join(f"{j}:{v!r}" for j, v in enumerate(
-        data.draw(st.lists(st.floats(-2.0, 2.0), min_size=width, max_size=width)), start=1))
+        draw(st.lists(st.floats(-2.0, 2.0), min_size=width, max_size=width)), start=1))
         for q, g in ((group.query_id, grade)
                      for group in ds.groups for grade in group.relevances().tolist())]
     ds = parse_dataset("\n".join(lines) + "\n")
-    weights = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=width,
-                                          max_size=width)))
+    weights = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=width,
+                                     max_size=width)))
     terms = []
     for group in ds.groups:
         contexts, _ = ref.build_contexts(
             group, k, objectives, np.random.default_rng([seed, group.query_id]))
         if contexts:
             terms.append((dense_features(group, width), contexts))
-    obj, grad = ref.library_linear_objective(weights, ds, k, objectives, seed)
+    return ds, weights, (k, objectives, seed), terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=linear_problems())
+def test_linear_objective_matches_per_context_loop(problem):
+    """Linear ListMLE sums in another order: equal to a relative 1e-10."""
+    ds, weights, flags, terms = problem
+    obj, grad = ref.library_linear_objective(weights, ds, *flags)
     ref_obj, ref_grad = ref.linear_objective_and_gradient(weights, terms)
     assert math.isclose(obj, ref_obj, rel_tol=1e-10, abs_tol=1e-12)
     scale = max(1.0, float(np.abs(ref_grad).max()))
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=linear_problems())
+def test_linear_newton_curvature_matches_per_context_loop(problem):
+    """The matrix the Newton step solves against is the sum, context by
+    context, of X_c'(diag p - pp')X_c plus I: equal to a relative 1e-10 of
+    its largest entry (at least 1, from the prior)."""
+    ds, weights, flags, terms = problem
+    got = ref.library_linear_curvature(weights, ds, *flags)
+    expected = ref.linear_curvature(weights, terms)
+    np.testing.assert_allclose(got, expected, rtol=1e-10,
+                               atol=1e-10 * float(np.abs(expected).max()))
 
 
 def wide_gap_problem(top_high: bool):

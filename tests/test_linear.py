@@ -17,7 +17,7 @@ from plrank.linear import _REDUCTION_TOL, GRADIENT_TOL
 from plrank.model_io import dumps_linear, parse_linear
 
 from helpers import make_dataset, perfbench_modules, random_dataset
-from pl_reference import library_linear_objective
+from pl_reference import library_linear_curvature, library_linear_objective
 
 
 def test_hand_case_two_documents():
@@ -98,7 +98,7 @@ def test_objective_nondecreasing_over_iterations():
 
 
 def test_reporting_iterations_costs_no_extra_evaluations(monkeypatch):
-    """Each reported objective is the one L-BFGS-B already evaluated there."""
+    """Each reported objective is the one the line search already evaluated there."""
     rng = np.random.default_rng(25)
     ds = random_dataset(rng, n_queries=8, n_docs=6, n_features=4)
     calls = []
@@ -120,60 +120,78 @@ def test_reporting_iterations_costs_no_extra_evaluations(monkeypatch):
     assert set(reported) <= {f"{value:.6f}" for value in calls[evaluations:]}
 
 
-def concave_quadratic(seed, n, curvatures):
-    """``-(x - x*)' A (x - x*) / 2`` negated for ``_minimize``, and its maximiser x*.
+def stopping_problem(seed):
+    dataset = random_dataset(np.random.default_rng(seed), 6, 7, 4)
+    return dataset, dict(k=5, objectives=2, seed=seed % 97)
 
-    ``A`` is a random rotation of eigenvalues drawn from ``curvatures``.
-    """
-    rng = np.random.default_rng(seed)
-    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    hessian = (rotation * rng.uniform(*curvatures, n)) @ rotation.T
-    maximiser = rng.normal(scale=3.0, size=n)
 
-    def negated(x):
-        r = x - maximiser
-        return 0.5 * float(r @ hessian @ r), hessian @ r
-    return negated, maximiser
+def gradient_at_fit(model, dataset, flags):
+    return library_linear_objective(model.weights, dataset, **flags)[1]
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 40), seed=st.integers(0, 2**16))
-def test_minimize_reaches_a_quadratic_maximiser(n, seed):
-    """With the relative-reduction stop off, the gradient test ends the fit.
-
-    Curvatures of at least 1e3 put every point that passes the gradient test
-    within 1e-8 of the maximiser. With the stop on, L-BFGS-B's default test
-    would end such a fit first, far from the maximiser: near a quadratic's
-    maximum each step gains only about |g|^2 / curvature.
-    """
-    negated, maximiser = concave_quadratic(seed, n, (1e3, 1e4))
-    values = []
+@given(seed=st.integers(0, 2**16))
+def test_fit_reaches_the_gradient_test_without_the_reduction_stop(seed):
+    """With the relative-reduction stop off, the gradient test ends the fit:
+    the curvature is at least the prior's I, so Newton steps converge fast."""
+    dataset, flags = stopping_problem(seed)
+    lines = []
     with mock.patch.object(plrank.linear, "_REDUCTION_TOL", 0.0):
-        x = plrank.linear._minimize(negated, np.zeros(n), 1000, values.append)
-    assert len(values) < 1000
-    assert np.max(np.abs(negated(x)[1])) <= GRADIENT_TOL
-    assert np.max(np.abs(x - maximiser)) <= 1e-8
+        model = train_linear(dataset, iterations=50, on_iteration=lines.append, **flags)
+    assert len(lines) < 50
+    assert np.max(np.abs(gradient_at_fit(model, dataset, flags))) <= GRADIENT_TOL
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 40), seed=st.integers(0, 2**16))
-def test_minimize_stops_at_the_first_small_relative_reduction(n, seed):
-    negated, _ = concave_quadratic(seed, n, (1.0, 10.0))
-    values = [negated(np.zeros(n))[0]]
-    x = plrank.linear._minimize(negated, np.zeros(n), 1000, values.append)
-    reductions = [(a - b) / max(abs(a), abs(b), 1.0) for a, b in zip(values, values[1:])]
-    assert len(reductions) < 1000
-    assert all(r > _REDUCTION_TOL for r in reductions[:-1])
-    assert (reductions[-1] <= _REDUCTION_TOL
-            or np.max(np.abs(negated(x)[1])) <= GRADIENT_TOL)
+@given(seed=st.integers(0, 2**16))
+def test_fit_stops_at_the_first_small_relative_rise(seed):
+    dataset, flags = stopping_problem(seed)
+    values = [library_linear_objective(np.zeros(4), dataset, **flags)[0]]
+    model = train_linear(dataset, iterations=1000, **flags,
+                         on_iteration=lambda line: values.append(
+                             float(line.split("objective=")[1])))
+    rises = [(b - a) / max(abs(a), abs(b), 1.0) for a, b in zip(values, values[1:])]
+    assert len(rises) < 1000
+    # The reported values are rounded to 6 decimals: allow that much.
+    slack = 1e-6 / max(abs(values[-1]), 1.0)
+    assert all(r > _REDUCTION_TOL - slack for r in rises[:-1])
+    assert (rises[-1] <= _REDUCTION_TOL + slack
+            or np.max(np.abs(gradient_at_fit(model, dataset, flags))) <= GRADIENT_TOL)
 
 
-def test_minimize_keeps_the_last_point_when_no_step_decreases():
-    # The reported gradient points the wrong way, so every trial rises.
-    start = np.array([1.0, -2.0])
-    values = []
-    x = plrank.linear._minimize(lambda x: (float(x @ x), -2 * x), start, 50, values.append)
-    assert values == [] and x.tolist() == start.tolist()
+@pytest.mark.parametrize("curvature", [
+    lambda m: -np.eye(m),
+    lambda m: np.full((m, m), np.nan),
+    lambda m: np.eye(m) * 1e-320,  # the solve overflows to inf
+], ids=["descends", "nan", "inf"])
+def test_fit_keeps_the_start_when_no_direction_rises(curvature, monkeypatch):
+    """A Newton direction that descends or is not finite ends the fit at w = 0."""
+    dataset, flags = stopping_problem(5)
+    monkeypatch.setattr(plrank.linear, "_curvature",
+                        lambda weights, X, contexts: curvature(weights.size))
+    lines = []
+    model = train_linear(dataset, iterations=50, on_iteration=lines.append, **flags)
+    assert lines == [] and model.weights.tolist() == [0.0] * 4
+
+
+def test_newton_curvature_matches_central_differences():
+    """The negated Hessian against central differences of the gradient."""
+    rng = np.random.default_rng(28)
+    ds = random_dataset(rng, n_queries=6, n_docs=7, n_features=4)
+    step = 1e-5
+    for _ in range(5):
+        w = rng.uniform(-1, 1, 4)
+        got = library_linear_curvature(w, ds, k=5, objectives=2, seed=9)
+        columns = []
+        for i in range(4):
+            up, down = w.copy(), w.copy()
+            up[i] += step
+            down[i] -= step
+            columns.append((
+                library_linear_objective(down, ds, k=5, objectives=2, seed=9)[1]
+                - library_linear_objective(up, ds, k=5, objectives=2, seed=9)[1]
+            ) / (2 * step))
+        assert np.abs(np.column_stack(columns) - got).max() <= 1e-7 * np.abs(got).max()
 
 
 def scipy_objective(dataset, k, objectives, seed):
@@ -207,21 +225,41 @@ def test_converged_objective_matches_scipy(n_queries, n_docs, n_features, k, obj
     assert_converges_as_scipy(dataset, k, objectives, seed)
 
 
-@pytest.mark.parametrize("workload", ["letor-exact", "serve"])
+BENCHMARK_FILES = {}
+
+
+def benchmark_problem(workload, seed):
+    """A benchmark workload's training file and the objectives its linear flags set."""
+    gen, workloads = perfbench_modules("gen", "workloads")
+    w = workloads.WORKLOADS[workload]
+    if (workload, seed) not in BENCHMARK_FILES:
+        BENCHMARK_FILES[workload, seed] = parse_dataset(
+            gen.letor_text(gen.make_table(seed, 1, w.train), w.train.style))
+    flags = dict(zip(w.linear_flags[::2], w.linear_flags[1::2]))
+    return BENCHMARK_FILES[workload, seed], int(flags["--objectives"])
+
+
+@pytest.mark.parametrize("workload", ["letor-exact", "bigquery-hist", "serve"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_converged_objective_matches_scipy_on_benchmark_data(workload, seed):
     """The benchmark's training files and linear flags.
 
-    bigquery-hist is left out: its raw columns' standard deviations run from
-    0.01 to 360, so both optimizers stop by the relative-reduction test with
-    gradient entries near 10, far from the optimum, at points that differ
-    either way.
+    bigquery-hist's raw columns have standard deviations from 0.01 to 360:
+    L-BFGS-B stops there by the relative-reduction test with gradient entries
+    near 10, short of the optimum, which the Newton fit reaches and passes.
     """
-    gen, workloads = perfbench_modules("gen", "workloads")
-    w = workloads.WORKLOADS[workload]
-    dataset = parse_dataset(gen.letor_text(gen.make_table(seed, 1, w.train), w.train.style))
-    flags = dict(zip(w.linear_flags[::2], w.linear_flags[1::2]))
-    assert_converges_as_scipy(dataset, 10, int(flags["--objectives"]), 42)
+    dataset, objectives = benchmark_problem(workload, seed)
+    assert_converges_as_scipy(dataset, 10, objectives, 42)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_iteration_cap_reaches_the_optimum_on_raw_columns(seed):
+    """bigquery-hist at the benchmark's ``--iterations 10`` ends near a
+    stationary point, whatever its columns' scales."""
+    dataset, objectives = benchmark_problem("bigquery-hist", seed)
+    model = train_linear(dataset, k=10, objectives=objectives, iterations=10, seed=42)
+    _, gradient = library_linear_objective(model.weights, dataset, 10, objectives, 42)
+    assert np.max(np.abs(gradient)) <= 1e-2
 
 
 def test_linearly_rankable_dataset_recovered():

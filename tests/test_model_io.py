@@ -15,7 +15,7 @@ from plrank.model_io import (
 )
 from plrank.tree import Ensemble
 
-from helpers import separable_dataset
+from helpers import one_leaf_model, separable_dataset
 from tree_reference import build_tree, predict_ensemble_row
 
 
@@ -162,6 +162,26 @@ def test_non_finite_header_numbers_rejected(key, line, text):
     with pytest.raises(ValidationError, match=f"line {line}: non-finite value") as info:
         parse_ensemble(one_split_model(**{key: text}))
     assert info.value.line == line
+
+
+HUGE = 10**20  # past int64, and too wide for any table
+
+
+@pytest.mark.parametrize("text, line, field", [
+    (one_split_model(feature=str(HUGE - 1), features=HUGE), 9, f"f={HUGE - 1}"),
+    (one_split_model().replace("n=3", f"n={HUGE}"), 10, f"n={HUGE}"),
+], ids=["feature", "count"])
+def test_node_integer_past_int64_rejected(text, line, field):
+    """Each once escaped as an OverflowError from building the tree."""
+    with pytest.raises(ValidationError, match=f"line {line}: {field} is past") as info:
+        parse_ensemble(text)
+    assert info.value.line == line
+
+
+def test_wide_header_loads_and_scoring_needs_only_the_split_columns():
+    ensemble = parse_ensemble(one_split_model(feature="2", features=HUGE))
+    assert (ensemble.num_features, ensemble.split_width) == (HUGE, 2)
+    assert parse_ensemble(one_leaf_model(HUGE)).split_width == 0
 
 
 def test_unreadable_node_number_rejected():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from plrank import ValidationError, build_permutations, compression_ratio
+from plrank import ConfigError, ValidationError, build_permutations, compression_ratio
 from plrank.permutation import sample_permutation
 
 from helpers import FixedShuffles, make_dataset
@@ -56,6 +56,11 @@ def test_invalid_arguments():
         build_permutations(group, 0, 1, np.random.default_rng(0))
     with pytest.raises(ValidationError):
         build_permutations(group, 1, 0, np.random.default_rng(0))
+
+
+def test_objective_count_past_allocation_is_a_config_error():
+    with pytest.raises(ConfigError, match=f"objective count {10**20}: .* cannot be allocated"):
+        build_permutations(tied_group([1, 0]), 1, 10**20, np.random.default_rng(0))
 
 
 def test_contexts_nest_along_one_permutation():
