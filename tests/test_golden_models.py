@@ -60,8 +60,8 @@ WARM_START = "a70726a9636fc71443d08158cc126e2990da45a6ba979985c846bc9da50ca0e3"
 WARM_START_STDOUT = "05d3af8b8d925e094362978be03273117467cb1025e6379d6a3b2b4c8a9c020a"
 VALID = "31de869f1ee5f95f4faa478efe8e418be39d0a64d8cbc213ad2297ac46aa1218"
 VALID_STDOUT = "7a90b7ca197c520beb4a2105542398beff032446b546146d6f62cbfd1ebcac38"
-LINEAR = "8a297e5a08a718332a59e93dd678922d5184671e7c334306a6eb0d6cd1c9c318"
-LINEAR_STDOUT = "acff87aee6a9507308b47cd315435026614ccc660b5594c5b22c76e842d7b710"
+LINEAR = "42430d77b7b0311ecb4c2ce4c31ec40582b27bf8cd391fa5e7d7ad16b07989ae"
+LINEAR_STDOUT = "9fc3a4ef675dc2bc71f0615006b079e1390284645e19093e031c35f5c0310bf9"
 # `plrank predict` output of the ``--bins 0`` model on the interleaved file.
 PREDICT_INTERLEAVED = "aa9da0ff92f0b2c4157f3ab32fc52f7da2a69933aaaa4624be20864a30d5d49e"
 # SHA-256 of the initial and per-iteration objectives, as repr() joined by
