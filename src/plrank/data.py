@@ -6,10 +6,15 @@ one row of the table, in file order. Column ``t`` holds feature index
 ``t + 1``; the table is as wide as the largest index, absent features read
 as 0.0. Lines sharing a qid form one query group, contiguous or not.
 
-A file is read as a stream, one line at a time, so the text is never held
-whole. The parser keeps each feature token in 16 bytes (an int64 index and a
-float64 value) until the last line, then allocates the table once, at its
-final shape, and scatters the tokens into it a chunk at a time.
+A file is read as a stream, a block of whole lines (about ``_BLOCK_CHARS``
+characters) at a time, so the text is never held whole. A block of ASCII text
+without ``_``, whose every line is well formed and lists its feature indices
+in rising order, is read at once (:func:`_read_block`); any other block is read
+line by line, which also names the line of the first error. Only the block
+being read holds its tokens as Python strings; the parser keeps each token
+read in 16 bytes (an int64 index and a float64 value) until the last line,
+then allocates the table once, at its final shape, and scatters the tokens
+into it a block at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Iterable
+from typing import IO, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -25,8 +30,10 @@ from .errors import ParseError, ValidationError, _open_text
 
 # Gains are 2^grade - 1; grades above this would lose exactness in float64.
 MAX_GRADE = 31
-# Feature tokens are moved from Python lists into arrays this many at a time.
-_CHUNK_TOKENS = 1 << 12
+# Lines are gathered into blocks of at least this many characters (or the last line).
+_BLOCK_CHARS = 1 << 16
+# Every byte but ":" and " ", which ``bytes.translate`` deletes.
+_NOT_COLON_OR_SPACE = bytes(b for b in range(256) if b not in b": ")
 
 
 @dataclass(eq=False)
@@ -115,6 +122,92 @@ def _parse_line(tokens: list[str], lineno: int,
     return grade, qid, indices, values
 
 
+def _read_lines(lines: list[str], lineno: int) -> tuple[list[int], list[int], list[int],
+                                                       list[int], list[float]]:
+    """Grades, qids, per-row token counts, indices and values of ``lines``, one line
+    at a time; ``lineno`` is the file line of the first."""
+    grades: list[int] = []
+    qids: list[int] = []
+    counts: list[int] = []
+    indices: list[int] = []
+    values: list[float] = []
+    for lineno, raw in enumerate(lines, start=lineno):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        plain = raw.isascii() and "_" not in raw  # int and float read "_" and other digits
+        grade, qid, line_indices, line_values = _parse_line(tokens, lineno, plain)
+        grades.append(grade)
+        qids.append(qid)
+        counts.append(len(line_indices))
+        indices += line_indices
+        values += line_values
+    return grades, qids, counts, indices, values
+
+
+def _read_block(lines: list[str]) -> tuple[list[int], list[int], list[int],
+                                           np.ndarray, np.ndarray] | None:
+    """The fields :func:`_read_lines` gives, read for the whole block at once.
+
+    Returns None unless the block is ASCII without ``_``, every line is well
+    formed and lists its feature indices in rising order, and every index fits
+    int64. Tokens are split as :func:`_parse_line` splits them, and converted by
+    the same ``int`` and ``float``, so an accepted block gives the same fields.
+    """
+    text = "".join(lines)
+    if not text.isascii() or "_" in text:
+        return None
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    heads = [head for line in lines if (head := line.split(None, 2))]
+    rests = [head[2] if len(head) == 3 else "" for head in heads]
+    tokens = " ".join(rests).split()
+    count, joined = len(tokens), " ".join(tokens)
+    del tokens  # a block's Python strings set the parser's peak memory
+    # Each feature token holds exactly one ":", so its text splits into index and value.
+    if joined.encode().translate(None, _NOT_COLON_OR_SPACE) != (b": " * count)[:-1]:
+        return None
+    names = joined.replace(":", " ").split(" ") if count else []
+    counts = [rest.count(":") for rest in rests]
+    try:
+        qid_tokens = [head[1] for head in heads]
+        if "".join([token[:4] for token in qid_tokens]) != "qid:" * len(heads):
+            return None
+        qids = list(map(int, [token[4:] for token in qid_tokens]))
+        grades = np.array(list(map(int, [head[0] for head in heads])), dtype=np.int64)
+        # Indices spelled "1".."k" on every line (k from the first) need no int().
+        k = counts[0] if counts else 0
+        if names[0::2] == [str(i) for i in range(1, k + 1)] * len(counts):
+            indices = np.tile(np.arange(1, k + 1, dtype=np.int64), len(counts))
+        else:
+            indices = np.fromiter(map(int, names[0::2]), np.int64, count)
+        values = np.fromiter(map(float, names[1::2]), np.float64, count)
+    except (IndexError, ValueError, OverflowError):
+        return None
+    row_of = np.repeat(np.arange(len(counts)), counts)
+    rising = (indices[1:] > indices[:-1]) | (row_of[1:] != row_of[:-1])
+    if not (rising.all() and (indices >= 1).all() and np.isfinite(values).all()
+            and ((grades >= 0) & (grades <= MAX_GRADE)).all()):
+        return None
+    return grades.tolist(), qids, counts, indices, values
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Runs of whole lines, each at least ``_BLOCK_CHARS`` long but the last,
+    with the line number of each run's first line."""
+    block: list[str] = []
+    size, lineno = 0, 1
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= _BLOCK_CHARS:
+            yield lineno, block
+            lineno += len(block)
+            block, size = [], 0
+    if block:
+        yield lineno, block
+
+
 def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     """Parse LETOR-format text into a :class:`Dataset`.
 
@@ -124,32 +217,26 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     ``\x0c`` or ``\u2028`` separate tokens, as any whitespace does. ``#``
     starts a comment that runs to the end of the line.
 
-    Every line is checked before the table is allocated, so a malformed line
-    anywhere is reported before a table too large to allocate.
+    Lines are read a block at a time (see the module docstring); an error
+    names its own line, whichever block it falls in. Every line is checked
+    before the table is allocated, so a malformed line anywhere is reported
+    before a table too large to allocate.
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     rows_of: dict[int, list[int]] = {}
     grades: list[int] = []
     counts: list[int] = []
-    indices: list[int] = []
-    values: list[float] = []
     chunks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-    width = first = 0
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        plain = raw.isascii() and "_" not in raw  # int and float read "_" and other digits
-        grade, qid, line_indices, line_values = _parse_line(tokens, lineno, plain)
-        rows_of.setdefault(qid, []).append(len(grades))
-        counts.append(len(line_indices))
-        grades.append(grade)
-        indices += line_indices
-        values += line_values
-        if len(indices) >= _CHUNK_TOKENS:
-            width = _stash(chunks, first, len(grades), indices, values, width)
-            first, indices, values = len(grades), [], []
-    width = _stash(chunks, first, len(grades), indices, values, width)
+    width = 0
+    for lineno, block in _blocks(lines):
+        fields = _read_block(block) or _read_lines(block, lineno)
+        block_grades, qids, block_counts, indices, values = fields
+        first = len(grades)
+        for row, qid in enumerate(qids, start=first):
+            rows_of.setdefault(qid, []).append(row)
+        grades += block_grades
+        counts += block_counts
+        width = _stash(chunks, first, len(grades), indices, values, width)
 
     try:
         features = np.zeros((len(grades), width), dtype=np.float64)
@@ -167,20 +254,20 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     return Dataset(features, grade_of, groups, max(grades, default=0))
 
 
-def _stash(chunks: list, first: int, end: int, indices: list[int], values: list[float],
-           width: int) -> int:
-    """Move the tokens of rows ``first..end-1`` into int64 and float64 arrays.
+def _stash(chunks: list, first: int, end: int, indices: list[int] | np.ndarray,
+           values: list[float] | np.ndarray, width: int) -> int:
+    """Keep the tokens of rows ``first..end-1`` as one int64 and one float64 array.
 
     Returns the widest feature index seen so far. An index beyond int64 is not
     stored: no table that wide can be allocated, so only its width matters.
     """
-    if not indices:
+    if len(indices) == 0:
         return width
     try:
-        chunk_indices = np.array(indices, dtype=np.int64)
+        chunk_indices = np.asarray(indices, dtype=np.int64)
     except OverflowError:
         return max(width, max(indices))
-    chunks.append((first, end, chunk_indices, np.array(values, dtype=np.float64)))
+    chunks.append((first, end, chunk_indices, np.asarray(values, dtype=np.float64)))
     return max(width, int(chunk_indices.max()))
 
 

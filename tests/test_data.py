@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -267,10 +268,10 @@ def test_utf8_error_wins_over_an_earlier_malformed_line(tmp_path):
     assert exc.value.line == 2
 
 
-@pytest.mark.parametrize("chunk", [1, 2, data._CHUNK_TOKENS])
-def test_malformed_line_wins_over_an_unallocatable_table(monkeypatch, chunk):
-    """Every line is checked before the table is allocated, in any chunking."""
-    monkeypatch.setattr(data, "_CHUNK_TOKENS", chunk)
+@pytest.mark.parametrize("block", [1, 2, data._BLOCK_CHARS])
+def test_malformed_line_wins_over_an_unallocatable_table(monkeypatch, block):
+    """Every line is checked before the table is allocated, whatever the block size."""
+    monkeypatch.setattr(data, "_BLOCK_CHARS", block)
     text = f"1 qid:1 {10**30}:0.5 2:1.0\n0 qid:1 1:0.25\n"
     with pytest.raises(ValidationError, match=f"2 documents x {10**30} features"):
         parse_dataset(text)
@@ -279,13 +280,88 @@ def test_malformed_line_wins_over_an_unallocatable_table(monkeypatch, chunk):
     assert exc.value.line == 3
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-def test_chunked_parse_matches_one_chunk(monkeypatch, chunk):
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_chunked_parse_matches_one_chunk(monkeypatch, block):
+    """Blocks down to one line each; line 5's unordered indices send its block line by line."""
     text = ("2 qid:10 1:0.5 7:1.0 # first\n0 qid:3 2:-0.25\n\n3 qid:3\n"
             "1 qid:10 4:1.5 2:-0.0 3:5e-324\n0 qid:4 9:2.5\n1 qid:3\n")
     whole = parse_dataset(text)
-    monkeypatch.setattr(data, "_CHUNK_TOKENS", chunk)
+    monkeypatch.setattr(data, "_BLOCK_CHARS", block)
     assert_same_dataset(parse_dataset(text), whole)
+
+
+def test_block_of_uneven_lines_is_not_read_as_dense():
+    """Its indices run 1 2 1 2 1 2, as three lines listing 1..2 would."""
+    text = "1 qid:1 1:1 2:2\n1 qid:1 1:1 2:2 1:3\n1 qid:1 2:4\n"
+    with pytest.raises(ValidationError, match="duplicate feature index 1") as exc:
+        parse_dataset(text)
+    assert exc.value.line == 2
+
+
+def _parse_counting_refusals(text):
+    """``parse_dataset(text)``, and how many blocks the block reader turned down."""
+    read_block, refused = data._read_block, []
+
+    def spy(lines):
+        fields = read_block(lines)
+        refused.append(fields is None)
+        return fields
+
+    with mock.patch.object(data, "_read_block", spy):
+        return parse_dataset(text), sum(refused)
+
+
+@pytest.mark.parametrize("bad_at", [5, 6, 7], ids=["first-in-block", "second", "third"])
+@pytest.mark.parametrize("reader", ["block", "line"])
+def test_malformed_line_after_a_block_boundary_names_its_line(monkeypatch, bad_at, reader):
+    good = "1 qid:1 1:0.5 2:0.25\n"
+    monkeypatch.setattr(data, "_BLOCK_CHARS", 2 * len(good))  # two lines a block
+    if reader == "line":
+        monkeypatch.setattr(data, "_read_block", lambda lines: None)
+    lines = [good] * 8
+    lines[bad_at - 1] = "1 qid:1 1:0.5 2:0.2x\n"  # as long as a good line
+    assert [n for n, _ in data._blocks(lines)] == [1, 3, 5, 7]
+    with pytest.raises(ParseError, match="bad feature token '2:0.2x'") as exc:
+        parse_dataset("".join(lines))
+    assert exc.value.line == bad_at
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("lead", ["", "   ", "# 1 qid:1 2:x"], ids=["blank", "spaces", "comment"])
+def test_block_that_starts_with_a_blank_or_comment_line(monkeypatch, newline, lead):
+    rows = ["2 qid:1 1:0.5 3:-0.0", "0 qid:2 2:1e-300", "1 qid:1 1:1 2:2 3:3"]
+    lines = [rows[0], lead, rows[1], lead, lead, rows[2]]
+    # A lead line alone is short of a block; a row ends one.
+    monkeypatch.setattr(data, "_BLOCK_CHARS", len(lead + newline) + 1)
+    blocks = list(data._blocks([line + newline for line in lines]))
+    assert [len(block) for n, block in blocks] == [1, 2, 2, 1]
+    assert [n for n, block in blocks if block[0] == lead + newline] == [2, 4]
+    for source in ("string", "lines"):
+        text = newline.join(lines) + newline
+        ds, refused = _parse_counting_refusals(
+            text if source == "string" else iter(text.splitlines(keepends=True)))
+        assert refused == 0
+        assert ds.features.tolist() == [[0.5, 0.0, -0.0], [0.0, 1e-300, 0.0], [1.0, 2.0, 3.0]]
+        assert [(g.query_id, g.doc_ids.tolist()) for g in ds.groups] == [(1, [0, 2]), (2, [1])]
+    lines[4] = "1 qid:1 1:0.5 1:0.5"  # a duplicate index, in a block led by line 4
+    with pytest.raises(ValidationError, match="duplicate feature index 1") as exc:
+        parse_dataset(newline.join(lines))
+    assert exc.value.line == 5
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_crlf_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, newline):
+    row = "0 qid:{} " + " ".join(f"{j}:0.{j}" for j in range(1, 47))
+    rows = [row.format(i // 10).encode() for i in range(300)]
+    path = tmp_path / "data.txt"
+    path.write_bytes(newline.join(rows) + newline)
+    with open(path, newline="") as lines, mock.patch.object(data, "_BLOCK_CHARS", 1000):
+        ds, refused = _parse_counting_refusals(lines)
+    assert refused == 0
+    assert ds.features.shape == (300, 46) and len(ds.groups) == 30
+    assert ds.features[7].tolist() == [float(f"0.{j}") for j in range(1, 47)]
+    monkeypatch.setattr(data, "_read_block", lambda lines: None)
+    assert_same_dataset(load_dataset(str(path)), ds)
 
 
 def test_load_dataset_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
@@ -318,24 +394,35 @@ VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                      1e308, -1e308, 1.7976931348623157e308]),
 )
-FILLER = st.sampled_from(["", "   ", "# a comment", "\t# 1 qid:1 2:3", "# 1_0 \u0663"])
+PLAIN_FILLER = ["", "   ", "# a comment", "\t# 1 qid:1 2:3"]
+FILLER = st.sampled_from([*PLAIN_FILLER, "# 1_0 \u0663"])
 
 
 @st.composite
-def document_lines(draw):
-    """One data line: absent features, any index order, maybe a comment."""
+def document_lines(draw, plain=False, dense=None):
+    """One data line: absent features, any index order, maybe a comment.
+
+    A ``plain`` line is ASCII without "_" and lists its indices in rising
+    order, as the block reader needs; a ``dense`` one lists 1..dense.
+    """
     grade = draw(st.integers(0, 31))
     qid = draw(st.integers(0, 4))
-    indices = draw(st.lists(st.integers(1, 9), unique=True, max_size=6))
+    if dense is not None:
+        indices = list(range(1, dense + 1))
+    else:
+        indices = draw(st.lists(st.integers(1, 9), unique=True, max_size=6))
+        if plain:
+            indices.sort()
     spell = draw(st.sampled_from([repr, lambda v: f"{v:.17g}", lambda v: f"{v:e}"]))
     tokens = [str(grade), f"qid:{qid}", *(f"{i}:{spell(draw(VALUES))}" for i in indices)]
-    comment = draw(st.sampled_from(["", " # doc", "#x 1:2", " # 1_0:\u0663"]))
-    return draw(st.sampled_from([" ", "\t", "  ", "\u2003"])).join(tokens) + comment
+    comment = draw(st.sampled_from(["", " # doc", "#x 1:2", *([] if plain else [" # 1_0:\u0663"])]))
+    separators = [" ", "\t", "  ", *([] if plain else ["\u2003"])]
+    return draw(st.sampled_from(separators)).join(tokens) + comment
 
 
 # A line that breaks one rule, or two at once: the first in token order wins,
 # and within a token the parse, index, duplicate and finiteness checks in turn.
-BAD_LINES = st.sampled_from([
+BAD = [
     "x qid:1 1:1.0", "-1 qid:1 1:1.0", "32 qid:1", "1.5 qid:1", "1", "1 1:1.0",
     "1 qid:x", "1 QID:1 1:1.0", "1 qid:1 5", "1 qid:1 1:2:3", "1 qid:1 :5",
     "1 qid:1 a:1", "1 qid:1 1:", "1 qid:1 1:abc", "1 qid:1 0:1.0", "1 qid:1 -3:1.0",
@@ -346,22 +433,35 @@ BAD_LINES = st.sampled_from([
     "1_0 qid:1", "\u0663 qid:1 1:1.0", "1 qid:1_0 1:1.0", "1 qid:\u0661 1:1.0",
     "1 qid:1 1_0:0.5", "1 qid:1 1:0_5", "1 qid:1 1:\u0665", "1 qid:1\u20031:\uff15",
     "1 qid:1 1:nan 2:1_0", "1 qid:1 2:1_0 1:nan", "1 qid:1 1:0.5 1:\u0665 # n_\xe9",
-])
+    # Colons and spaces out of turn, a repeat after a drop, an overflow: the block reader refuses each.
+    "1 qid:1 1:0.5 2::3", "1 qid:1 1 :0.5", "1 qid:1 1: 0.5", "1 qid:1 1:0.5: 2:1",
+    "1 qid: 1:0.5", "qid:1 1:0.5", "1 qid:1 2:0.5 1:0.5 1:0.5", "1 qid:1 1:0.5 2:1e400",
+]
+PLAIN_BAD = [line for line in BAD if line.isascii() and "_" not in line]
 
 
 @st.composite
-def letor_texts(draw, malformed=False):
-    lines = draw(st.lists(st.one_of(document_lines(), FILLER), max_size=20))
+def letor_texts(draw, malformed=False, plain=False):
+    """LETOR text; ``plain`` text is all plain lines, and sometimes dense ones."""
+    if plain:
+        dense = draw(st.one_of(st.none(), st.integers(1, 9)))
+        filler = st.sampled_from(PLAIN_FILLER)
+        rows = document_lines(plain=True, dense=dense)
+    else:
+        filler, rows = FILLER, document_lines()
+    lines = draw(st.lists(st.one_of(rows, filler), max_size=20))
     if malformed:
-        lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINES))
+        bad = draw(st.sampled_from(PLAIN_BAD if plain else BAD))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=letor_texts())
-def test_parse_matches_dict_parser(text):
-    ds = parse_dataset(text)
+# Block sizes from one line a block up to the default.
+BLOCKS = st.sampled_from([1, 3, 40, 200, data._BLOCK_CHARS])
+
+
+def assert_parses_as_dict_parser(text, ds):
     oracle = ref.parse_dataset(text)
     table = ref.feature_table(oracle)
     assert (ds.features.dtype, ds.features.shape) == (np.float64, table.shape)
@@ -377,6 +477,29 @@ def test_parse_matches_dict_parser(text):
             ref.dense_features(expected, width).tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(letor_texts(), letor_texts(plain=True)))
+def test_parse_matches_dict_parser(text):
+    assert_parses_as_dict_parser(text, parse_dataset(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=letor_texts(plain=True), block=BLOCKS)
+def test_plain_text_is_read_a_block_at_a_time(text, block):
+    with mock.patch.object(data, "_BLOCK_CHARS", block):
+        ds, refused = _parse_counting_refusals(text)
+    assert refused == 0
+    assert_parses_as_dict_parser(text, ds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=letor_texts(plain=True))
+def test_line_reader_matches_dict_parser(text):
+    with mock.patch.object(data, "_read_block", lambda lines: None):
+        ds = parse_dataset(text)
+    assert_parses_as_dict_parser(text, ds)
+
+
 def _outcome(parse, text):
     try:
         parse(text)
@@ -386,11 +509,22 @@ def _outcome(parse, text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=letor_texts(malformed=True))
-def test_malformed_text_raises_as_dict_parser(text):
+@given(text=st.one_of(letor_texts(malformed=True), letor_texts(malformed=True, plain=True)),
+       block=BLOCKS)
+def test_malformed_text_raises_as_dict_parser(text, block):
     expected = _outcome(ref.parse_dataset, text)
     assert expected is not None
-    assert _outcome(parse_dataset, text) == expected
+    with mock.patch.object(data, "_BLOCK_CHARS", block):
+        assert _outcome(parse_dataset, text) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=letor_texts(malformed=True, plain=True))
+def test_line_reader_raises_as_dict_parser(text):
+    expected = _outcome(ref.parse_dataset, text)
+    assert expected is not None
+    with mock.patch.object(data, "_read_block", lambda lines: None):
+        assert _outcome(parse_dataset, text) == expected
 
 
 @settings(max_examples=100, deadline=None)
