@@ -91,13 +91,19 @@ def _curvature(weights: np.ndarray, X: np.ndarray, contexts: QueryContexts) -> n
     ``a`` holds each document's summed member probability (its contexts won
     minus its gradient entry), and row c of ``M`` context c's mean member row
     (:meth:`QueryContexts.mean_rows`). Per context this is X'(diag p - pp')X.
+    Its entries are bounded by the squared feature values, whatever the
+    weights, so one that is not finite raises :class:`ValidationError`.
     """
     scores = X @ weights
     held = np.bincount(contexts.champions, minlength=scores.size) - pseudo_response(
         scores, contexts
     )
     means = contexts.mean_rows(X)
-    return (X.T * held) @ X - means.T @ means + np.eye(weights.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature = (X.T * held) @ X - means.T @ means + np.eye(weights.size)
+    if not np.isfinite(curvature).all():
+        raise ValidationError("the feature values overflow the fit: its curvature is not finite")
+    return curvature
 
 
 def train_linear(
@@ -115,7 +121,9 @@ def train_linear(
     1e7 machine epsilons (about 2.2e-9) relative to ``max(|f_k|, |f_k+1|, 1)``,
     the test L-BFGS-B applies by default; a line search that finds no
     increase, which keeps the last accepted weights. A Newton direction that
-    does not rise or is not finite ends the fit the same way. Queries without
+    does not rise or is not finite ends the fit the same way. Raises
+    :class:`ValidationError` where feature values are so large that the
+    curvature overflows float64 (squares near 1e308). Queries without
     ranking information (single document) contribute only the prior, which
     keeps their pull at w = 0.
     """

@@ -511,6 +511,19 @@ def test_exit_code_linear_train_refuses_tree_flags(tmp_path, train_file, capsys,
     assert not model.exists()
 
 
+def test_exit_code_linear_train_on_overflowing_features(tmp_path, capsys, recwarn):
+    # Squares of 1e300 overflow the curvature; the fit once warned and saved zero weights.
+    data = tmp_path / "huge.txt"
+    data.write_text("2 qid:1 1:1e300 2:1\n1 qid:1 1:2e300 2:0\n0 qid:1 1:1 2:3\n"
+                    "1 qid:2 1:5e299 2:1\n0 qid:2 1:1 2:2\n")
+    model = tmp_path / "linear.txt"
+    assert run(["train", "--train", str(data), "--loss", "listmle-linear",
+                "--out", str(model)]) == 3
+    assert "feature values overflow the fit" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not model.exists()
+
+
 def test_evaluate_degenerate_only_dataset(tmp_path, capsys):
     data = tmp_path / "zeros.txt"
     data.write_text("0 qid:1 1:0.5\n0 qid:1 1:0.2\n0 qid:2 1:0.1\n")
