@@ -8,13 +8,12 @@ as 0.0. Lines sharing a qid form one query group, contiguous or not.
 
 A file is read as a stream, a block of whole lines (about ``_BLOCK_CHARS``
 characters) at a time, so the text is never held whole. A block of ASCII text
-without ``_``, whose every line is well formed and lists its feature indices
-in rising order, is read at once (:func:`_read_block`); any other block is read
-line by line, which also names the line of the first error. Only the block
-being read holds its tokens as Python strings; the parser keeps each token
-read in 16 bytes (an int64 index and a float64 value) until the last line,
-then allocates the table once, at its final shape, and scatters the tokens
-into it a block at a time.
+without ``_`` whose every line is well formed is read at once
+(:func:`_read_block`); any other block is read line by line, which also names
+the line of the first error. Only the block being read holds its tokens as
+Python strings; the parser keeps each token read in 16 bytes (an int64 index
+and a float64 value) until the last line, then allocates the table once, at
+its final shape, and scatters the tokens into it a block at a time.
 """
 
 from __future__ import annotations
@@ -150,9 +149,9 @@ def _read_block(lines: list[str]) -> tuple[list[int], list[int], list[int],
     """The fields :func:`_read_lines` gives, read for the whole block at once.
 
     Returns None unless the block is ASCII without ``_``, every line is well
-    formed and lists its feature indices in rising order, and every index fits
-    int64. Tokens are split as :func:`_parse_line` splits them, and converted by
-    the same ``int`` and ``float``, so an accepted block gives the same fields.
+    formed, and every index fits int64. Tokens are split as :func:`_parse_line`
+    splits them, and converted by the same ``int`` and ``float``, so an
+    accepted block gives the same fields.
     """
     text = "".join(lines)
     if not text.isascii() or "_" in text:
@@ -167,7 +166,7 @@ def _read_block(lines: list[str]) -> tuple[list[int], list[int], list[int],
     # Each feature token holds exactly one ":", so its text splits into index and value.
     if joined.encode().translate(None, _NOT_COLON_OR_SPACE) != (b": " * count)[:-1]:
         return None
-    names = joined.replace(":", " ").split(" ") if count else []
+    parts = joined.replace(":", " ").split(" ") if count else []
     counts = [rest.count(":") for rest in rests]
     try:
         qid_tokens = [head[1] for head in heads]
@@ -177,19 +176,27 @@ def _read_block(lines: list[str]) -> tuple[list[int], list[int], list[int],
         grades = np.array(list(map(int, [head[0] for head in heads])), dtype=np.int64)
         # Indices spelled "1".."k" on every line (k from the first) need no int().
         k = counts[0] if counts else 0
-        if names[0::2] == [str(i) for i in range(1, k + 1)] * len(counts):
+        if parts[0::2] == [str(i) for i in range(1, k + 1)] * len(counts):
             indices = np.tile(np.arange(1, k + 1, dtype=np.int64), len(counts))
         else:
-            indices = np.fromiter(map(int, names[0::2]), np.int64, count)
-        values = np.fromiter(map(float, names[1::2]), np.float64, count)
+            indices = np.fromiter(map(int, parts[0::2]), np.int64, count)
+        values = np.fromiter(map(float, parts[1::2]), np.float64, count)
     except (IndexError, ValueError, OverflowError):
         return None
-    row_of = np.repeat(np.arange(len(counts)), counts)
-    rising = (indices[1:] > indices[:-1]) | (row_of[1:] != row_of[:-1])
-    if not (rising.all() and (indices >= 1).all() and np.isfinite(values).all()
+    if not ((indices >= 1).all() and np.isfinite(values).all()
             and ((grades >= 0) & (grades <= MAX_GRADE)).all()):
         return None
+    row_of = np.repeat(np.arange(len(counts)), counts)
+    if not _rising(indices, row_of):  # a line out of order must rise once sorted
+        order = np.lexsort((indices, row_of))
+        if not _rising(indices[order], row_of[order]):
+            return None
     return grades.tolist(), qids, counts, indices, values
+
+
+def _rising(indices: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether ``indices`` rise strictly within each run of equal ``rows``."""
+    return bool(((indices[1:] > indices[:-1]) | (rows[1:] != rows[:-1])).all())
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

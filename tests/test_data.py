@@ -282,7 +282,7 @@ def test_malformed_line_wins_over_an_unallocatable_table(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_chunked_parse_matches_one_chunk(monkeypatch, block):
-    """Blocks down to one line each; line 5's unordered indices send its block line by line."""
+    """Blocks down to one line each, and line 5's indices out of order."""
     text = ("2 qid:10 1:0.5 7:1.0 # first\n0 qid:3 2:-0.25\n\n3 qid:3\n"
             "1 qid:10 4:1.5 2:-0.0 3:5e-324\n0 qid:4 9:2.5\n1 qid:3\n")
     whole = parse_dataset(text)
@@ -402,8 +402,8 @@ FILLER = st.sampled_from([*PLAIN_FILLER, "# 1_0 \u0663"])
 def document_lines(draw, plain=False, dense=None):
     """One data line: absent features, any index order, maybe a comment.
 
-    A ``plain`` line is ASCII without "_" and lists its indices in rising
-    order, as the block reader needs; a ``dense`` one lists 1..dense.
+    A ``plain`` line is ASCII without "_", as the block reader needs; a
+    ``dense`` one lists 1..dense.
     """
     grade = draw(st.integers(0, 31))
     qid = draw(st.integers(0, 4))
@@ -411,11 +411,10 @@ def document_lines(draw, plain=False, dense=None):
         indices = list(range(1, dense + 1))
     else:
         indices = draw(st.lists(st.integers(1, 9), unique=True, max_size=6))
-        if plain:
-            indices.sort()
     spell = draw(st.sampled_from([repr, lambda v: f"{v:.17g}", lambda v: f"{v:e}"]))
     tokens = [str(grade), f"qid:{qid}", *(f"{i}:{spell(draw(VALUES))}" for i in indices)]
-    comment = draw(st.sampled_from(["", " # doc", "#x 1:2", *([] if plain else [" # 1_0:\u0663"])]))
+    comments = ["", " # doc", "#x 1:2", *([] if plain else [" # 1_0:\u0663"])]
+    comment = draw(st.sampled_from(comments))
     separators = [" ", "\t", "  ", *([] if plain else ["\u2003"])]
     return draw(st.sampled_from(separators)).join(tokens) + comment
 
@@ -433,9 +432,11 @@ BAD = [
     "1_0 qid:1", "\u0663 qid:1 1:1.0", "1 qid:1_0 1:1.0", "1 qid:\u0661 1:1.0",
     "1 qid:1 1_0:0.5", "1 qid:1 1:0_5", "1 qid:1 1:\u0665", "1 qid:1\u20031:\uff15",
     "1 qid:1 1:nan 2:1_0", "1 qid:1 2:1_0 1:nan", "1 qid:1 1:0.5 1:\u0665 # n_\xe9",
-    # Colons and spaces out of turn, a repeat after a drop, an overflow: the block reader refuses each.
+    # Colons and spaces out of turn, repeats out of order, an overflow: lines the
+    # block reader must refuse.
     "1 qid:1 1:0.5 2::3", "1 qid:1 1 :0.5", "1 qid:1 1: 0.5", "1 qid:1 1:0.5: 2:1",
     "1 qid: 1:0.5", "qid:1 1:0.5", "1 qid:1 2:0.5 1:0.5 1:0.5", "1 qid:1 1:0.5 2:1e400",
+    "1 qid:1 3:0.5 1:0.5 2:0.5 3:0.5",
 ]
 PLAIN_BAD = [line for line in BAD if line.isascii() and "_" not in line]
 
@@ -455,6 +456,14 @@ def letor_texts(draw, malformed=False, plain=False):
         lines.insert(draw(st.integers(0, len(lines))), bad)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@pytest.mark.parametrize("bad", PLAIN_BAD)
+def test_plain_block_with_a_malformed_line_raises_as_dict_parser(bad):
+    text = "1 qid:1 1:0.5 2:0.25\n" * 3 + bad + "\n0 qid:2 2:1 1:2\n"
+    expected = _outcome(ref.parse_dataset, text)
+    assert expected is not None and expected[1] == 4
+    assert _outcome(parse_dataset, text) == expected
 
 
 # Block sizes from one line a block up to the default.
