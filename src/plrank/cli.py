@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .booster import TrainConfig, train
-from .data import Dataset, dense_features, load_dataset
+from .data import Dataset, _ascii, dense_features, load_dataset
 from .errors import ConfigError, PLRankError, ValidationError, _open_text
 from .linear import LinearModel, train_linear
 from .metrics import evaluate
@@ -180,9 +180,7 @@ def _load_scores(path: str) -> np.ndarray:
             if not line:
                 continue
             try:
-                if "_" in line or not line.isascii():  # float reads both as digits
-                    raise ValueError(line)
-                value = float(line)
+                value = _ascii(float)(line)
             except ValueError:
                 raise ValidationError(f"bad score {line!r}", lineno) from None
             if not math.isfinite(value):

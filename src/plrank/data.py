@@ -11,9 +11,11 @@ characters) at a time, so the text is never held whole. A block of ASCII text
 without ``_`` whose every line is well formed is read at once
 (:func:`_read_block`); any other block is read line by line, which also names
 the line of the first error. Only the block being read holds its tokens as
-Python strings; the parser keeps each token read in 16 bytes (an int64 index
-and a float64 value) until the last line, then allocates the table once, at
-its final shape, and scatters the tokens into it a block at a time.
+Python strings. Each block becomes its own rows of the table, zero where a
+line lists no feature, and the parser keeps those rows until the last line;
+it then allocates the table once, at its final shape, and copies each block's
+rows in. So a parse holds about twice the table, whatever share of the
+features a line lists: on a sparse file that is more than its tokens alone.
 """
 
 from __future__ import annotations
@@ -121,10 +123,10 @@ def _parse_line(tokens: list[str], lineno: int,
     return grade, qid, indices, values
 
 
-def _read_lines(lines: list[str], lineno: int) -> tuple[list[int], list[int], list[int],
-                                                       list[int], list[float]]:
-    """Grades, qids, per-row token counts, indices and values of ``lines``, one line
-    at a time; ``lineno`` is the file line of the first."""
+def _read_lines(lines: list[str], lineno: int) -> tuple[list[int], list[int],
+                                                       np.ndarray | None, int]:
+    """The fields :func:`_read_block` gives, read one line at a time; ``lineno``
+    is the file line of the first. The rows are None if they cannot be allocated."""
     grades: list[int] = []
     qids: list[int] = []
     counts: list[int] = []
@@ -141,17 +143,19 @@ def _read_lines(lines: list[str], lineno: int) -> tuple[list[int], list[int], li
         counts.append(len(line_indices))
         indices += line_indices
         values += line_values
-    return grades, qids, counts, indices, values
+    width = max(indices, default=0)
+    return grades, qids, _scatter(counts, indices, values, width), width
 
 
-def _read_block(lines: list[str]) -> tuple[list[int], list[int], list[int],
-                                           np.ndarray, np.ndarray] | None:
-    """The fields :func:`_read_lines` gives, read for the whole block at once.
+def _read_block(lines: list[str]) -> tuple[list[int], list[int], np.ndarray, int] | None:
+    """The block's grades, qids, rows of the table (lines x widest index) and
+    that width, read for the whole block at once.
 
     Returns None unless the block is ASCII without ``_``, every line is well
-    formed, and every index fits int64. Tokens are split as :func:`_parse_line`
-    splits them, and converted by the same ``int`` and ``float``, so an
-    accepted block gives the same fields.
+    formed, and its rows can be allocated. Tokens are split and converted as
+    :func:`_parse_line` does, so an accepted block gives the same rows. A block
+    whose every line lists ``1..k`` is its values, ``k`` to a row; any other is
+    scattered into zeroed rows, 8 bytes a cell however few features it lists.
     """
     text = "".join(lines)
     if not text.isascii() or "_" in text:
@@ -174,29 +178,40 @@ def _read_block(lines: list[str]) -> tuple[list[int], list[int], list[int],
             return None
         qids = list(map(int, [token[4:] for token in qid_tokens]))
         grades = np.array(list(map(int, [head[0] for head in heads])), dtype=np.int64)
-        # Indices spelled "1".."k" on every line (k from the first) need no int().
+        values = np.fromiter(map(float, parts[1::2]), np.float64, count)
+        # Lines of k tokens spelled "1".."k" (k from the first) need no int().
         k = counts[0] if counts else 0
-        if parts[0::2] == [str(i) for i in range(1, k + 1)] * len(counts):
-            indices = np.tile(np.arange(1, k + 1, dtype=np.int64), len(counts))
+        if set(counts) <= {k} and parts[0::2] == [str(i) for i in range(1, k + 1)] * len(counts):
+            rows = values.reshape(len(counts), k)
         else:
             indices = np.fromiter(map(int, parts[0::2]), np.int64, count)
-        values = np.fromiter(map(float, parts[1::2]), np.float64, count)
+            if count and indices.min() < 1:
+                return None
+            rows = _scatter(counts, indices, values, int(indices.max(initial=0)))
     except (IndexError, ValueError, OverflowError):
         return None
-    if not ((indices >= 1).all() and np.isfinite(values).all()
-            and ((grades >= 0) & (grades <= MAX_GRADE)).all()):
+    if rows is None or not (np.isfinite(values).all()
+                            and ((grades >= 0) & (grades <= MAX_GRADE)).all()):
         return None
-    row_of = np.repeat(np.arange(len(counts)), counts)
-    if not _rising(indices, row_of):  # a line out of order must rise once sorted
-        order = np.lexsort((indices, row_of))
-        if not _rising(indices[order], row_of[order]):
-            return None
-    return grades.tolist(), qids, counts, indices, values
+    return grades.tolist(), qids, rows, rows.shape[1]
 
 
-def _rising(indices: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether ``indices`` rise strictly within each run of equal ``rows``."""
-    return bool(((indices[1:] > indices[:-1]) | (rows[1:] != rows[:-1])).all())
+def _scatter(counts: list[int], indices: list[int] | np.ndarray,
+             values: list[float] | np.ndarray, width: int) -> np.ndarray | None:
+    """Zeroed rows ``width`` wide, row ``r`` holding its ``counts[r]`` tokens
+    (1-based ``indices``, ``values``); None if they cannot be allocated or an
+    index repeats within its row, which fills fewer cells than there are tokens."""
+    try:
+        rows = np.zeros((len(counts), width), dtype=np.float64)
+        filled = np.zeros((len(counts), width), dtype=bool)
+    except (MemoryError, ValueError, OverflowError):
+        return None
+    cells = (np.repeat(np.arange(len(counts)), counts), np.asarray(indices, dtype=np.intp) - 1)
+    filled[cells] = True
+    if np.count_nonzero(filled) < len(values):
+        return None
+    rows[cells] = values
+    return rows
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -224,58 +239,40 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     ``\x0c`` or ``\u2028`` separate tokens, as any whitespace does. ``#``
     starts a comment that runs to the end of the line.
 
-    Lines are read a block at a time (see the module docstring); an error
-    names its own line, whichever block it falls in. Every line is checked
-    before the table is allocated, so a malformed line anywhere is reported
-    before a table too large to allocate.
+    Lines are read a block at a time, each block into its own rows of the
+    table (see the module docstring); an error names its own line, whichever
+    block it falls in. Every line is checked before the table is allocated,
+    so a malformed line anywhere is reported before a table too large to
+    allocate. A block whose rows cannot be allocated is read line by line, to
+    check its lines, and the table then cannot be allocated either.
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     rows_of: dict[int, list[int]] = {}
     grades: list[int] = []
-    counts: list[int] = []
-    chunks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    blocks: list[tuple[int, np.ndarray | None]] = []
     width = 0
     for lineno, block in _blocks(lines):
-        fields = _read_block(block) or _read_lines(block, lineno)
-        block_grades, qids, block_counts, indices, values = fields
-        first = len(grades)
-        for row, qid in enumerate(qids, start=first):
+        block_grades, qids, rows, block_width = _read_block(block) or _read_lines(block, lineno)
+        for row, qid in enumerate(qids, start=len(grades)):
             rows_of.setdefault(qid, []).append(row)
+        blocks.append((len(grades), rows))
         grades += block_grades
-        counts += block_counts
-        width = _stash(chunks, first, len(grades), indices, values, width)
+        width = max(width, block_width)
 
     try:
+        if any(rows is None for _, rows in blocks):  # some of its rows could not be allocated
+            raise MemoryError
         features = np.zeros((len(grades), width), dtype=np.float64)
     except (MemoryError, ValueError, OverflowError):
         raise ValidationError(
             f"a table of {len(grades)} documents x {width} features cannot be allocated"
         ) from None
-    count_of = np.array(counts, dtype=np.intp)
-    for first, end, chunk_indices, chunk_values in chunks:
-        rows = np.repeat(np.arange(first, end), count_of[first:end])
-        features[rows, chunk_indices - 1] = chunk_values
+    for first, rows in blocks:
+        features[first:first + len(rows), :rows.shape[1]] = rows
     grade_of = np.array(grades, dtype=np.int64)
     groups = [QueryGroup(q, np.array(r, dtype=np.intp), features, grade_of)
               for q, r in rows_of.items()]
     return Dataset(features, grade_of, groups, max(grades, default=0))
-
-
-def _stash(chunks: list, first: int, end: int, indices: list[int] | np.ndarray,
-           values: list[float] | np.ndarray, width: int) -> int:
-    """Keep the tokens of rows ``first..end-1`` as one int64 and one float64 array.
-
-    Returns the widest feature index seen so far. An index beyond int64 is not
-    stored: no table that wide can be allocated, so only its width matters.
-    """
-    if len(indices) == 0:
-        return width
-    try:
-        chunk_indices = np.asarray(indices, dtype=np.int64)
-    except OverflowError:
-        return max(width, max(indices))
-    chunks.append((first, end, chunk_indices, np.asarray(values, dtype=np.float64)))
-    return max(width, int(chunk_indices.max()))
 
 
 def load_dataset(path: str) -> Dataset:

@@ -365,7 +365,7 @@ def test_crlf_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, newline):
 
 
 def test_load_dataset_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
-    """Tokens are held in 16 bytes each until the table is filled, not as Python objects."""
+    """Each block's rows are held as floats until the table is filled, not as Python objects."""
     rng = np.random.default_rng(3)
     fmt = "%d qid:%d " + " ".join(f"{j}:%.6f" for j in range(1, 47))
     rows = [fmt % (g, 1 + i // 60, *x) for i, (g, x) in
@@ -380,6 +380,43 @@ def test_load_dataset_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
         tracemalloc.stop()
     assert ds.features.shape == (3000, 46)
     assert peak <= 4 * ds.features.nbytes
+
+
+@pytest.mark.parametrize("width, share", [(46, 1.0), (700, 0.05)], ids=["dense", "sparse"])
+def test_parse_holds_at_most_two_and_a_half_tables(tmp_path, width, share):
+    """Block rows plus the table, whatever share of the features a line lists."""
+    rng = np.random.default_rng(5)
+    listed = rng.random((3000, width)) < share
+    listed[0, -1] = True  # the table is ``width`` wide
+    rows = [f"{i % 3} qid:{1 + i // 60} " + " ".join(f"{j + 1}:{v:.6f}" for j, v in
+                                                    zip(np.flatnonzero(m), rng.random(m.sum())))
+            for i, m in enumerate(listed)]
+    path = tmp_path / "data.txt"
+    path.write_text("\n".join(rows) + "\n")
+    tracemalloc.start()
+    try:
+        ds = load_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (3000, width)
+    assert peak <= 2.5 * ds.features.nbytes
+
+
+def test_repeat_in_a_block_too_wide_to_allocate_names_its_line():
+    """The block reader refuses rows it cannot allocate; the line reader still checks them."""
+    text = f"1 qid:1 {10**15}:0.5 2:1.0\n0 qid:1 1:0.25 1:0.5\n"
+    assert len(list(data._blocks(text.splitlines(keepends=True)))) == 1
+    with pytest.raises(ValidationError, match="duplicate feature index 1") as exc:
+        parse_dataset(text)
+    assert exc.value.line == 2
+
+
+def test_block_rows_that_cannot_be_allocated_leave_no_table(monkeypatch):
+    """Rows refused for one block are never left out of a table that fits."""
+    monkeypatch.setattr(data, "_scatter", lambda counts, indices, values, width: None)
+    with pytest.raises(ValidationError, match="2 documents x 3 features cannot be allocated"):
+        parse_dataset("1 qid:1 1:0.5 2:1.0 3:2.0\n0 qid:1 3:0.25\n")
 
 
 @pytest.mark.parametrize("index", [10**15, 10**30])
