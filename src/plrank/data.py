@@ -7,15 +7,16 @@ one row of the table, in file order. Column ``t`` holds feature index
 as 0.0. Lines sharing a qid form one query group, contiguous or not.
 
 A file is read as a stream, a block of whole lines (about ``_BLOCK_CHARS``
-characters) at a time, so the text is never held whole. A block of ASCII text
-without ``_`` whose every line is well formed is read at once
-(:func:`_read_block`); any other block is read line by line, which also names
-the line of the first error. Only the block being read holds its tokens as
-Python strings. Each block becomes its own rows of the table, zero where a
-line lists no feature, and the parser keeps those rows until the last line;
-it then allocates the table once, at its final shape, and copies each block's
-rows in. So a parse holds about twice the table, whatever share of the
-features a line lists: on a sparse file that is more than its tokens alone.
+characters) at a time, so the text is never held whole. Every well-formed
+block, with Unicode separators or non-ASCII comments too, is read at once
+(:func:`_read_block`); a block it refuses is only checked line by line, to
+name the line of the first error (or its rows cannot be allocated). Only the
+block being read holds its tokens as Python strings. Each block becomes its
+own rows of the table, zero where a line lists no feature, and the parser
+keeps those rows until the last line; it then allocates the table once, at
+its final shape, and copies each block's rows in. So a parse holds about
+twice the table, whatever share of the features a line lists: on a sparse
+file that is more than its tokens alone.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ def _ascii(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return read
 
 
-def _parse_line(tokens: list[str], lineno: int,
-                plain: bool) -> tuple[int, int, list[int], list[float]]:
-    """One data line's fields; ``plain`` says the line is ASCII and holds no ``_``."""
-    to_int, to_float = (int, float) if plain else (_ascii(int), _ascii(float))
+def _parse_line(tokens: list[str], lineno: int) -> tuple[int, int, int]:
+    """One data line's grade, qid and highest feature index (0 if it lists none)."""
+    to_int, to_float = _ascii(int), _ascii(float)
     try:
         grade = to_int(tokens[0])
     except ValueError:
@@ -100,8 +100,6 @@ def _parse_line(tokens: list[str], lineno: int,
         raise ParseError(f"bad qid field {tokens[1]!r}", lineno) from None
 
     seen: set[int] = set()
-    indices: list[int] = []
-    values: list[float] = []
     for tok in tokens[2:]:
         idx_s, sep, val_s = tok.partition(":")
         if not sep:
@@ -118,50 +116,39 @@ def _parse_line(tokens: list[str], lineno: int,
         if not math.isfinite(val):
             raise ValidationError(f"non-finite value for feature {idx}", lineno)
         seen.add(idx)
-        indices.append(idx)
-        values.append(val)
-    return grade, qid, indices, values
+    return grade, qid, max(seen, default=0)
 
 
-def _read_lines(lines: list[str], lineno: int) -> tuple[list[int], list[int],
-                                                       np.ndarray | None, int]:
-    """The fields :func:`_read_block` gives, read one line at a time; ``lineno``
-    is the file line of the first. The rows are None if they cannot be allocated."""
-    grades: list[int] = []
-    qids: list[int] = []
-    counts: list[int] = []
-    indices: list[int] = []
-    values: list[float] = []
-    for lineno, raw in enumerate(lines, start=lineno):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        plain = raw.isascii() and "_" not in raw  # int and float read "_" and other digits
-        grade, qid, line_indices, line_values = _parse_line(tokens, lineno, plain)
-        grades.append(grade)
-        qids.append(qid)
-        counts.append(len(line_indices))
-        indices += line_indices
-        values += line_values
-    width = max(indices, default=0)
-    return grades, qids, _scatter(counts, indices, values, width), width
+def _check_lines(lines: list[str], lineno: int) -> tuple[list[int], list[int], None, int]:
+    """Raise at the first malformed line of a block :func:`_read_block` refused
+    (``lineno`` is the file line of the first). Else the block's grades, qids
+    and widest index, with no rows: they cannot be allocated."""
+    fields = [_parse_line(tokens, n) for n, raw in enumerate(lines, start=lineno)
+              if (tokens := raw.split("#", 1)[0].split())]
+    return ([f[0] for f in fields], [f[1] for f in fields], None,
+            max((f[2] for f in fields), default=0))
 
 
 def _read_block(lines: list[str]) -> tuple[list[int], list[int], np.ndarray, int] | None:
     """The block's grades, qids, rows of the table (lines x widest index) and
     that width, read for the whole block at once.
 
-    Returns None unless the block is ASCII without ``_``, every line is well
-    formed, and its rows can be allocated. Tokens are split and converted as
-    :func:`_parse_line` does, so an accepted block gives the same rows. A block
-    whose every line lists ``1..k`` is its values, ``k`` to a row; any other is
-    scattered into zeroed rows, 8 bytes a cell however few features it lists.
+    Returns None unless every line is well formed and its rows can be
+    allocated. A block still not ASCII once comments are dropped is re-split,
+    as Unicode whitespace separates tokens too; tokens are then converted as
+    :func:`_parse_line` does. A block whose every line lists ``1..k`` is its
+    values, ``k`` to a row; any other is scattered into zeroed rows, 8 bytes
+    a cell however few features it lists.
     """
     text = "".join(lines)
-    if not text.isascii() or "_" in text:
-        return None
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
+        text = "".join(lines)
+    if not text.isascii():
+        lines = [" ".join(line.split()) for line in lines]
+        text = "".join(lines)
+    if not text.isascii() or "_" in text:  # int and float read "_" and other digits
+        return None
     heads = [head for line in lines if (head := line.split(None, 2))]
     rests = [head[2] if len(head) == 3 else "" for head in heads]
     tokens = " ".join(rests).split()
@@ -196,8 +183,8 @@ def _read_block(lines: list[str]) -> tuple[list[int], list[int], np.ndarray, int
     return grades.tolist(), qids, rows, rows.shape[1]
 
 
-def _scatter(counts: list[int], indices: list[int] | np.ndarray,
-             values: list[float] | np.ndarray, width: int) -> np.ndarray | None:
+def _scatter(counts: list[int], indices: np.ndarray, values: np.ndarray,
+             width: int) -> np.ndarray | None:
     """Zeroed rows ``width`` wide, row ``r`` holding its ``counts[r]`` tokens
     (1-based ``indices``, ``values``); None if they cannot be allocated or an
     index repeats within its row, which fills fewer cells than there are tokens."""
@@ -239,12 +226,13 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     ``\x0c`` or ``\u2028`` separate tokens, as any whitespace does. ``#``
     starts a comment that runs to the end of the line.
 
-    Lines are read a block at a time, each block into its own rows of the
-    table (see the module docstring); an error names its own line, whichever
+    Lines are read a block at a time, each well-formed block at once into its
+    own rows of the table (see the module docstring). A block the block reader
+    refuses is checked line by line: an error names its own line, whichever
     block it falls in. Every line is checked before the table is allocated,
     so a malformed line anywhere is reported before a table too large to
-    allocate. A block whose rows cannot be allocated is read line by line, to
-    check its lines, and the table then cannot be allocated either.
+    allocate. A well-formed block whose rows cannot be allocated leaves the
+    table unallocatable too.
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     rows_of: dict[int, list[int]] = {}
@@ -252,7 +240,7 @@ def parse_dataset(source: str | IO[str] | Iterable[str]) -> Dataset:
     blocks: list[tuple[int, np.ndarray | None]] = []
     width = 0
     for lineno, block in _blocks(lines):
-        block_grades, qids, rows, block_width = _read_block(block) or _read_lines(block, lineno)
+        block_grades, qids, rows, block_width = _read_block(block) or _check_lines(block, lineno)
         for row, qid in enumerate(qids, start=len(grades)):
             rows_of.setdefault(qid, []).append(row)
         blocks.append((len(grades), rows))

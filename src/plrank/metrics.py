@@ -109,14 +109,17 @@ def evaluate(
 ) -> EvalReport:
     """Score every query and average the metrics across queries.
 
-    ``scores`` is a flat per-document array aligned with the dataset's
-    original line order (one entry per document ordinal).
+    ``scores`` is a flat per-document array of finite values aligned with the
+    dataset's original line order (one entry per document ordinal, from 0).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (dataset.num_documents,):
         raise ValidationError(
             f"got {scores.size} scores for {dataset.num_documents} documents"
         )
+    if not np.isfinite(scores).all():
+        i = int(np.argmin(np.isfinite(scores)))
+        raise ValidationError(f"non-finite score {float(scores[i])!r} for document {i}")
     if g_max is None:
         g_max = max(dataset.max_grade, 1)
 

@@ -350,7 +350,7 @@ def test_block_that_starts_with_a_blank_or_comment_line(monkeypatch, newline, le
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
-def test_crlf_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, newline):
+def test_crlf_file_is_read_a_block_at_a_time(tmp_path, newline):
     row = "0 qid:{} " + " ".join(f"{j}:0.{j}" for j in range(1, 47))
     rows = [row.format(i // 10).encode() for i in range(300)]
     path = tmp_path / "data.txt"
@@ -360,8 +360,6 @@ def test_crlf_file_is_read_a_block_at_a_time(tmp_path, monkeypatch, newline):
     assert refused == 0
     assert ds.features.shape == (300, 46) and len(ds.groups) == 30
     assert ds.features[7].tolist() == [float(f"0.{j}") for j in range(1, 47)]
-    monkeypatch.setattr(data, "_read_block", lambda lines: None)
-    assert_same_dataset(load_dataset(str(path)), ds)
 
 
 def test_load_dataset_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
@@ -530,19 +528,12 @@ def test_parse_matches_dict_parser(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=letor_texts(plain=True), block=BLOCKS)
+@given(text=st.one_of(letor_texts(), letor_texts(plain=True)), block=BLOCKS)
 def test_plain_text_is_read_a_block_at_a_time(text, block):
+    """Unicode separators and comments with "_" or non-ASCII digits too."""
     with mock.patch.object(data, "_BLOCK_CHARS", block):
         ds, refused = _parse_counting_refusals(text)
     assert refused == 0
-    assert_parses_as_dict_parser(text, ds)
-
-
-@settings(max_examples=100, deadline=None)
-@given(text=letor_texts(plain=True))
-def test_line_reader_matches_dict_parser(text):
-    with mock.patch.object(data, "_read_block", lambda lines: None):
-        ds = parse_dataset(text)
     assert_parses_as_dict_parser(text, ds)
 
 
@@ -565,7 +556,7 @@ def test_malformed_text_raises_as_dict_parser(text, block):
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=letor_texts(malformed=True, plain=True))
+@given(text=st.one_of(letor_texts(malformed=True), letor_texts(malformed=True, plain=True)))
 def test_line_reader_raises_as_dict_parser(text):
     expected = _outcome(ref.parse_dataset, text)
     assert expected is not None

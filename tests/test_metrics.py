@@ -161,6 +161,15 @@ def test_evaluate_score_length_mismatch():
         evaluate(ds, [1.0, 2.0], [1])
 
 
+@pytest.mark.parametrize("scores, first", [
+    ([math.nan, 1.0, 0.0], 0), ([1.0, 0.0, math.inf], 2), ([0.0, -math.inf, math.inf], 1),
+])
+def test_evaluate_rejects_non_finite_scores(scores, first):
+    ds = make_dataset([(1, [(2, {1: 1.0}), (0, {1: 2.0}), (1, {1: 3.0})])])
+    with pytest.raises(ValidationError, match=f"non-finite score .* for document {first}$"):
+        evaluate(ds, scores, [3])
+
+
 def test_report_rendering():
     ds = make_dataset([(1, [(1, {1: 0.0}), (0, {1: 0.0})])])
     report = evaluate(ds, [1.0, 0.0], [1, 3])
