@@ -13,6 +13,7 @@ through the new tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -153,20 +154,25 @@ def train(
 
     # The model covers the data and the warm start's declared features; the
     # rows need only the data and the columns the warm start's splits read.
+    # Warm-start trees come first, rescaled to the new learning rate.
     width = reads = dataset.max_feature_index
+    trees: list[RegressionTree] = []
     if config.init_model is not None:
         width = max(width, config.init_model.num_features)
         reads = max(reads, config.init_model.split_width)
+        factor = config.init_model.learning_rate / config.learning_rate
+        with np.errstate(over="ignore"):  # the tree rejects an overflowed output
+            trees = [replace(t, value=t.value * factor) for t in config.init_model.trees]
     X = dense_features(dataset, reads)
-    n_docs = X.shape[0]
     bins = config.histogram_bins
     columns = bin_columns(X, bins) if bins else sort_columns(X)
 
-    if config.init_model is not None:
-        scores = predict_ensemble_matrix(config.init_model, X)
-    else:
-        scores = np.zeros(n_docs, dtype=np.float64)
+    def start_scores(rows: np.ndarray) -> np.ndarray:
+        if config.init_model is None:
+            return np.zeros(rows.shape[0], dtype=np.float64)
+        return predict_ensemble_matrix(config.init_model, rows)
 
+    scores = start_scores(X)
     if config.loss == "plrank":
         contexts = sample_contexts(dataset, config.top_k, config.objectives, config.seed)
         if not contexts.num_contexts:
@@ -174,48 +180,40 @@ def train(
                 "likelihood loss needs at least one query with 2+ documents"
             )
 
-        def objective() -> float:
+        def objective(scores: np.ndarray) -> float:
             return pl_objective.log_likelihood(scores, contexts)
 
-        trace = TrainTrace("loglik", objective(), config.top_k)
     else:
-        targets = np.zeros(n_docs, dtype=np.float64)
+        targets = np.zeros(X.shape[0], dtype=np.float64)
         for group in dataset.groups:
             rel = group.relevances()
             norm = dcg_at_k(sorted(rel.tolist(), reverse=True), len(rel))
             targets[group.doc_ids] = mart_response(np.zeros(len(rel)), rel, config.loss, norm)
 
-        def objective() -> float:
+        def objective(scores: np.ndarray) -> float:
             return float(np.sum((targets - scores) ** 2))
 
-        trace = TrainTrace("sse", objective(), config.top_k)
-
-    valid_scores = None
-    valid_X = None
+    trace = TrainTrace(
+        "loglik" if config.loss == "plrank" else "sse", objective(scores), config.top_k
+    )
     if valid_dataset is not None:
-        trace.valid_ndcg = []
         # Extra validation columns are harmless: trees only route on columns
         # seen during training.
         valid_X = dense_features(
             valid_dataset, max(reads, valid_dataset.max_feature_index)
         )
-        valid_scores = np.zeros(valid_X.shape[0], dtype=np.float64)
-        if config.init_model is not None:
-            valid_scores = predict_ensemble_matrix(config.init_model, valid_X)
+        valid_scores = start_scores(valid_X)
+        trace.valid_ndcg = []
 
-    def newton_values(leaf_of_row: np.ndarray, leaf_count: int) -> np.ndarray:
-        # The leaf rule of the likelihood tree: Newton steps at this iteration's responses.
-        return newton_leaf_outputs(leaf_of_row, leaf_count, contexts, responses)
-
-    leaf_values = newton_values if config.loss == "plrank" else None
-    leaf_of_row = np.empty(n_docs, dtype=np.intp)
-    new_trees: list[RegressionTree] = []
+    leaf_of_row = np.empty(X.shape[0], dtype=np.intp)
     for it in range(1, config.trees + 1):
         if config.loss == "plrank":
-            # objective() last refreshed at these scores: its softmax is reused.
+            # objective(scores) last refreshed at these scores: its softmax is reused.
             responses = response_from_workspace(contexts.refresh(scores), contexts)
+            # The leaf rule of the likelihood tree: Newton steps at these responses.
+            leaf_values = partial(newton_leaf_outputs, contexts=contexts, responses=responses)
         else:
-            responses = targets - scores
+            responses, leaf_values = targets - scores, None
 
         tree = fit_tree(
             X, responses, config.leaves, config.min_leaf_docs, bins,
@@ -224,10 +222,10 @@ def train(
         outputs = tree.value[tree.feature < 0]
 
         scores = scores + config.learning_rate * outputs[leaf_of_row]
-        new_trees.append(tree)
-        trace.objectives.append(objective())
+        trees.append(tree)
+        trace.objectives.append(objective(scores))
 
-        if valid_scores is not None:
+        if valid_dataset is not None:
             step = outputs[apply_tree(tree, valid_X)]
             valid_scores = valid_scores + config.learning_rate * step
             report = evaluate(valid_dataset, valid_scores, [config.top_k])
@@ -235,14 +233,7 @@ def train(
         if on_iteration is not None:
             on_iteration(trace.iteration_line(it))
 
-    trees = list(new_trees)
-    init_score = 0.0
-    if config.init_model is not None:
-        factor = config.init_model.learning_rate / config.learning_rate
-        with np.errstate(over="ignore"):  # the tree rejects an overflowed output
-            trees = [replace(t, value=t.value * factor) for t in config.init_model.trees] + trees
-        init_score = config.init_model.init_score
-
+    init_score = 0.0 if config.init_model is None else config.init_model.init_score
     ensemble = Ensemble(
         trees=trees,
         learning_rate=config.learning_rate,

@@ -10,6 +10,7 @@ import argparse
 import ctypes
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -106,6 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(line: str) -> None:
+    """Print one line of output. A reader that closes stdout early ends no
+    command: fd 1 then points at ``os.devnull``, and later lines are dropped."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.train)
     if args.loss == "listmle-linear":
@@ -118,7 +130,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             objectives=args.objectives,
             iterations=args.iterations,
             seed=args.seed,
-            on_iteration=print,
+            on_iteration=_emit,
         )
     else:
         init_model = None
@@ -140,7 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             histogram_bins=args.bins,
             init_model=init_model,
         )
-        model, _ = train(dataset, config, valid_dataset=valid, on_iteration=print)
+        model, _ = train(dataset, config, valid_dataset=valid, on_iteration=_emit)
     save_model(model, args.out)
     return EXIT_OK
 
@@ -200,9 +212,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         degenerate_policy=args.degenerate,
     )
     if args.format == "kv":
-        print(report.format_keyvalues(include_err=args.err))
+        _emit(report.format_keyvalues(include_err=args.err))
     else:
-        print(report.format_text(include_err=args.err))
+        _emit(report.format_text(include_err=args.err))
     return EXIT_OK
 
 

@@ -66,16 +66,6 @@ class LinearModel:
         return np.vecdot(X[:, : self.weights.size], self.weights)
 
 
-def _query_contexts(
-    dataset: Dataset, k: int, objectives: int, seed: int, width: int
-) -> tuple[np.ndarray, QueryContexts]:
-    """Feature rows by global document id, and every query's sampled orders.
-
-    Rows of queries without contexts meet only zero gradient entries.
-    """
-    return dense_features(dataset, width), sample_contexts(dataset, k, objectives, seed)
-
-
 def _objective_and_gradient(
     weights: np.ndarray, X: np.ndarray, contexts: QueryContexts
 ) -> tuple[float, np.ndarray]:
@@ -132,7 +122,9 @@ def train_linear(
     width = dataset.max_feature_index
     if width == 0:
         return LinearModel(weights=np.zeros(0))
-    X, contexts = _query_contexts(dataset, k, objectives, seed, width)
+    # Rows of queries without contexts meet only zero gradient entries.
+    X = _feature_rows(dense_features(dataset, width))
+    contexts = sample_contexts(dataset, k, objectives, seed)
     weights = np.zeros(width, dtype=np.float64)
     objective, gradient = _objective_and_gradient(weights, X, contexts)
     rise = math.inf

@@ -413,10 +413,11 @@ def _best_split(
 
 
 def _partition(span: np.ndarray, first: np.ndarray) -> None:
-    """Stably move the entries of ``span`` where ``first`` is set to its front."""
-    rest = span.compress(~first)
-    span[: span.size - rest.size] = span.compress(first)
-    span[span.size - rest.size :] = rest
+    """Stably move the columns of ``span`` where ``first`` is set to its front."""
+    rest = span.compress(~first, axis=-1)
+    cut = span.shape[-1] - rest.shape[-1]
+    span[..., :cut] = span.compress(first, axis=-1)
+    span[..., cut:] = rest
 
 
 def fit_tree(
@@ -439,7 +440,7 @@ def fit_tree(
     stably, so a node's rows stay in increasing order. Exact search
     (``bins == 0``) walks each column in sorted order: ``columns`` is
     :func:`sort_columns` of ``features``, and each tree partitions one copy
-    of its ``order`` and ``ranks`` alike, so nothing is sorted again, and
+    of its ``order`` and ``ranks``, stacked, so nothing is sorted again, and
     ties are equal neighbouring ranks. ``bins >= 2`` searches histograms of
     at most that many quantile bins per feature, fixed for the run:
     ``columns`` is :func:`bin_columns` of ``features`` with the same
@@ -454,7 +455,7 @@ def fit_tree(
     :func:`apply_tree` numbers them). ``leaf_of_row``, if given, receives
     those positions. The tree is built once, when it is done.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = _feature_rows(features)
     y = np.asarray(responses, dtype=np.float64)
     if leaf_limit < 2:
         raise ValidationError(f"leaf limit must be >= 2, got {leaf_limit}")
@@ -474,20 +475,19 @@ def fit_tree(
     if leaf_of_row is not None and leaf_of_row.shape != y.shape:
         raise ValidationError("leaf_of_row must hold one entry per document")
 
-    # Node [lo, hi) holds rows[lo:hi] and, in exact mode, the (m x hi - lo)
-    # share order[m * lo : m * hi] and ranks[m * lo : m * hi].
+    # Node [lo, hi) holds rows[lo:hi] and, in exact mode, columns m * lo to
+    # m * hi of the work table, whose rows are order and ranks.
     n, m = X.shape
     rows = np.arange(n)
     if not bins:
-        order, ranks = columns.order.ravel().copy(), columns.ranks.ravel().copy()
+        work = np.stack((columns.order.ravel(), columns.ranks.ravel()))
         goes_left = np.empty(n, dtype=bool)  # set for a split node's rows only
 
     def share(lo: int, hi: int) -> SortedColumns | BinnedColumns:
         if bins:
             return columns
-        shape = (m, hi - lo)
-        return SortedColumns(columns.values, order[m * lo : m * hi].reshape(shape),
-                             ranks[m * lo : m * hi].reshape(shape))
+        order, ranks = work[:, m * lo : m * hi].reshape(2, m, hi - lo)
+        return SortedColumns(columns.values, order, ranks)
 
     # Each node in creation order: its span rows[start : start + size] and its
     # split (feature -1 at a leaf).
@@ -514,9 +514,7 @@ def fit_tree(
         mid = lo + int(np.count_nonzero(left))
         if search and not bins:
             goes_left[node] = left
-            kept = goes_left.take(order[m * lo : m * hi])
-            _partition(order[m * lo : m * hi], kept)
-            _partition(ranks[m * lo : m * hi], kept)
+            _partition(work[:, m * lo : m * hi], goes_left.take(work[0, m * lo : m * hi]))
         _partition(node, left)
         grow(lo, mid, search)
         grow(mid, hi, search)
@@ -549,7 +547,7 @@ _BLOCK_PAIRS = 1 << 15
 
 
 def _feature_rows(X: np.ndarray) -> np.ndarray:
-    """``X`` as a C-ordered float matrix; every prediction path rejects NaN."""
+    """``X`` as a C-ordered float matrix; every training and prediction path rejects NaN."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError(f"feature matrix must be 2-D, got {X.ndim}-D")

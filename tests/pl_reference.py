@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from plrank import linear, pl_objective
-from plrank.data import QueryGroup
+from plrank.booster import sample_contexts
+from plrank.data import QueryGroup, dense_features
 from plrank.permutation import ContextSet, PermutationSet, sample_permutation
 from plrank.pl_objective import CURVATURE_EPS, MAX_LEAF_OUTPUT
 
@@ -294,7 +295,8 @@ def library_linear_objective(
     repeated calls see the same ones.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    X, contexts = linear._query_contexts(dataset, k, objectives, seed, weights.size)
+    X = dense_features(dataset, weights.size)
+    contexts = sample_contexts(dataset, k, objectives, seed)
     return linear._objective_and_gradient(weights, X, contexts)
 
 
@@ -303,5 +305,6 @@ def library_linear_curvature(
 ) -> np.ndarray:
     """The matrix the linear trainer's Newton step solves against at ``weights``."""
     weights = np.asarray(weights, dtype=np.float64)
-    X, contexts = linear._query_contexts(dataset, k, objectives, seed, weights.size)
+    X = dense_features(dataset, weights.size)
+    contexts = sample_contexts(dataset, k, objectives, seed)
     return linear._curvature(weights, X, contexts)

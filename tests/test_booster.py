@@ -15,7 +15,7 @@ from plrank import (
 )
 from plrank.data import dense_features
 from plrank.model_io import dumps_ensemble
-from plrank.tree import predict_ensemble_matrix
+from plrank.tree import fit_tree, predict_ensemble_matrix
 
 from helpers import make_dataset, separable_dataset, thresholded_linear_dataset
 from tree_reference import build_tree
@@ -98,6 +98,20 @@ def test_sampling_rejects_a_negative_seed_or_query_id(trainer, qid, seed, messag
                        (qid, [(2, {1: 1.0}), (0, {1: 0.0})])])
     with pytest.raises(ConfigError, match=message):
         trainer(ds, seed)
+
+
+@pytest.mark.parametrize("trainer", [
+    lambda ds: fit_tree(ds.features, np.arange(ds.num_documents, dtype=float), 4),
+    lambda ds: train(ds, small_config(trees=1)),
+    lambda ds: train(ds, small_config(trees=1, loss="mart1", histogram_bins=4)),
+    lambda ds: train_linear(ds, k=10, iterations=1),
+], ids=["fit_tree", "plrank", "mart1-bins", "listmle-linear"])
+def test_training_rejects_nan_feature_rows(trainer):
+    """Prediction rejects NaN rows, so no trainer fits them."""
+    ds = separable_dataset(n_queries=3, n_docs=4)
+    ds.features[5, 0] = np.nan
+    with pytest.raises(ValidationError, match="NaN in feature row 5"):
+        trainer(ds)
 
 
 def test_empty_dataset_rejected():

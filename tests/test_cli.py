@@ -569,6 +569,31 @@ def test_train_with_init_model(tmp_path, train_file, capsys):
     capsys.readouterr()
 
 
+def test_closed_standard_output_ends_no_command(tmp_path, train_file, capsys):
+    """A reader that closes stdout early (``plrank train ... | head -1``) ends no command."""
+    env = {**os.environ, "PYTHONPATH": str(Path(plrank.__file__).resolve().parents[1])}
+
+    def to_closed_pipe(*argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run([sys.executable, "-m", "plrank", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+
+    flags = ["train", "--train", train_file, "--trees", "5", "--leaves", "4", "--out"]
+    scores = str(tmp_path / "scores.txt")
+    assert run([*flags, str(tmp_path / "whole.txt")]) == 0
+    assert run(["predict", "--model", str(tmp_path / "whole.txt"), "--data", train_file,
+                "--out", scores]) == 0
+    done = to_closed_pipe(*flags, str(tmp_path / "cut.txt"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "cut.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+    done = to_closed_pipe("evaluate", "--data", train_file, "--scores", scores)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def python_with_plrank(script):
     """Stdout of ``script`` run by a fresh interpreter that imports this plrank."""
     env = {**os.environ, "PYTHONPATH": str(Path(plrank.__file__).resolve().parents[1])}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import plrank.linear
 from plrank import LinearModel, evaluate, parse_dataset, train_linear
+from plrank.booster import sample_contexts
 from plrank.data import dense_features
 from plrank.errors import ConfigError, ValidationError
 from plrank.linear import _REDUCTION_TOL, GRADIENT_TOL
@@ -205,8 +206,8 @@ def scipy_objective(dataset, k, objectives, seed):
     """The objective where scipy's L-BFGS-B stops, run to convergence with the
     options plrank once passed it (it is the reference, not a dependency)."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    X, contexts = plrank.linear._query_contexts(dataset, k, objectives, seed,
-                                                dataset.max_feature_index)
+    X = dense_features(dataset, dataset.max_feature_index)
+    contexts = sample_contexts(dataset, k, objectives, seed)
 
     def negated(w):
         objective, gradient = plrank.linear._objective_and_gradient(w, X, contexts)
