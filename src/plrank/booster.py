@@ -161,8 +161,10 @@ def train(
         width = max(width, config.init_model.num_features)
         reads = max(reads, config.init_model.split_width)
         factor = config.init_model.learning_rate / config.learning_rate
-        with np.errstate(over="ignore"):  # the tree rejects an overflowed output
-            trees = [replace(t, value=t.value * factor) for t in config.init_model.trees]
+        trees = list(config.init_model.trees)
+        if factor != 1.0:  # x * 1.0 == x, so the trees would not change
+            with np.errstate(over="ignore"):  # the tree rejects an overflowed output
+                trees = [replace(t, value=t.value * factor) for t in trees]
     X = dense_features(dataset, reads)
     bins = config.histogram_bins
     columns = bin_columns(X, bins) if bins else sort_columns(X)

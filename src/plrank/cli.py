@@ -179,8 +179,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     scores = _dataset_scores(model, dataset, args.strict)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for value in scores:
-            fh.write(f"{value:.17g}\n")
+        fh.write("".join(map("{:.17g}\n".format, scores.tolist())))
     return EXIT_OK
 
 
@@ -229,8 +228,9 @@ def _set_allocator_policy() -> None:
     would depend on what the process happened to free before it. Without such
     a free, each tree node's temporaries (about 1 MB at 2,880 documents x 46
     features) are mapped, faulted in and unmapped again at every node. With
-    these thresholds they stay in the heap: a 101-tree train command at that
-    shape takes about 8,000 minor page faults, not 170,000.
+    these thresholds they stay in the heap: a 101-tree exact train at that
+    shape takes about 1,850 minor page faults, not about 215,000 (README,
+    "Command line").
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -25,8 +25,10 @@ A tree is one preorder node table (:class:`RegressionTree`): fitting lists
 its nodes by span start, the larger span first; the model file is it line
 for line; and prediction routes every row through all trees of an ensemble
 together, one depth level per step. A tree is a read-only value, checked
-once when it is built; an :class:`Ensemble` is its trees and the routing
-table it stacks from them once. Every prediction path rejects NaN in its input.
+once when it is built (a model file's trees a run at a time, with one check
+over their stacked columns); an :class:`Ensemble` is its trees and the
+routing table it stacks from them once. Every prediction path rejects NaN in
+its input.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ Node = Leaf | Split
 # A node table's stored columns and their dtypes: what the model file holds.
 _COLUMNS = {"feature": np.intp, "threshold": np.float64, "value": np.float64,
             "count": np.int64}
+_FIELDS = (*_COLUMNS, "right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,27 +110,9 @@ class RegressionTree:
     right: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, dtype in _COLUMNS.items():
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
-            getattr(self, name).flags.writeable = False
-        shapes = [getattr(self, name).shape for name in _COLUMNS]
-        if len(set(shapes)) > 1 or len(shapes[0]) != 1:
-            raise ValidationError(f"columns {', '.join(_COLUMNS)} must be 1-D and of one "
-                                  f"length, got shapes {', '.join(map(str, shapes))}")
-        bad = ~np.isfinite(self.threshold) | ~np.isfinite(self.value) | (self.count < 0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(f"node {i} has t={self.threshold[i]} v={self.value[i]} n="
-                                  f"{self.count[i]}; t and v must be finite and n >= 0")
-        leaf = self.feature < 0
-        unsaved = np.where(leaf, (self.feature != -1) | (self.threshold != 0),
-                           (self.value != 0) | (self.count != 0))
-        if unsaved.any():
-            i = int(np.argmax(unsaved))
-            kind, holds = ("leaf", "f=-1 and t=0") if leaf[i] else ("split", "v=0 and n=0")
-            raise ValidationError(f"{kind} node {i} has f={self.feature[i]} t={self.threshold[i]} "
-                                  f"v={self.value[i]} n={self.count[i]}; a {kind} must have {holds}")
-        object.__setattr__(self, "right", _preorder_right(self.feature))
+        columns = _checked_columns([getattr(self, name) for name in _COLUMNS], None)
+        for name, column in zip(_FIELDS, columns):
+            object.__setattr__(self, name, column)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in _COLUMNS)
@@ -152,21 +137,88 @@ class RegressionTree:
         return Split(int(self.feature[i]), float(self.threshold[i]), self, i)
 
 
-def _preorder_right(feature: np.ndarray) -> np.ndarray:
-    """Each preorder row's right child (-1 at leaves); the rows must be one whole tree."""
-    right = np.full(feature.size, -1, dtype=np.intp)
-    pending: list[int] = []  # open splits; a leaf closes the innermost at the next row
-    for i, is_split in enumerate((feature >= 0).tolist()):
-        if is_split:
-            pending.append(i)
-        elif pending:
-            right[pending.pop()] = i + 1
-        elif i + 1 < feature.size:
+def _checked_columns(columns: list, sizes: list[int] | None) -> list[np.ndarray]:
+    """Read-only copies of the stacked node columns of one tree (``sizes`` None)
+    or of trees of ``sizes`` rows each, and their ``right`` column, checked at
+    once as :class:`RegressionTree` documents; an error numbers its node within
+    its tree."""
+    columns = [np.array(column, dtype=dtype) for column, dtype in zip(columns, _COLUMNS.values())]
+    for column in columns:
+        column.flags.writeable = False
+    shapes = [column.shape for column in columns]
+    if len(set(shapes)) > 1 or len(shapes[0]) != 1:
+        raise ValidationError(f"columns {', '.join(_COLUMNS)} must be 1-D and of one "
+                              f"length, got shapes {', '.join(map(str, shapes))}")
+    feature, threshold, value, count = columns
+    sizes = np.array([feature.size] if sizes is None else sizes, dtype=np.intp)
+    first = np.cumsum(sizes) - sizes  # each tree's first row
+    base = np.repeat(first, sizes)  # each row's tree's first row
+    bad = ~np.isfinite(threshold) | ~np.isfinite(value) | (count < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"node {i - base[i]} has t={threshold[i]} v={value[i]} "
+                              f"n={count[i]}; t and v must be finite and n >= 0")
+    leaf = feature < 0
+    unsaved = np.where(leaf, (feature != -1) | (threshold != 0), (value != 0) | (count != 0))
+    if unsaved.any():
+        i = int(np.argmax(unsaved))
+        kind, holds = ("leaf", "f=-1 and t=0") if leaf[i] else ("split", "v=0 and n=0")
+        raise ValidationError(f"{kind} node {i - base[i]} has f={feature[i]} t={threshold[i]} "
+                              f"v={value[i]} n={count[i]}; a {kind} must have {holds}")
+    return columns + [_preorder_right(~leaf, sizes, first, base)]
+
+
+def _preorder_right(split: np.ndarray, sizes: np.ndarray, first: np.ndarray,
+                    base: np.ndarray) -> np.ndarray:
+    """Each preorder row's right child (-1 at leaves), numbered within its
+    tree, for stacked trees of ``sizes`` rows from rows ``first``; ``base``
+    is each row's tree's first row. Raise unless each tree's rows are one
+    whole tree.
+
+    Each row fills one open child slot and a split opens two, so a tree has
+    one slot open before its root and is whole when its slots first run out
+    at its last row. A split's right child follows the row where the slots
+    fall back to their count before the split: at each count, rows alternate
+    between a split that rises from it and the leaf that returns to it.
+    """
+    step = np.where(split, 1, -1)
+    steps = step.cumsum()
+    slots = steps - (steps - step)[base] + 1  # open slots after each row
+    last = first + sizes - 1
+    whole = slots > 0
+    whole[last[sizes > 0]] ^= True  # a tree's last row must close its last slot
+    if not (whole.all() and sizes.all()):
+        rows = np.flatnonzero(~whole)
+        t = min(np.flatnonzero(sizes == 0).tolist()
+                + np.searchsorted(last, rows[:1]).tolist())  # the first tree that is not whole
+        out = np.flatnonzero(slots[first[t]:last[t] + 1] == 0)[:1].tolist()
+        if out and out[0] < sizes[t] - 1:
+            i = out[0]
             raise ValidationError(f"node {i + 1} is unreachable: the tree ends at node {i}")
-        else:
-            right.flags.writeable = False
-            return right
-    raise ValidationError(f"{feature.size} nodes end before every split has both children")
+        raise ValidationError(f"{sizes[t]} nodes end before every split has both children")
+    level = slots - split  # the lower slot count on either side of the row
+    order = np.argsort(base + level, kind="stable")
+    order = order[level[order] > 0]  # a tree's last row is alone at count 0
+    right = np.full(split.size, -1, dtype=np.intp)
+    opens = order[0::2]
+    right[opens] = order[1::2] + 1 - base[opens]
+    right.flags.writeable = False
+    return right
+
+
+def _stacked_trees(columns: list[np.ndarray], sizes: list[int]) -> list[RegressionTree]:
+    """Trees of ``sizes`` rows each from the stacked columns ``feature``,
+    ``threshold``, ``value`` and ``count``, checked at once; each tree's
+    columns are read-only views of one copy of the stacked ones."""
+    columns = _checked_columns(columns, sizes)
+    ends = np.cumsum(sizes).tolist()
+    trees = []
+    for start, stop in zip([0] + ends, ends):
+        tree = object.__new__(RegressionTree)
+        for name, column in zip(_FIELDS, columns):
+            object.__setattr__(tree, name, column[start:stop])
+        trees.append(tree)
+    return trees
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,18 @@ def test_init_model_trees_carry_over():
     assert dumps_ensemble(resumed) == dumps_ensemble(full)
 
 
+def test_warm_start_at_the_same_learning_rate_keeps_the_trees():
+    """Rescaling by 1.0 would rebuild and re-check each tree for the same bytes."""
+    ds = separable_dataset(n_queries=5, n_docs=6)
+    first, _ = train(ds, small_config(trees=3))
+    resumed, _ = train(ds, small_config(trees=2, init_model=first))
+    assert all(kept is tree for kept, tree in zip(resumed.trees, first.trees))
+    halved, _ = train(ds, small_config(trees=1, init_model=first,
+                                       learning_rate=2 * first.learning_rate))
+    assert [tree.value.tolist() for tree in halved.trees[:3]] == [
+        (tree.value / 2).tolist() for tree in first.trees]
+
+
 def test_warm_start_whose_rescaled_outputs_overflow_fails_at_train_time():
     # Rescaling to the new learning rate once wrote v=inf, which loading refused.
     ds = separable_dataset(n_queries=5, n_docs=6)

@@ -11,9 +11,11 @@ from plrank import TrainConfig, evaluate, load_dataset, train
 from plrank.data import dense_features
 from plrank import cli
 from plrank.cli import main
-from plrank.tree import predict_ensemble_matrix
+from plrank.model_io import save_model
+from plrank.tree import Ensemble, predict_ensemble_matrix
 
 from helpers import letor_text, one_leaf_model, separable_dataset
+from tree_reference import build_tree
 
 
 @pytest.fixture
@@ -64,6 +66,22 @@ def test_predict_then_evaluate_matches_in_memory(tmp_path, train_file, capsys):
     report = evaluate(ds, predict_ensemble_matrix(ensemble, X), [10])
     assert float(kv["ndcg@10"]) == pytest.approx(report.ndcg_at[10], abs=1e-12)
     assert float(kv["err"]) == pytest.approx(report.err, abs=1e-12)
+
+
+def test_predict_writes_each_score_in_17_significant_digits(tmp_path):
+    """The score file is each float64 score formatted as numpy scalars once were."""
+    outputs = [-0.0, 5e-324, 0.1, 1e16, -123456.789, 2.5e-7, 1.7976931348623157e308]
+    spec = outputs[-1]
+    for i, out in reversed(list(enumerate(outputs[:-1]))):
+        spec = (0, i + 0.5, out, spec)
+    model, data, scores = tmp_path / "m.txt", tmp_path / "d.txt", tmp_path / "s.txt"
+    ensemble = Ensemble(trees=[build_tree(spec)], learning_rate=1.0, num_features=1)
+    save_model(ensemble, str(model))
+    data.write_text("".join(f"0 qid:1 1:{i}\n" for i in range(len(outputs))))
+    assert run(["predict", "--model", str(model), "--data", str(data),
+                "--out", str(scores)]) == 0
+    expected = predict_ensemble_matrix(ensemble, np.arange(len(outputs), dtype=float)[:, None])
+    assert scores.read_bytes() == "".join(f"{v:.17g}\n" for v in expected).encode()
 
 
 def test_training_is_deterministic_across_thread_flags(tmp_path, train_file):

@@ -1,9 +1,14 @@
+import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plrank import LinearModel, TrainConfig, train
+from plrank import model_io
 from plrank.errors import ParseError, ValidationError
 from plrank.model_io import (
     dumps_ensemble,
@@ -15,6 +20,7 @@ from plrank.model_io import (
 )
 from plrank.tree import Ensemble
 
+import model_reference as ref
 from helpers import one_leaf_model, separable_dataset
 from tree_reference import build_tree, predict_ensemble_row
 
@@ -359,3 +365,152 @@ def test_round_trip_property(ensemble, data):
     except (ParseError, ValidationError):
         return
     assert dumps_ensemble(loaded) == edited
+
+
+def _outcome(parse, text):
+    """What ``parse(text)`` returns, or the class, line and message it raises."""
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), exc.line, str(exc)
+
+
+def _parse_counting_refusals(text):
+    """``parse_ensemble(text)``, and whether the block reader turned the file down."""
+    read_blocks, refused = model_io._read_blocks, []
+
+    def spy(text):
+        ensemble = read_blocks(text)
+        refused.append(ensemble is None)
+        return ensemble
+
+    with mock.patch.object(model_io, "_read_blocks", spy):
+        return parse_ensemble(text), refused == [True]
+
+
+# Characters an edit draws: the node syntax, whitespace and line breaks that
+# split() or splitlines() see, and a digit that int() and float() read.
+EDIT_CHARS = "LN 0123456789.-+eftlrvn=_x\t\r\n\x0b١"
+BLOCKS = st.sampled_from([1, 4, 1 << 11])
+
+
+def edited_line(line: str, lines: list[str]):
+    """Another line of the file, random text, or ``line`` with a few characters changed."""
+    splice = st.tuples(st.integers(0, len(line)), st.integers(0, 2),
+                       st.text(alphabet=EDIT_CHARS, max_size=2))
+    return st.one_of(
+        st.sampled_from(lines),
+        st.text(alphabet=EDIT_CHARS, max_size=30),
+        splice.map(lambda s: line[:s[0]] + s[2] + line[s[0] + s[1]:]),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(ensembles(), st.data(), BLOCKS)
+def test_reader_matches_the_reference_reader(ensemble, data, block):
+    """A saved file is read a run of trees at a time; a one-line edit of it
+    gives what the reference reader gives: an equal ensemble, or the same
+    error class, line and message."""
+    text = dumps_ensemble(ensemble)
+    lines = text.split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = data.draw(edited_line(lines[i], lines))
+    edited = "\n".join(lines)
+    with mock.patch.object(model_io, "_BLOCK_LINES", block):
+        assert _parse_counting_refusals(text) == (ensemble, False)
+        assert _outcome(parse_ensemble, edited) == _outcome(ref.parse_ensemble, edited)
+
+
+def two_tree_model(first=("L 1 v=0.25 n=3", "L 2 v=-0.5 n=7"),
+                   second=("L 1 v=1.5 n=2", "L 2 v=-2.0 n=4"), second_head="tree 1 nodes=3"):
+    return (
+        "plrank-model v1\nloss=plrank\nalpha=0.1\ntopk=10\nfeatures=3\ninit=0.0\ntrees=2\n"
+        "tree 0 nodes=3\nN 0 f=1 t=0.5 l=1 r=2\n" + "".join(f"{n}\n" for n in first)
+        + f"{second_head}\nN 0 f=2 t=1.5 l=1 r=2\n" + "".join(f"{n}\n" for n in second)
+        + "end\n"
+    )
+
+
+@pytest.mark.parametrize("text, error, line, message", [
+    # the first error in file order wins over a later tree's bad header
+    (two_tree_model(first=("L 1 v=0.2x n=3", "L 2 v=-0.5 n=7"), second_head="tree 7 nodes=3"),
+     ParseError, 10, "bad number '0.2x'"),
+    # a malformed node wins over a later spelling that is only not canonical
+    (two_tree_model(first=("L 1 v=0.25 n=3", "L 2 v=-0.5 n=x"),
+                    second=("L 1 v=1.5 n=2", "L 2 v=-2.00 n=4")),
+     ParseError, 11, "bad node record 'L 2 v=-0.5 n=x'"),
+    (two_tree_model(second=("L 1 v=1.5 n=2", "L 2 v=-2.00 n=4")),
+     ValidationError, 15, "not in canonical v1 form: expected 'L 2 v=-2.0 n=4'"),
+], ids=["bad-number-before-bad-tree-line", "bad-node-before-spelling", "spelling"])
+def test_first_error_in_file_order_is_named(text, error, line, message):
+    parse_ensemble(two_tree_model())
+    expected = (error, line, f"line {line}: {message}")
+    assert _outcome(parse_ensemble, text) == _outcome(ref.parse_ensemble, text) == expected
+
+
+@pytest.mark.parametrize("garbled", [False, True], ids=["saved", "long-line"])
+def test_load_peak_memory_is_a_small_multiple_of_the_file(tmp_path, garbled):
+    """Node lines are split a run of trees at a time, never the whole file at
+    once, and a line longer than any saved one is not split at all."""
+    rng = np.random.default_rng(5)
+    trees = []
+    for _ in range(300):
+        spec = float(rng.normal())
+        for feature, threshold in zip(rng.integers(0, 40, 15).tolist(), rng.random(15).tolist()):
+            spec = (feature, threshold, (float(rng.normal()), int(rng.integers(1, 99))), spec)
+        trees.append(build_tree(spec))
+    path = tmp_path / "m.txt"
+    text = dumps_ensemble(Ensemble(trees=trees, num_features=40))
+    if garbled:  # one node line of 300,000 two-digit tokens
+        text = text.replace("\nL 15 ", "\nL 15 " + "00 " * 300_000, 1)
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) if garbled else nullcontext():
+            load_model(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * len(text), f"peak {peak / len(text):.1f}x the {len(text)}-byte file"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("L 1 v=0.25 n=3", "Lx 1 v=0.25 n=3"),
+    ("N 0 f=2", "Nx 0 f=2"),
+    ("L 1 v=0.25 n=3", "L 01 v=0.25 n=3"),
+    ("N 0 f=1 t=0.5 l=1 r=2", "N 0 f=1 t=0.5 l=2 r=2"),
+    ("N 0 f=1 t=0.5 l=1 r=2", "N 0 f=1 t=0.5 l=1 r=3"),
+    ("N 0 f=1", "N 0 f=4"),
+    ("N 0 f=1", "N 0 f=0"),
+    ("N 0 f=1", "N 0 f=01"),
+    ("L 1 v=0.25 n=3", "L 1 n=3 v=0.25"),
+    ("L 1 v=0.25 n=3", "L 1 v=0.25 n=3 x"),
+    # the same tokens over the same number of lines, one line starting mid-row
+    ("L 1 v=0.25 n=3\nL 2 v=-0.5 n=7", "L 1 v=0.25\nn=3 L 2 v=-0.5 n=7"),
+    ("L 1 v=0.25 n=3", "L 1 v=0.25  n=3"),
+    ("L 1 v=0.25 n=3", "L 1 v=0.25\tn=3"),
+    ("L 1 v=0.25 n=3", "L 1 v=0.25 n=3\r"),
+    ("L 1 v=0.25 n=3", "L 1 v=0.25 n=-3"),
+    ("L 1 v=0.25 n=3", "L 1 v=nan n=3"),
+    ("L 1 v=0.25 n=3", "L 1 v=1e400 n=3"),
+    ("L 1 v=0.25 n=3", "L 1 v=0.25 n=99999999999999999999"),
+    ("N 0 f=2 t=1.5 l=1 r=2", "N 0 f=2 t=1.5 l=1"),
+    ("tree 1 nodes=3", "tree 1 nodes=-1"),
+    ("tree 1 nodes=3", "tree 1 nodes=9"),
+    ("tree 1 nodes=3", "tree 1 nodes=03"),
+    # f=0 would make the split row a leaf of the form saving writes
+    *[("tree 0 nodes=3\nN 0 f=1 t=0.5 l=1 r=2\nL 1 v=0.25 n=3\nL 2 v=-0.5 n=7",
+       f"tree 0 nodes=1\nN 0 f=0 t=0.0 l=1 r={right}") for right in (-1, 1, 3)],
+    ("trees=2", "trees=-1"),
+    ("features=3", "features=03"),
+    ("end\n", "end\n\n"),
+])
+def test_each_token_is_checked_against_its_saved_form(old, new):
+    """Each edit is refused by the block reader and named as the reference
+    reader names it."""
+    text = two_tree_model()
+    assert old in text
+    edited = text.replace(old, new, 1)
+    assert model_io._read_blocks(edited) is None
+    outcome = _outcome(parse_ensemble, edited)
+    assert isinstance(outcome, tuple) and outcome == _outcome(ref.parse_ensemble, edited)

@@ -446,3 +446,33 @@ def test_tree_shape_matches_the_recursive_descent_oracle(mask, data):
     assert tree.right.tolist() == expected
     ensemble = Ensemble(trees=[tree], num_features=FEATURES)
     assert parse_ensemble(dumps_ensemble(ensemble)) == ensemble
+
+
+def mask_columns(mask):
+    """A table with splits and leaves where ``mask`` says, each row holdable."""
+    return dict(feature=[0 if split else -1 for split in mask],
+                threshold=[0.5 if split else 0.0 for split in mask],
+                value=[0.0 if split else 1.0 for split in mask],
+                count=[0 if split else 1 for split in mask])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MASKS, max_size=5))
+def test_stacked_trees_are_checked_as_each_tree_alone(masks):
+    """One check over stacked tables raises exactly when one of them alone
+    does, with the first such table's message; else each tree is the one
+    its own table builds, as read-only views."""
+    tables = [mask_columns(mask) for mask in masks]
+    stacked = [sum((table[name] for table in tables), []) for name in plrank.tree._COLUMNS]
+    try:
+        trees = plrank.tree._stacked_trees(stacked, [len(mask) for mask in masks])
+    except ValidationError as exc:
+        bad = next(table for table in tables if reference_right(table["feature"]) is None)
+        with pytest.raises(ValidationError) as alone:
+            RegressionTree(**bad)
+        assert str(exc) == str(alone.value)
+        return
+    assert trees == [RegressionTree(**table) for table in tables]
+    assert [tree.right.tolist() for tree in trees] == [
+        reference_right(table["feature"]) for table in tables]
+    assert not any(tree.value.flags.writeable or tree.right.flags.writeable for tree in trees)
