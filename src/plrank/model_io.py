@@ -26,21 +26,19 @@ keys in this order, numbers as ``repr`` spells them, ``\n`` line ends, and
 the derived ids and children), so saving a loaded model rewrites its file
 byte for byte.
 
-A file is read by a block reader first (:func:`_read_blocks`). It holds the
-file's lines, and reads the node lines of a run of whole trees (about
-``_BLOCK_LINES`` lines) at once: it splits all leaf lines and all split
-lines of the run, converts each number column with one call (each distinct
-spelling once), and builds the run's trees from the stacked columns with
-one check. It checks each line against its saved form token by token,
-rather than writing the model again, and only the run being read holds its
-tokens. It refuses any file that is not what saving its model writes. A
-refused file is read again line by line (:func:`_read_lines`), which raises
-at the first error in file order: a malformed line, a number or feature
-index out of range, or a tree that is not one whole tree. Only if there is
-none does it compare the file with the saved form. On one pinned core of a
-2-vCPU Xeon host, the benchmark's 400-tree serve model (24,008 lines, 0.73
-MB) loads in a median of 46 ms, against 74 ms when every line was read on
-its own and the model written again to compare (40 alternating loads).
+A file is read in one walk over its lines (:func:`parse_ensemble`). It
+reads the header, each ``tree`` record and ``end`` once, and reads the node
+lines of a run of whole trees (about ``_BLOCK_LINES`` lines) at once
+(:func:`_read_run`): it splits all leaf lines and all split lines of the
+run, converts each number column with one call (each distinct spelling
+once), and builds the run's trees from the stacked columns with one check.
+It checks each line against its saved form token by token, rather than
+writing the model again, and only the run being read holds its tokens. A
+run it refuses is read again one tree at a time (:func:`_parse_tree`), which
+raises at the first error in file order: a malformed line, a number or
+feature index out of range, or a tree that is not one whole tree. Only a
+file with a line that is not its saved form, and no such error, is compared
+with what saving its model writes.
 
 A linear model file, too, is read only in the form saving writes:
 ``linear M=<m>``, then ``w[i]=<repr>`` for i = 1..m, each line ending in
@@ -98,55 +96,94 @@ def dumps_ensemble(ensemble: Ensemble) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_RE = re.compile(r"^(\w+)=(.*)$")
+_NODE_RE = re.compile(r"L \d+ v=(\S+) n=(\d+)|N \d+ f=(\d+) t=(\S+) l=\d+ r=\d+")
+_TREE_RE = re.compile(r"^tree (\d+) nodes=(\d+)$")
+_INT64_MAX = int(np.iinfo(np.int64).max)  # a node's f= and n= are stored as int64
+# The line breaks str.splitlines sees besides the "\n" saving writes.
+_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 def parse_ensemble(text: str) -> Ensemble:
-    """The ensemble a v1 model file holds (see the module docstring)."""
-    return _read_blocks(text) or _read_lines(text)
-
-
-def _read_blocks(text: str) -> Ensemble | None:
-    """The ensemble, or None unless ``text`` is what saving it writes.
-
-    The header and each ``tree`` line must be their saved form, and the file
-    must end in ``end`` and a line break. The node lines are read a run of
-    whole trees (about ``_BLOCK_LINES`` lines) at a time.
-    """
-    lines = text.split("\n")
+    """The ensemble a v1 model file holds, read in one walk over its lines
+    (see the module docstring). ``saved`` holds while every line so far is
+    its saved form; only a file where it fails is compared with what saving
+    its model writes."""
+    saved = text.endswith("\n") and not any(map(text.__contains__, _BREAKS))
+    lines = text.splitlines()
+    if not lines or lines[0] != ENSEMBLE_MAGIC:
+        raise ValidationError(
+            f"unsupported model header (expected {ENSEMBLE_MAGIC!r})"
+        )
+    header: dict[str, tuple[str, int]] = {}  # key -> (value text, line number)
+    pos = 1
+    while pos < len(lines):
+        match = _HEADER_RE.match(lines[pos])
+        if not match:
+            break
+        header[match.group(1)] = (match.group(2), pos + 1)
+        pos += 1
     try:
-        loss, alpha, topk, features, init, count = (line.partition("=")[2] for line in lines[1:7])
-        fields = dict(loss=loss, learning_rate=float(alpha), top_k=int(topk),
-                      num_features=int(features), init_score=float(init))
-        tree_count = int(count)
-    except ValueError:
-        return None
+        fields = {  # Ensemble field: (value, header line)
+            "learning_rate": (_finite(*header["alpha"]), header["alpha"][1]),
+            "init_score": (_finite(*header["init"]), header["init"][1]),
+            "loss": header["loss"],
+            "top_k": (int(header["topk"][0]), header["topk"][1]),
+            "num_features": (int(header["features"][0]), header["features"][1]),
+        }
+        tree_count = int(header["trees"][0])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad model header: {exc}") from None
+    for name, (value, line) in fields.items():
+        try:
+            Ensemble(**{name: value})
+        except ValidationError as exc:
+            raise ValidationError(str(exc), line) from None
+    values = {name: value for name, (value, _) in fields.items()}
+    num_features = fields["num_features"][0]
+    header_end = pos
+
     trees: list[RegressionTree] = []
     run: list[str] = []  # the node lines of the trees not yet read
+    starts: list[int] = []  # the index of each such tree's first node line
     sizes: list[int] = []
-    pos = 7
+
+    def read_run() -> None:
+        nonlocal saved
+        if not sizes:
+            return
+        read = None
+        if max(map(len, run), default=0) <= _LINE_CHARS:
+            read = _read_run(run, sizes, num_features)
+        if read is None:
+            saved = False
+            read = [_parse_tree(lines[s : s + n], s, num_features) for s, n in zip(starts, sizes)]
+        trees.extend(read)
+        del run[:], starts[:], sizes[:]
+
     for t in range(tree_count):
-        try:
-            size = int(lines[pos].rpartition("=")[2])
-        except (IndexError, ValueError):
-            return None
-        if lines[pos] != f"tree {t} nodes={size}" or not 0 <= size < len(lines) - pos:
-            return None
-        block = lines[pos + 1 : pos + 1 + size]
-        if max(map(len, block), default=0) > _LINE_CHARS:
-            return None
-        run += block
-        sizes.append(size)
-        pos += 1 + size
+        match = _TREE_RE.match(lines[pos]) if pos < len(lines) else None
+        if not match or int(match.group(1)) != t:
+            read_run()  # an error in an earlier tree comes first
+            raise ParseError(f"expected 'tree {t}' record", pos + 1)
+        node_count = int(match.group(2))
+        saved = saved and lines[pos] == f"tree {t} nodes={node_count}"
+        pos += 1
+        if pos + node_count > len(lines):
+            read_run()
+            raise ParseError("truncated tree block", len(lines) + 1)
+        run += lines[pos : pos + node_count]
+        starts.append(pos)
+        sizes.append(node_count)
+        pos += node_count
         if len(run) >= _BLOCK_LINES or t == tree_count - 1:
-            if (read := _read_run(run, sizes, fields["num_features"])) is None:
-                return None
-            trees += read
-            run, sizes = [], []
-    if lines[pos:] != ["end", ""]:
-        return None
-    try:
-        ensemble = Ensemble(trees=trees, **fields)
-    except ValidationError:
-        return None
-    return ensemble if lines[:7] == _header_lines(ensemble) else None
+            read_run()
+    if pos >= len(lines) or lines[pos] != "end":
+        raise ParseError("missing 'end' marker", pos + 1)
+    ensemble = Ensemble(trees=trees, **values)
+    if not (saved and pos + 1 == len(lines) and lines[:header_end] == _header_lines(ensemble)):
+        _require_canonical(text, dumps_ensemble(ensemble), "v1 form")
+    return ensemble
 
 
 def _read_run(lines: list[str], sizes: list[int], num_features: int) -> list[RegressionTree] | None:
@@ -225,65 +262,6 @@ def _numbers(tokens: list[str], key: str, kind: type) -> list:
     if len(spellings) == len(texts):  # no spelling repeats: they are the texts
         return numbers
     return list(map(dict(zip(spellings, numbers)).__getitem__, texts))
-
-
-_HEADER_RE = re.compile(r"^(\w+)=(.*)$")
-_NODE_RE = re.compile(r"L \d+ v=(\S+) n=(\d+)|N \d+ f=(\d+) t=(\S+) l=\d+ r=\d+")
-_TREE_RE = re.compile(r"^tree (\d+) nodes=(\d+)$")
-_INT64_MAX = int(np.iinfo(np.int64).max)  # a node's f= and n= are stored as int64
-
-
-def _read_lines(text: str) -> Ensemble:
-    """The ensemble, read one line at a time: a file the block reader refused
-    comes here to raise its first error in file order, the saved-form
-    comparison last."""
-    lines = text.splitlines()
-    if not lines or lines[0] != ENSEMBLE_MAGIC:
-        raise ValidationError(
-            f"unsupported model header (expected {ENSEMBLE_MAGIC!r})"
-        )
-    header: dict[str, tuple[str, int]] = {}  # key -> (value text, line number)
-    pos = 1
-    while pos < len(lines):
-        match = _HEADER_RE.match(lines[pos])
-        if not match:
-            break
-        header[match.group(1)] = (match.group(2), pos + 1)
-        pos += 1
-    try:
-        fields = {  # Ensemble field: (value, header line)
-            "learning_rate": (_finite(*header["alpha"]), header["alpha"][1]),
-            "init_score": (_finite(*header["init"]), header["init"][1]),
-            "loss": header["loss"],
-            "top_k": (int(header["topk"][0]), header["topk"][1]),
-            "num_features": (int(header["features"][0]), header["features"][1]),
-        }
-        tree_count = int(header["trees"][0])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad model header: {exc}") from None
-    for name, (value, line) in fields.items():
-        try:
-            Ensemble(**{name: value})  # the ensemble checks each field on its own
-        except ValidationError as exc:
-            raise ValidationError(str(exc), line) from None
-    num_features = fields["num_features"][0]
-
-    trees = []
-    for t in range(tree_count):
-        match = _TREE_RE.match(lines[pos]) if pos < len(lines) else None
-        if not match or int(match.group(1)) != t:
-            raise ParseError(f"expected 'tree {t}' record", pos + 1)
-        node_count = int(match.group(2))
-        pos += 1
-        if pos + node_count > len(lines):
-            raise ParseError("truncated tree block", len(lines) + 1)
-        trees.append(_parse_tree(lines[pos : pos + node_count], pos, num_features))
-        pos += node_count
-    if pos >= len(lines) or lines[pos] != "end":
-        raise ParseError("missing 'end' marker", pos + 1)
-    ensemble = Ensemble(trees=trees, **{name: value for name, (value, _) in fields.items()})
-    _require_canonical(text, dumps_ensemble(ensemble), "v1 form")
-    return ensemble
 
 
 def _require_canonical(text: str, canonical: str, form: str) -> None:

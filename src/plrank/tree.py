@@ -230,9 +230,10 @@ class Ensemble:
     with no splits). Building raises :class:`ValidationError` unless the
     model is what a model file can hold: a known tree loss, an integer
     ``top_k >= 1`` and ``num_features >= 0`` above every split feature, and
-    a finite ``learning_rate`` and ``init_score``. The header messages name
-    the model-file keys; a split outside the features names its tree and
-    node.
+    a finite ``learning_rate`` and ``init_score``, which it holds as Python
+    floats (so a saved file spells them as the reader does). The header
+    messages name the model-file keys; a split outside the features names
+    its tree and node.
     """
 
     trees: tuple[RegressionTree, ...] = ()
@@ -250,6 +251,8 @@ class Ensemble:
         for key, number in (("alpha", self.learning_rate), ("init", self.init_score)):
             if not math.isfinite(number):
                 raise ValidationError(f"{key} must be finite, got {number!r}")
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
+        object.__setattr__(self, "init_score", float(self.init_score))
         object.__setattr__(self, "trees", tuple(self.trees))
         widths = [int(tree.feature.max(initial=-1)) + 1 for tree in self.trees]
         if self.num_features is None:

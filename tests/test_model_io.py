@@ -264,6 +264,14 @@ def test_ensemble_rejects_a_header_no_model_file_holds(fields, message):
     Ensemble(top_k=np.int64(3), num_features=np.int64(0))
 
 
+@pytest.mark.parametrize("number", [1, 0, np.float64(0.1), np.float32(0.5)],
+                         ids=["int-1", "int-0", "float64", "float32"])
+def test_header_number_of_any_type_saves_a_file_that_loads(number):
+    # Each once saved alpha=1, init=0 or alpha=np.float64(0.1), which load refused.
+    ensemble = Ensemble(learning_rate=number, init_score=number)
+    assert parse_ensemble(dumps_ensemble(ensemble)) == ensemble
+
+
 def test_feature_count_defaults_to_the_highest_split():
     stump = build_tree((2, 0.5, 1.0, -1.0))
     assert Ensemble().num_features == 0
@@ -376,21 +384,16 @@ def _outcome(parse, text):
 
 
 def _parse_counting_refusals(text):
-    """``parse_ensemble(text)``, and whether the block reader turned the file down."""
-    read_blocks, refused = model_io._read_blocks, []
-
-    def spy(text):
-        ensemble = read_blocks(text)
-        refused.append(ensemble is None)
-        return ensemble
-
-    with mock.patch.object(model_io, "_read_blocks", spy):
-        return parse_ensemble(text), refused == [True]
+    """``_outcome(parse_ensemble, text)``, and whether the walk turned a line
+    down: read it one tree at a time or wrote the model again to compare."""
+    with mock.patch.object(model_io, "_parse_tree", wraps=model_io._parse_tree) as lines, \
+            mock.patch.object(model_io, "dumps_ensemble", wraps=dumps_ensemble) as saved_form:
+        return _outcome(parse_ensemble, text), lines.called or saved_form.called
 
 
 # Characters an edit draws: the node syntax, whitespace and line breaks that
 # split() or splitlines() see, and a digit that int() and float() read.
-EDIT_CHARS = "LN 0123456789.-+eftlrvn=_x\t\r\n\x0b١"
+EDIT_CHARS = "LN 0123456789.-+eftlrvn=_x\t\r\n\x0b\x0c\x1c\x85\u2028١"
 BLOCKS = st.sampled_from([1, 4, 1 << 11])
 
 
@@ -504,13 +507,17 @@ def test_load_peak_memory_is_a_small_multiple_of_the_file(tmp_path, garbled):
     ("trees=2", "trees=-1"),
     ("features=3", "features=03"),
     ("end\n", "end\n\n"),
+    # a line break other than "\n", on its own or before one
+    *[(old, old[:-1] + brk + end) for old in ("L 1 v=0.25 n=3\n", "trees=2\n", "end\n")
+      for brk in "\r\x0b\x0c\x1c\x85\u2028" for end in ("", "\n")],
 ])
 def test_each_token_is_checked_against_its_saved_form(old, new):
-    """Each edit is refused by the block reader and named as the reference
-    reader names it."""
+    """Each edit is refused, by an error of the walk's own or by the line
+    checker or the saved-form comparison, and named as the reference reader
+    names it."""
     text = two_tree_model()
     assert old in text
     edited = text.replace(old, new, 1)
-    assert model_io._read_blocks(edited) is None
-    outcome = _outcome(parse_ensemble, edited)
+    outcome, refused = _parse_counting_refusals(edited)
     assert isinstance(outcome, tuple) and outcome == _outcome(ref.parse_ensemble, edited)
+    assert refused or outcome[0] is ParseError
