@@ -120,8 +120,6 @@ def train_linear(
     if iterations < 1:
         raise ConfigError(f"iteration cap must be >= 1, got {iterations}")
     width = dataset.max_feature_index
-    if width == 0:
-        return LinearModel(weights=np.zeros(0))
     # Rows of queries without contexts meet only zero gradient entries.
     X = _feature_rows(dense_features(dataset, width))
     contexts = sample_contexts(dataset, k, objectives, seed)
@@ -129,7 +127,7 @@ def train_linear(
     objective, gradient = _objective_and_gradient(weights, X, contexts)
     rise = math.inf
     for step in range(1, iterations + 1):
-        if np.max(np.abs(gradient)) <= GRADIENT_TOL or rise <= _REDUCTION_TOL:
+        if np.max(np.abs(gradient), initial=0.0) <= GRADIENT_TOL or rise <= _REDUCTION_TOL:
             break
         direction = np.linalg.solve(_curvature(weights, X, contexts), gradient)
         slope = float(gradient @ direction)

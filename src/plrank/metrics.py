@@ -56,13 +56,12 @@ def err(grades_in_model_order: Sequence[int], g_max: int) -> float:
     """Expected reciprocal rank under the cascade user model."""
     if g_max < 1:
         raise ValidationError(f"g_max must be >= 1, got {g_max}")
-    norm = 2.0 ** g_max
     total = 0.0
     not_stopped = 1.0
     for pos, grade in enumerate(grades_in_model_order, start=1):
         if grade > g_max:
             raise ValidationError(f"grade {grade} exceeds g_max {g_max}")
-        stop = (2.0 ** grade - 1.0) / norm
+        stop = math.ldexp(2.0 ** grade - 1.0, -g_max)  # 2 ** g_max overflows from 1024 on
         total += not_stopped * stop / pos
         not_stopped *= 1.0 - stop
     return total

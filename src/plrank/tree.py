@@ -25,10 +25,11 @@ A tree is one preorder node table (:class:`RegressionTree`): fitting lists
 its nodes by span start, the larger span first; the model file is it line
 for line; and prediction routes every row through all trees of an ensemble
 together, one depth level per step. A tree is a read-only value, checked
-once when it is built (a model file's trees a run at a time, with one check
-over their stacked columns); an :class:`Ensemble` is its trees and the
-routing table it stacks from them once. Every prediction path rejects NaN in
-its input.
+once when it is built (a model file's trees a run at a time: one check of
+their stacked numbers, then one walk down each tree's rows); an
+:class:`Ensemble` is its trees and the routing table it stacks from them
+once, on which it checks their split features. Every prediction path
+rejects NaN in its input.
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ class RegressionTree:
     An internal node ``i`` routes a row left when ``row[feature[i]] <=
     threshold[i]``. Preorder fixes its children, so no column stores them:
     the left one is node ``i + 1`` and the right one, the read-only
-    ``right[i]`` that building the tree derives, is the node after the left
-    subtree. A leaf has ``feature == -1`` and ``right == -1``, and carries its
-    output in ``value`` and its training document count in ``count`` (both 0
-    on internal nodes, as a leaf's ``threshold`` is). The v1 model file is
+    ``right[i]`` that building the tree derives in one walk down the rows, is
+    the node after the left subtree. A leaf has ``feature == -1`` and
+    ``right == -1``, and carries its output in ``value`` and its training
+    document count in ``count`` (both 0 on internal nodes, as a leaf's
+    ``threshold`` is). The v1 model file is
     the four columns, one line per node. Building copies the columns and
     marks them read-only, so the caller's arrays stay its own and
     ``dataclasses.replace`` builds a changed tree. It raises
@@ -139,9 +141,9 @@ class RegressionTree:
 
 def _checked_columns(columns: list, sizes: list[int] | None) -> list[np.ndarray]:
     """Read-only copies of the stacked node columns of one tree (``sizes`` None)
-    or of trees of ``sizes`` rows each, and their ``right`` column, checked at
-    once as :class:`RegressionTree` documents; an error numbers its node within
-    its tree."""
+    or of trees of ``sizes`` rows each, and their ``right`` column, checked as
+    :class:`RegressionTree` documents: the numbers at once, then each tree's
+    shape by its own walk; an error numbers its node within its tree."""
     columns = [np.array(column, dtype=dtype) for column, dtype in zip(columns, _COLUMNS.values())]
     for column in columns:
         column.flags.writeable = False
@@ -150,66 +152,56 @@ def _checked_columns(columns: list, sizes: list[int] | None) -> list[np.ndarray]
         raise ValidationError(f"columns {', '.join(_COLUMNS)} must be 1-D and of one "
                               f"length, got shapes {', '.join(map(str, shapes))}")
     feature, threshold, value, count = columns
-    sizes = np.array([feature.size] if sizes is None else sizes, dtype=np.intp)
-    first = np.cumsum(sizes) - sizes  # each tree's first row
-    base = np.repeat(first, sizes)  # each row's tree's first row
+    sizes = [feature.size] if sizes is None else sizes
+    ends = np.cumsum(sizes, dtype=np.intp)
+    first = ends - sizes  # each tree's first row
+
+    def node(i: int) -> int:
+        """Row ``i``'s number within its tree."""
+        return i - int(first[np.searchsorted(first, i, side="right") - 1])
+
     bad = ~np.isfinite(threshold) | ~np.isfinite(value) | (count < 0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValidationError(f"node {i - base[i]} has t={threshold[i]} v={value[i]} "
+        raise ValidationError(f"node {node(i)} has t={threshold[i]} v={value[i]} "
                               f"n={count[i]}; t and v must be finite and n >= 0")
     leaf = feature < 0
     unsaved = np.where(leaf, (feature != -1) | (threshold != 0), (value != 0) | (count != 0))
     if unsaved.any():
         i = int(np.argmax(unsaved))
         kind, holds = ("leaf", "f=-1 and t=0") if leaf[i] else ("split", "v=0 and n=0")
-        raise ValidationError(f"{kind} node {i - base[i]} has f={feature[i]} t={threshold[i]} "
+        raise ValidationError(f"{kind} node {node(i)} has f={feature[i]} t={threshold[i]} "
                               f"v={value[i]} n={count[i]}; a {kind} must have {holds}")
-    return columns + [_preorder_right(~leaf, sizes, first, base)]
-
-
-def _preorder_right(split: np.ndarray, sizes: np.ndarray, first: np.ndarray,
-                    base: np.ndarray) -> np.ndarray:
-    """Each preorder row's right child (-1 at leaves), numbered within its
-    tree, for stacked trees of ``sizes`` rows from rows ``first``; ``base``
-    is each row's tree's first row. Raise unless each tree's rows are one
-    whole tree.
-
-    Each row fills one open child slot and a split opens two, so a tree has
-    one slot open before its root and is whole when its slots first run out
-    at its last row. A split's right child follows the row where the slots
-    fall back to their count before the split: at each count, rows alternate
-    between a split that rises from it and the leaf that returns to it.
-    """
-    step = np.where(split, 1, -1)
-    steps = step.cumsum()
-    slots = steps - (steps - step)[base] + 1  # open slots after each row
-    last = first + sizes - 1
-    whole = slots > 0
-    whole[last[sizes > 0]] ^= True  # a tree's last row must close its last slot
-    if not (whole.all() and sizes.all()):
-        rows = np.flatnonzero(~whole)
-        t = min(np.flatnonzero(sizes == 0).tolist()
-                + np.searchsorted(last, rows[:1]).tolist())  # the first tree that is not whole
-        out = np.flatnonzero(slots[first[t]:last[t] + 1] == 0)[:1].tolist()
-        if out and out[0] < sizes[t] - 1:
-            i = out[0]
-            raise ValidationError(f"node {i + 1} is unreachable: the tree ends at node {i}")
-        raise ValidationError(f"{sizes[t]} nodes end before every split has both children")
-    level = slots - split  # the lower slot count on either side of the row
-    order = np.argsort(base + level, kind="stable")
-    order = order[level[order] > 0]  # a tree's last row is alone at count 0
-    right = np.full(split.size, -1, dtype=np.intp)
-    opens = order[0::2]
-    right[opens] = order[1::2] + 1 - base[opens]
+    split = (~leaf).tolist()
+    rights: list[int] = []
+    for start, end in zip(first.tolist(), ends.tolist()):
+        rights += _preorder_right(split[start:end])
+    right = np.array(rights, dtype=np.intp)
     right.flags.writeable = False
-    return right
+    return columns + [right]
+
+
+def _preorder_right(split: list[bool]) -> list[int]:
+    """Each preorder row's right child (-1 at leaves); the rows must be one whole tree."""
+    right = [-1] * len(split)
+    pending: list[int] = []  # open splits; a leaf closes the innermost at the next row
+    for i, is_split in enumerate(split):
+        if is_split:
+            pending.append(i)
+        elif pending:
+            right[pending.pop()] = i + 1
+        elif i + 1 < len(split):
+            raise ValidationError(f"node {i + 1} is unreachable: the tree ends at node {i}")
+        else:
+            return right
+    raise ValidationError(f"{len(split)} nodes end before every split has both children")
 
 
 def _stacked_trees(columns: list[np.ndarray], sizes: list[int]) -> list[RegressionTree]:
     """Trees of ``sizes`` rows each from the stacked columns ``feature``,
-    ``threshold``, ``value`` and ``count``, checked at once; each tree's
-    columns are read-only views of one copy of the stacked ones."""
+    ``threshold``, ``value`` and ``count``, checked by one call of
+    :func:`_checked_columns`; each tree's columns are read-only views of one
+    copy of the stacked ones."""
     columns = _checked_columns(columns, sizes)
     ends = np.cumsum(sizes).tolist()
     trees = []
@@ -254,22 +246,23 @@ class Ensemble:
         object.__setattr__(self, "learning_rate", float(self.learning_rate))
         object.__setattr__(self, "init_score", float(self.init_score))
         object.__setattr__(self, "trees", tuple(self.trees))
-        widths = [int(tree.feature.max(initial=-1)) + 1 for tree in self.trees]
+        object.__setattr__(self, "_routing", _Routing.of(self.trees))
+        width = self.split_width
         if self.num_features is None:
-            object.__setattr__(self, "num_features", max(widths, default=0))
+            object.__setattr__(self, "num_features", width)
         for key, number, floor in (("topk", self.top_k, 1), ("features", self.num_features, 0)):
             if isinstance(number, bool) or not isinstance(number, (int, np.integer)):
                 raise ValidationError(f"{key} must be an integer, got {number!r}")
             if number < floor:
                 raise ValidationError(f"{key} must be >= {floor}, got {number}")
-        for t, (tree, width) in enumerate(zip(self.trees, widths)):
-            if width > self.num_features:
-                i = int(np.argmax(tree.feature >= self.num_features))
-                raise ValidationError(
-                    f"tree {t} node {i}: feature index {tree.feature[i] + 1} "
-                    f"outside 1..{self.num_features}"
-                )
-        object.__setattr__(self, "_routing", _Routing.of(self.trees))
+        if width > self.num_features:
+            routing = self._routing
+            i = int(np.argmax(routing.split & (routing.column >= self.num_features)))
+            t = int(np.searchsorted(routing.roots, i, side="right")) - 1
+            raise ValidationError(
+                f"tree {t} node {i - routing.roots[t]}: feature index {routing.column[i] + 1} "
+                f"outside 1..{self.num_features}"
+            )
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)

@@ -164,6 +164,29 @@ def test_exit_code_negative_seed_or_query_id(tmp_path, train_file, capsys, loss,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1 qid:1\n0 qid:1\n", "1 qid:1 1:1\n0 qid:1\n"],
+                         ids=["featureless", "one-feature"])
+def test_linear_fit_checks_the_seed_whatever_the_width(tmp_path, capsys, text):
+    """Data listing no feature once saved empty weights with exit 0."""
+    data, model = tmp_path / "train.txt", tmp_path / "model.txt"
+    data.write_text(text)
+    argv = ["train", "--train", str(data), "--loss", "listmle-linear", "--out", str(model)]
+    assert run([*argv, "--seed", "-1"]) == 3
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not model.exists()
+    assert run(argv) == 0
+
+
+def test_evaluate_gmax_past_the_float_range(tmp_path, train_file, capsys):
+    """2.0 ** 1024 once ended the command with an OverflowError traceback."""
+    scores = tmp_path / "scores.txt"
+    scores.write_text("".join(f"{i % 5}\n" for i in range(load_dataset(train_file).num_documents)))
+    assert run(["evaluate", "--data", train_file, "--scores", str(scores), "--gmax", "1024",
+                "--err", "--format", "kv"]) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert 0.0 < float(kv["err"]) < 1e-300
+
+
 def test_negative_query_ids_predict_and_evaluate(tmp_path, train_file, capsys):
     data = tmp_path / "negative.txt"
     data.write_text(NEGATIVE_QID)

@@ -292,6 +292,23 @@ def test_iteration_cap_validated():
         train_linear(ds, iterations=0)
 
 
+@pytest.mark.parametrize("features", [{}, {1: 1.0}], ids=["featureless", "one-feature"])
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(seed=-1), ConfigError, "seed must be >= 0, got -1"),
+    (dict(k=0), ValidationError, "top-K cutoff must be >= 1, got 0"),
+], ids=["seed", "topk"])
+def test_fit_checks_its_options_whatever_the_width(features, kwargs, error, message):
+    """Data listing no feature once returned empty weights before any check."""
+    ds = make_dataset([(1, [(1, features), (0, {})])])
+    with pytest.raises(error, match=f"^{message}$"):
+        train_linear(ds, **kwargs)
+
+
+def test_featureless_fit_keeps_no_weights():
+    ds = make_dataset([(1, [(1, {}), (0, {})]), (2, [(2, {})])])
+    assert train_linear(ds).weights.tolist() == []
+
+
 def test_rows_without_contexts_do_not_move_weights():
     # Single-document queries have no contexts: whatever their features, the
     # weights are the same bytes.

@@ -105,6 +105,26 @@ def test_err_rejects_grade_above_gmax():
         err([1], 0)
 
 
+def test_err_matches_the_quotient_below_the_float_range():
+    """Each stop probability is (2**g - 1) / 2**g_max to the bit while 2**g_max is a float."""
+    grades = list(range(32))
+    for g_max in range(31, 1024):
+        norm = 2.0 ** g_max
+        total, not_stopped = 0.0, 1.0
+        for pos, grade in enumerate(grades, start=1):
+            stop = (2.0 ** grade - 1.0) / norm
+            total += not_stopped * stop / pos
+            not_stopped *= 1.0 - stop
+        assert err(grades, g_max) == total
+
+
+@pytest.mark.parametrize("g_max", [1024, 5000])
+def test_err_past_the_float_range(g_max):
+    """2.0 ** 1024 once raised OverflowError."""
+    # Grade 2 stops with probability 3 / 2**g_max and grade 1 at rank 3 adds a third of 1 / 2**g_max.
+    assert err([2, 0, 1], g_max) == pytest.approx(math.ldexp(10 / 3, -g_max), rel=1e-9, abs=0)
+
+
 def test_err_in_unit_interval():
     rng = np.random.default_rng(9)
     for _ in range(100):

@@ -282,10 +282,14 @@ def test_feature_count_defaults_to_the_highest_split():
     assert Ensemble(trees=[stump], num_features=5).num_features == 5
 
 
-@pytest.mark.parametrize("features, node, index", [(0, 0, 1), (1, 2, 3), (2, 2, 3)])
-def test_split_past_the_feature_count_rejected(features, node, index):
+@pytest.mark.parametrize("features, node, index, first", [
+    (0, 0, 1, 0.5), (1, 2, 3, 0.5), (2, 2, 3, 0.5),
+    # Tree 1's root is row 5 of the stacked table.
+    (2, 2, 3, (1, 0.5, (0, 0.0, 1.0, 2.0), 3.0)),
+], ids=["0-0-1", "1-2-3", "2-2-3", "past-a-split-tree"])
+def test_split_past_the_feature_count_rejected(features, node, index, first):
     # These once built and saved a file that load rejected.
-    trees = [build_tree(0.5), build_tree((0, 0.0, 1.0, (2, 0.5, 1.0, -1.0)))]
+    trees = [build_tree(first), build_tree((0, 0.0, 1.0, (2, 0.5, 1.0, -1.0)))]
     with pytest.raises(ValidationError) as info:
         Ensemble(trees=trees, num_features=features)
     assert str(info.value) == f"tree 1 node {node}: feature index {index} outside 1..{features}"

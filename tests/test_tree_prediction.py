@@ -476,3 +476,20 @@ def test_stacked_trees_are_checked_as_each_tree_alone(masks):
     assert [tree.right.tolist() for tree in trees] == [
         reference_right(table["feature"]) for table in tables]
     assert not any(tree.value.flags.writeable or tree.right.flags.writeable for tree in trees)
+
+
+@pytest.mark.parametrize("column, node, bad", [
+    ("value", 2, np.nan), ("count", 2, -3), ("threshold", 2, 1.0), ("value", 0, 3.0),
+])
+def test_stacked_number_error_numbers_its_node_within_its_tree(column, node, bad):
+    """A number error in the last of stacked trees of 1, 0, 3 and 3 rows names
+    its node as that tree alone does, before the empty tree's shape error."""
+    tables = [mask_columns(mask) for mask in ([False], [], [True, False, False],
+                                              [True, False, False])]
+    tables[-1][column][node] = bad
+    stacked = [sum((table[name] for table in tables), []) for name in plrank.tree._COLUMNS]
+    with pytest.raises(ValidationError) as info:
+        plrank.tree._stacked_trees(stacked, [1, 0, 3, 3])
+    with pytest.raises(ValidationError) as alone:
+        RegressionTree(**tables[-1])
+    assert str(info.value) == str(alone.value) and f"node {node} has" in str(alone.value)
