@@ -230,7 +230,7 @@ def train(
         if valid_dataset is not None:
             step = outputs[apply_tree(tree, valid_X)]
             valid_scores = valid_scores + config.learning_rate * step
-            report = evaluate(valid_dataset, valid_scores, [config.top_k])
+            report = evaluate(valid_dataset, valid_scores, [config.top_k], include_err=False)
             trace.valid_ndcg.append(report.ndcg_at[config.top_k])
         if on_iteration is not None:
             on_iteration(trace.iteration_line(it))

@@ -120,7 +120,24 @@ def _emit(line: str) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.train)
-    if args.loss == "listmle-linear":
+    linear = args.loss == "listmle-linear"
+    config = TrainConfig(
+        loss="plrank" if linear else args.loss,
+        trees=args.trees,
+        leaves=args.leaves,
+        learning_rate=args.lr,
+        top_k=args.topk,
+        objectives=args.objectives,
+        seed=args.seed,
+        min_leaf_docs=args.min_leaf,
+        histogram_bins=args.bins,
+    )
+    # Each loss reads only some of these flags, but every value given is
+    # checked: a linear run checks the tree settings as a plrank run would.
+    config.validate()
+    if args.iterations < 1:
+        raise ConfigError(f"iteration cap must be >= 1, got {args.iterations}")
+    if linear:
         for flag, value in (("--valid", args.valid), ("--init-model", args.init_model)):
             if value is not None:
                 raise ConfigError(f"{flag} applies only to tree losses, not listmle-linear")
@@ -133,25 +150,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             on_iteration=_emit,
         )
     else:
-        init_model = None
         if args.init_model is not None:
             loaded = load_model(args.init_model)
             if not isinstance(loaded, Ensemble):
                 raise ValidationError("--init-model must be a tree ensemble file")
-            init_model = loaded
+            config.init_model = loaded
         valid = load_dataset(args.valid) if args.valid is not None else None
-        config = TrainConfig(
-            loss=args.loss,
-            trees=args.trees,
-            leaves=args.leaves,
-            learning_rate=args.lr,
-            top_k=args.topk,
-            objectives=args.objectives,
-            seed=args.seed,
-            min_leaf_docs=args.min_leaf,
-            histogram_bins=args.bins,
-            init_model=init_model,
-        )
         model, _ = train(dataset, config, valid_dataset=valid, on_iteration=_emit)
     save_model(model, args.out)
     return EXIT_OK

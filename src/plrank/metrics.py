@@ -61,7 +61,8 @@ def err(grades_in_model_order: Sequence[int], g_max: int) -> float:
     for pos, grade in enumerate(grades_in_model_order, start=1):
         if grade > g_max:
             raise ValidationError(f"grade {grade} exceeds g_max {g_max}")
-        stop = math.ldexp(2.0 ** grade - 1.0, -g_max)  # 2 ** g_max overflows from 1024 on
+        # (2**grade - 1) / 2**g_max; neither power is a float from 1024 on.
+        stop = math.ldexp(1.0 - 2.0 ** -grade, grade - g_max)
         total += not_stopped * stop / pos
         not_stopped *= 1.0 - stop
     return total
@@ -70,7 +71,7 @@ def err(grades_in_model_order: Sequence[int], g_max: int) -> float:
 @dataclass
 class EvalReport:
     ndcg_at: dict[int, float]
-    err: float
+    err: float | None  # None when evaluate was told not to compute it
     degenerate_query_count: int
     query_count: int
 
@@ -95,8 +96,7 @@ class EvalReport:
 
 def rank_order(scores: np.ndarray) -> np.ndarray:
     """Indices that sort scores descending, ties by ascending original index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.lexsort((np.arange(scores.size), -scores))
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
 def evaluate(
@@ -105,11 +105,15 @@ def evaluate(
     cutoffs: Sequence[int] = (1, 3, 10),
     g_max: int | None = None,
     degenerate_policy: str = "zero",
+    *,
+    include_err: bool = True,
 ) -> EvalReport:
     """Score every query and average the metrics across queries.
 
     ``scores`` is a flat per-document array of finite values aligned with the
     dataset's original line order (one entry per document ordinal, from 0).
+    With ``include_err`` false no ERR is computed and the report's ``err`` is
+    None; the NDCG values do not change.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (dataset.num_documents,):
@@ -135,7 +139,8 @@ def evaluate(
             value = ndcg_at_k(ranked, k, degenerate_policy)
             if value is not None:
                 ndcg_values[k].append(value)
-        err_values.append(err(ranked, g_max))
+        if include_err:
+            err_values.append(err(ranked, g_max))
 
     ndcg_means = {
         k: (float(np.mean(vals)) if vals else 0.0) for k, vals in ndcg_values.items()
@@ -143,7 +148,7 @@ def evaluate(
     err_mean = float(np.mean(err_values)) if err_values else 0.0
     return EvalReport(
         ndcg_at=ndcg_means,
-        err=err_mean,
+        err=err_mean if include_err else None,
         degenerate_query_count=degenerate,
         query_count=len(dataset.groups),
     )

@@ -362,7 +362,8 @@ def _sse_gains(
     """``left_sum**2 / left_cnt + right_sum**2 / right_cnt - total**2 / n``.
 
     Computed in place on ``left_sum`` but in that order, so every gain is
-    bit-identical to the formula evaluated for one feature at a time.
+    bit-identical to the formula evaluated for one feature at a time. The
+    counts are float64, so no division casts them.
     """
     right = total - left_sum
     np.square(left_sum, out=left_sum)
@@ -381,14 +382,17 @@ def _strongest(
     left sums and counts, or None when no gain exceeds ``_GAIN_EPS``.
 
     Candidates come feature by feature in increasing threshold order, so ties
-    go to the lowest feature, then the lowest threshold. A gain is capped at
-    +inf, which fmin also gives a NaN one (an overflowed inf - inf).
+    go to the lowest feature, then the lowest threshold. A NaN gain (an
+    overflowed inf - inf) counts as +inf; argmax stops at the first NaN, so
+    only then are the NaNs capped and the search run again.
     """
     if not left_sum.size:
         return None
     gains = _sse_gains(left_sum, left_cnt, total, n)
-    np.fmin(gains, np.inf, out=gains)
     best = int(np.argmax(gains))
+    if math.isnan(gains[best]):
+        np.fmin(gains, np.inf, out=gains)
+        best = int(np.argmax(gains))
     gain = float(gains[best])
     return None if gain <= _GAIN_EPS else (gain, best)
 
@@ -425,7 +429,7 @@ def _best_split(
         counts = np.bincount(keys, minlength=m * width)
         sums = np.bincount(keys, weights=np.tile(ysub, m), minlength=m * width)
         # Slot f * width + b cuts feature f after bin b.
-        left_cnt = np.cumsum(counts.reshape(m, width), axis=1).ravel()
+        left_cnt = np.cumsum(counts.reshape(m, width), axis=1, dtype=np.float64).ravel()
         left_sum = np.cumsum(sums.reshape(m, width), axis=1).ravel()
         cuts = np.flatnonzero(
             (counts > 0) & (left_cnt >= min_leaf_docs) & (n - left_cnt >= min_leaf_docs)
@@ -438,15 +442,24 @@ def _best_split(
         return gain, cut // width, float(columns.thresholds.flat[cut])
     # Cut j of feature f, at f * n + j of the flat (features x rows) tables,
     # puts its first j + 1 sorted documents left; lo..hi keeps min_leaf_docs
-    # on each side.
+    # on each side. The flat comparison also pairs each feature's last rank
+    # with the next one's first, at j = n - 1 >= hi, which is cleared.
     lo, hi = min_leaf_docs - 1, n - min_leaf_docs
-    changed = np.zeros(columns.order.shape, dtype=bool)
-    np.not_equal(columns.ranks[:, lo + 1 : hi + 1], columns.ranks[:, lo:hi], out=changed[:, lo:hi])
+    ranks = columns.ranks.ravel()
+    changed = np.empty(columns.ranks.shape, dtype=bool)
+    np.not_equal(ranks[1:], ranks[:-1], out=changed.ravel()[:-1])
+    changed[:, hi:] = False
+    changed[:, :lo] = False
     cuts = np.flatnonzero(changed)
+    # Cut f * n + j puts j + 1 documents left: the cuts of feature f are
+    # ends[f]:ends[f + 1], and each takes f * n - 1 off as a float.
+    firsts = np.arange(0, changed.size + 1, n)
+    ends = cuts.searchsorted(firsts)
+    left_cnt = cuts - (firsts[:-1] - 1.0).repeat(ends[1:] - ends[:-1])
     left_sum = y.take(columns.order)
     np.cumsum(left_sum, axis=1, out=left_sum)
     left_sum = left_sum.ravel().take(cuts)
-    found = _strongest(left_sum, cuts % n + 1, total, n)
+    found = _strongest(left_sum, left_cnt, total, n)
     if found is None:
         return None
     gain, best = found

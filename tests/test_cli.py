@@ -115,6 +115,25 @@ def test_exit_code_bad_train_setting(tmp_path, train_file, capsys, flag, value, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loss, flag, value, message", [
+    ("listmle-linear", "--trees", "0", "tree count must be >= 1"),
+    ("listmle-linear", "--leaves", "1", "leaf count must be >= 2"),
+    ("listmle-linear", "--lr", "nan", "learning rate must be in (0, 1]"),
+    ("listmle-linear", "--min-leaf", "0", "min leaf docs must be >= 1"),
+    ("listmle-linear", "--bins", "1", "histogram bins must be 0 (exact) or >= 2"),
+    ("plrank", "--iterations", "-5", "iteration cap must be >= 1"),
+    ("mart1", "--iterations", "0", "iteration cap must be >= 1"),
+])
+def test_exit_code_flag_the_loss_does_not_read(tmp_path, train_file, capsys, loss, flag,
+                                               value, message):
+    """Each of these was once ignored by the loss, which then exited 0."""
+    model = tmp_path / "model.txt"
+    assert run(["train", "--train", train_file, "--loss", loss, "--trees", "1", flag, value,
+                "--out", str(model)]) == 3
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_exit_code_linear_init_model(tmp_path, train_file, capsys):
     linear = tmp_path / "linear.txt"
     linear.write_text("linear M=3\nw[1]=0.5\nw[2]=0.0\nw[3]=0.0\n")

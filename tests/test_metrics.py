@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plrank import ValidationError, dcg_at_k, err, evaluate, ndcg_at_k
 from plrank.metrics import rank_order
@@ -125,6 +127,13 @@ def test_err_past_the_float_range(g_max):
     assert err([2, 0, 1], g_max) == pytest.approx(math.ldexp(10 / 3, -g_max), rel=1e-9, abs=0)
 
 
+def test_err_grades_past_the_float_range():
+    """2.0 ** 1024 once raised OverflowError for a grade, not only for g_max."""
+    assert err([1024], 2000) == 2.0 ** -976
+    assert err([1100, 0], 1200) == math.ldexp(1.0, 1100 - 1200)
+    assert err([1199, 1200], 1200) == 0.75
+
+
 def test_err_in_unit_interval():
     rng = np.random.default_rng(9)
     for _ in range(100):
@@ -141,6 +150,39 @@ def test_err_increasing_in_first_grade():
 
 def test_rank_order_ties_break_by_index():
     assert rank_order(np.array([1.0, 2.0, 2.0, 0.0])).tolist() == [1, 2, 0, 3]
+
+
+# Few distinct values, so ties (and -0.0 against 0.0) are common.
+TIED_SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def scored_datasets(draw):
+    queries = []
+    for qid in range(1, draw(st.integers(1, 5)) + 1):
+        grades = draw(st.lists(st.integers(0, 4), min_size=1, max_size=12))
+        queries.append((qid, [(g, {1: 0.0}) for g in grades]))
+    n = sum(len(docs) for _, docs in queries)
+    scores = draw(st.lists(TIED_SCORES, min_size=n, max_size=n))
+    return make_dataset(queries), np.array(scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_datasets(), st.sampled_from(["zero", "one", "skip"]))
+def test_evaluate_without_err_keeps_the_ndcg_bits(problem, policy):
+    """What training's validation step reads is what the full report holds."""
+    ds, scores = problem
+    cutoffs = [1, 3, 10, 1000]
+    full = evaluate(ds, scores, cutoffs, degenerate_policy=policy)
+    bare = evaluate(ds, scores, cutoffs, degenerate_policy=policy, include_err=False)
+    assert bare.err is None and full.err is not None
+    assert {k: v.hex() for k, v in bare.ndcg_at.items()} == {
+        k: v.hex() for k, v in full.ndcg_at.items()
+    }
+    assert (bare.degenerate_query_count, bare.query_count) == (
+        full.degenerate_query_count, full.query_count
+    )
+    assert rank_order(scores).tolist() == np.lexsort((np.arange(scores.size), -scores)).tolist()
 
 
 def test_evaluate_perfect_scores():

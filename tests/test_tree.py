@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from plrank import (
     fit_tree,
     predict_ensemble_matrix,
 )
-from plrank.tree import Split, bin_columns, sort_columns
+from plrank.tree import Split, _best_split, bin_columns, sort_columns
 
 from tree_reference import (
     build_tree,
@@ -250,6 +251,26 @@ def test_split_between_extreme_neighbours_cuts_at_lower_value(low, high):
     assert tree.root.threshold == low
     assert tree.count[tree.feature < 0].tolist() == [2, 2]
     assert tree_sse(tree, X, y) == 0.0
+
+
+def test_overflowing_gains_take_the_first_infinite_cut():
+    """Responses near 1e200 overflow the gains. A NaN gain (an overflowed
+    inf - inf) counts as +inf, ties go to the lowest feature, then the lowest
+    threshold, and equal gains in the frontier to the node created first."""
+    X = np.column_stack([np.arange(6.0), [3.0, 2.0, 5.0, 4.0, 0.0, 1.0]])
+    y = np.array([1e154, 1.0, 1e154, 1e200, -1e200, 1e154])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The root totals 1e154: its gains are finite until a left sum of
+        # 2e154 squares to +inf, at feature 0's third cut.
+        assert _best_split(y, np.arange(6), sort_columns(X), 1) == (math.inf, 0, 2.5)
+        # Rows 0-2 total 2e154, whose square overflows: each gain is -inf or
+        # NaN, and the first NaN is feature 1's first cut.
+        assert _best_split(y, np.arange(3), sort_columns(X[:3]), 1) == (math.inf, 1, 2.5)
+        three, four = fit_tree(X, y, 3), fit_tree(X, y, 4)
+    # Both children of the root gain +inf; rows 0-2, created first, split first.
+    assert three.feature.tolist() == [0, 1, -1, -1, -1]
+    assert four.feature.tolist() == [0, 1, -1, -1, 0, -1, -1]
+    assert four.threshold[four.feature >= 0].tolist() == [2.5, 2.5, 3.5]
 
 
 def test_predict_matrix_matches_scalar():
