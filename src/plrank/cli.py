@@ -28,6 +28,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
+# Scores `plrank predict` formats and hands to the file at a time, so no
+# string of the whole output is built.
+_WRITE_BLOCK = 1 << 16
+
 # glibc mallopt parameters, as (M_MMAP_THRESHOLD, 64 MiB), (M_TRIM_THRESHOLD, 256 MiB).
 _MALLOPT_POLICY = ((-3, 64 << 20), (-1, 256 << 20))
 
@@ -183,7 +187,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     scores = _dataset_scores(model, dataset, args.strict)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(map("{:.17g}\n".format, scores.tolist())))
+        for start in range(0, scores.size, _WRITE_BLOCK):
+            fh.writelines(map("{:.17g}\n".format, scores[start : start + _WRITE_BLOCK].tolist()))
     return EXIT_OK
 
 

@@ -70,26 +70,41 @@ def err(grades_in_model_order: Sequence[int], g_max: int) -> float:
 
 @dataclass
 class EvalReport:
+    """Per-query means of one :func:`evaluate` call.
+
+    The formatters print the ERR when ``include_err`` is true, which by
+    default it is exactly when the report holds one; asking for the ERR of a
+    report made without it raises :class:`ValidationError`.
+    """
+
     ndcg_at: dict[int, float]
     err: float | None  # None when evaluate was told not to compute it
     degenerate_query_count: int
     query_count: int
 
-    def format_text(self, include_err: bool = True) -> str:
+    def _prints_err(self, include_err: bool | None) -> bool:
+        if include_err is None:
+            return self.err is not None
+        if include_err and self.err is None:
+            raise ValidationError("this report holds no ERR; evaluate(..., include_err=True) "
+                                  "computes it")
+        return include_err
+
+    def format_text(self, include_err: bool | None = None) -> str:
         rows = [("queries", str(self.query_count)),
                 ("degenerate queries", str(self.degenerate_query_count))]
         for k in sorted(self.ndcg_at):
             rows.append((f"NDCG@{k}", f"{self.ndcg_at[k]:.6f}"))
-        if include_err:
+        if self._prints_err(include_err):
             rows.append(("ERR", f"{self.err:.6f}"))
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}} : {value}" for name, value in rows)
 
-    def format_keyvalues(self, include_err: bool = True) -> str:
+    def format_keyvalues(self, include_err: bool | None = None) -> str:
         parts = [f"queries={self.query_count}",
                  f"degenerate={self.degenerate_query_count}"]
         parts += [f"ndcg@{k}={self.ndcg_at[k]!r}" for k in sorted(self.ndcg_at)]
-        if include_err:
+        if self._prints_err(include_err):
             parts.append(f"err={self.err!r}")
         return "\n".join(parts)
 

@@ -30,7 +30,8 @@ sum over the kept contexts; a head document's gradient sums its column of
 the head block. The gradient is one ``bincount`` over head, tail and champion
 entries, and the Newton curvature one ``bincount`` of the tail's mass per
 (sample, leaf) plus one over the head block: O(n + K^2) per sample, not
-one entry per member of every context.
+one entry per member of every context. A per-sample value reaches the
+sample's tail by ``repeat`` over the tail lengths, not by a gather.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class QueryContexts:
 
     Samples without a kept context are dropped. ``head`` holds each sample's
     first ``depth`` global document ids, padded to the widest depth;
-    ``tail`` the rest of every sample in one run, sample after sample. Kept
+    ``tail`` the rest of every sample in one run, sample after sample, and
+    ``tail_lengths`` and ``tail_starts`` each sample's share of it. Kept
     contexts are listed by query, sample and position (``context_sample``,
     ``context_pos``). ``workspace`` is the softmax at the scores of the last
     :meth:`refresh`.
@@ -111,9 +113,8 @@ class QueryContexts:
             tail_lengths.append(np.full(order.shape[0], order.shape[1] - d))
             start = stop
         self.tail = np.concatenate(tails)
-        tail_lengths = np.concatenate(tail_lengths)
-        self.tail_starts = np.cumsum(tail_lengths) - tail_lengths
-        self.sample_of_tail = np.repeat(np.arange(num_samples), tail_lengths)
+        self.tail_lengths = np.concatenate(tail_lengths)
+        self.tail_starts = np.cumsum(self.tail_lengths) - self.tail_lengths
         self.context_sample, self.context_pos = np.nonzero(kept_head)
         self.champions = self.head[self.context_sample, self.context_pos]
         self.context_head = self.head[self.context_sample]
@@ -151,13 +152,13 @@ class QueryContexts:
         if self.workspace is not None and np.array_equal(self.workspace.scores, scores):
             return self.workspace
         self.workspace = None  # frees the old softmax before the new one exists
-        tail_exp = scores[self.tail]
+        tail_exp = scores.take(self.tail)
         tail_high = np.maximum.reduceat(tail_exp, self.tail_starts)
-        tail_exp -= tail_high[self.sample_of_tail]
+        tail_exp -= tail_high.repeat(self.tail_lengths)
         np.exp(tail_exp, out=tail_exp)
         tail_total = np.add.reduceat(tail_exp, self.tail_starts)
 
-        head = scores[self.head]
+        head = scores.take(self.head)
         head[self.head_pad] = -np.inf
         # Highest member score of a context at each head position: the
         # suffix maximum of the head, or the tail's maximum if higher.
@@ -186,19 +187,22 @@ class QueryContexts:
         """
         workspace = self.workspace
         num_samples = self.head.shape[0]
+        tail_keys = leaf_of_doc.take(self.tail)
+        tail_keys += np.arange(0, num_samples * n_leaves, n_leaves).repeat(self.tail_lengths)
         tail_mass = np.bincount(
-            self.sample_of_tail * n_leaves + leaf_of_doc[self.tail],
+            tail_keys,
             weights=workspace.tail_exp,
             minlength=num_samples * n_leaves,
         ).reshape(num_samples, n_leaves)
-        keys = leaf_of_doc[self.context_head]
+        keys = leaf_of_doc.take(self.context_head)
         keys += np.arange(0, self.num_contexts * n_leaves, n_leaves).reshape(-1, 1)
         head_mass = np.bincount(
             keys.ravel(),
             weights=workspace.head_probs.ravel(),
             minlength=self.num_contexts * n_leaves,
         ).reshape(self.num_contexts, n_leaves)
-        mass = head_mass + workspace.tail_weights.reshape(-1, 1) * tail_mass[self.context_sample]
+        mass = workspace.tail_weights.reshape(-1, 1) * tail_mass.take(self.context_sample, axis=0)
+        mass += head_mass
         return (mass * (mass - 1.0)).sum(axis=0)
 
     def mean_rows(self, X: np.ndarray) -> np.ndarray:
@@ -248,11 +252,14 @@ def response_from_workspace(workspace: PLWorkspace, contexts: QueryContexts) -> 
         weights=workspace.tail_weights,
         minlength=contexts.head.shape[0],
     )
-    weights = np.concatenate([
-        np.negative(workspace.head_probs).ravel(),
-        np.negative(workspace.tail_exp) * sample_weight[contexts.sample_of_tail],
-        np.ones(contexts.num_contexts),
-    ])
+    # One buffer laid out as response_keys: head, tail, champions.
+    weights = np.empty(contexts.response_keys.size)
+    head_end = workspace.head_probs.size
+    tail_end = head_end + contexts.tail.size
+    np.negative(workspace.head_probs.ravel(), out=weights[:head_end])
+    tail = np.negative(workspace.tail_exp, out=weights[head_end:tail_end])
+    tail *= sample_weight.repeat(contexts.tail_lengths)
+    weights[tail_end:] = 1.0
     resp = np.bincount(contexts.response_keys, weights=weights, minlength=workspace.scores.size)
     return resp.astype(np.float64, copy=False)  # bincount of nothing counts in ints
 

@@ -17,9 +17,12 @@ between two sorted neighbours. The tree search knows each training row's
 leaf, so the caller gets those leaf positions without routing the rows
 again, and it can set the leaf outputs before the one build of the tree. An
 optional histogram mode trades exactness for speed: a training run codes
-each column once into at most B quantile bins (:func:`bin_columns`), and a
-node counts its rows and adds their responses per bin with two ``bincount``
-calls, cutting after each bin it fills.
+each column once into at most B quantile bins (:func:`bin_columns`) and
+counts its rows per bin once, for every root. Below the root, a split's
+smaller child counts its rows with one ``bincount`` and the larger one takes
+its parent's counts minus those, exact in integers. Every node adds its own
+responses per bin with one ``bincount``, in row order, and never by
+subtraction, so each gain keeps its bits; it cuts after each bin it fills.
 
 A tree is one preorder node table (:class:`RegressionTree`): fitting lists
 its nodes by span start, the larger span first; the model file is it line
@@ -323,19 +326,28 @@ class BinnedColumns:
     (features x width) table of the largest training value in bins ``<= b``
     (a zero as +0.0, whichever sign its rows hold), so ``value <=
     thresholds[f, b]`` routes every training row of bins ``<= b`` left and
-    no other. Every node reads the whole table.
+    no other. Every node reads the whole table. ``counts``, derived from
+    ``keys`` when this is built and read-only, holds every row's count per
+    slot: the root's histogram counts, for every tree of a run.
     """
 
     keys: np.ndarray
     thresholds: np.ndarray
     bins: int
+    counts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        counts = np.bincount(self.keys.ravel(), minlength=self.thresholds.size)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
 
 def bin_columns(X: np.ndarray, bins: int) -> BinnedColumns:
     """Code every column of ``X`` once into at most ``bins`` quantile bins.
 
     A training run builds this once and hands it to every :func:`fit_tree`;
-    its nodes only count rows and add responses per key.
+    its nodes only count rows and add responses per key, and every root
+    reads the counts taken here.
     """
     values = np.asarray(X, dtype=np.float64).T
     codes, tops = [], []
@@ -402,6 +414,8 @@ def _best_split(
     idx: np.ndarray,
     columns: SortedColumns | BinnedColumns,
     min_leaf_docs: int,
+    counts: np.ndarray | None = None,
+    keys: np.ndarray | None = None,
 ) -> tuple[float, int, float] | None:
     """Strongest (gain, feature, threshold) for the documents in ``idx``.
 
@@ -411,10 +425,12 @@ def _best_split(
     gain. Exact mode reads ``columns``, the node's share of
     :func:`sort_columns`: a cut lies where the value rank rises between two
     sorted neighbours, at the midpoint of their values. Histogram mode reads
-    the whole of :func:`bin_columns`: one ``bincount`` of the node's keys
-    counts its rows per (feature, bin) and one adds their responses, both in
-    row order; a cut follows each bin the node fills, at the largest
-    training value in the bins up to it.
+    the whole of :func:`bin_columns`. The node's ``keys`` (its rows' slots,
+    feature by feature, as ``keys.take(idx, axis=1).ravel()``) and its
+    ``counts`` of rows per (feature, bin) are taken here when not given; one
+    ``bincount`` of the keys adds the responses per slot, in row order. A
+    cut follows each bin the node fills, at the largest training value in
+    the bins up to it.
     """
     n = idx.size
     if n < 2 * min_leaf_docs:
@@ -425,9 +441,11 @@ def _best_split(
     total = ysub.sum()
     if columns.bins:
         m, width = columns.thresholds.shape
-        keys = columns.keys.take(idx, axis=1).ravel()
-        counts = np.bincount(keys, minlength=m * width)
-        sums = np.bincount(keys, weights=np.tile(ysub, m), minlength=m * width)
+        if keys is None:
+            keys = columns.keys.take(idx, axis=1).ravel()
+        if counts is None:
+            counts = np.bincount(keys, minlength=m * width)
+        sums = np.bincount(keys, weights=ysub[None].repeat(m, 0).ravel(), minlength=m * width)
         # Slot f * width + b cuts feature f after bin b.
         left_cnt = np.cumsum(counts.reshape(m, width), axis=1, dtype=np.float64).ravel()
         left_sum = np.cumsum(sums.reshape(m, width), axis=1).ravel()
@@ -505,10 +523,14 @@ def fit_tree(
     ties are equal neighbouring ranks. ``bins >= 2`` searches histograms of
     at most that many quantile bins per feature, fixed for the run:
     ``columns`` is :func:`bin_columns` of ``features`` with the same
-    ``bins``, and each node counts its rows' codes (a speed knob for large
-    data, off by default). The two children of the split that fills the leaf
-    budget are not searched. A split puts its left child's rows first in its
-    span, so the table lists the nodes by span start, larger span first.
+    ``bins`` (a speed knob for large data, off by default). The root reads
+    the counts per (feature, bin) that ``columns`` holds; a split's smaller
+    child counts its rows' codes, and the larger one takes the parent's
+    counts minus those, which a node holds only while its split is on the
+    frontier. The two children of the split that fills the leaf budget are
+    not searched and count nothing. A split puts its left child's rows first
+    in its span, so the table lists the nodes by span start, larger span
+    first.
 
     The leaves output their mean responses, unless ``leaf_values(positions,
     leaf_count)`` gives them, and then no mean is computed: ``positions`` is
@@ -551,21 +573,28 @@ def fit_tree(
         return SortedColumns(columns.values, order, ranks)
 
     # Each node in creation order: its span rows[start : start + size] and its
-    # split (feature -1 at a leaf).
+    # split (feature -1 at a leaf). A histogram node on the frontier holds its
+    # counts per slot until it splits.
     nodes: list[tuple[int, int, int, float]] = []  # (start, size, feature, threshold)
-    frontier: list[tuple[float, int, int, int, int, float]] = []  # (-gain, node, lo, hi, split)
+    # (-gain, node, lo, hi, feature, threshold, counts)
+    frontier: list[tuple[float, int, int, int, int, float, np.ndarray | None]] = []
 
-    def grow(lo: int, hi: int, search: bool) -> None:
+    def grow(lo: int, hi: int, search: bool,
+             counts: np.ndarray | None = None, keys: np.ndarray | None = None) -> None:
         nodes.append((lo, hi - lo, -1, 0.0))
-        split = _best_split(y, rows[lo:hi], share(lo, hi), min_leaf_docs) if search else None
+        split = (_best_split(y, rows[lo:hi], share(lo, hi), min_leaf_docs, counts, keys)
+                 if search else None)
         if split is not None:
             # Creation order breaks ties in gain.
-            heapq.heappush(frontier, (-split[0], len(nodes) - 1, lo, hi, split[1], split[2]))
+            heapq.heappush(frontier, (-split[0], len(nodes) - 1, lo, hi, *split[1:], counts))
 
-    grow(0, n, True)
+    if bins:
+        grow(0, n, True, columns.counts, columns.keys.ravel())
+    else:
+        grow(0, n, True)
     leaf_count = 1
     while leaf_count < leaf_limit and frontier:
-        _, k, lo, hi, feat, cut = heapq.heappop(frontier)
+        _, k, lo, hi, feat, cut, counts = heapq.heappop(frontier)
         nodes[k] = lo, hi - lo, feat, cut
         leaf_count += 1
         # Nothing reads the splits of the two children that fill the budget.
@@ -577,8 +606,22 @@ def fit_tree(
             goes_left[node] = left
             _partition(work[:, m * lo : m * hi], goes_left.take(work[0, m * lo : m * hi]))
         _partition(node, left)
-        grow(lo, mid, search)
-        grow(mid, hi, search)
+        if not (search and bins):
+            grow(lo, mid, search)
+            grow(mid, hi, search)
+            continue
+        # The smaller child counts its rows; the larger one's counts are the
+        # parent's minus those, exact in integers. Each adds its own sums.
+        a, b = (lo, mid) if 2 * mid <= lo + hi else (mid, hi)
+        keys = columns.keys.take(rows[a:b], axis=1).ravel()
+        small = np.bincount(keys, minlength=counts.size)
+        large = counts - small
+        if a == lo:
+            grow(lo, mid, search, small, keys)
+            grow(mid, hi, search, large)
+        else:
+            grow(lo, mid, search, large)
+            grow(mid, hi, search, small, keys)
 
     # A split's span is its left child's, then its right child's, both non-empty:
     # ordered by start, larger span first, the nodes are in preorder and the leaves tile rows.

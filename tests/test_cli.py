@@ -84,6 +84,25 @@ def test_predict_writes_each_score_in_17_significant_digits(tmp_path):
     assert scores.read_bytes() == "".join(f"{v:.17g}\n" for v in expected).encode()
 
 
+@pytest.mark.parametrize("block", [1, 3, 11, 64])
+def test_predict_writes_the_same_bytes_block_by_block(tmp_path, monkeypatch, block):
+    """Eleven scores written 1, 3 (a partial last block), 11 or 64 at a time
+    are the bytes of the whole output joined at once."""
+    outputs = [0.1 * i - 0.35 for i in range(11)]
+    spec = outputs[-1]
+    for i, out in reversed(list(enumerate(outputs[:-1]))):
+        spec = (0, i + 0.5, out, spec)
+    model, data, scores = tmp_path / "m.txt", tmp_path / "d.txt", tmp_path / "s.txt"
+    ensemble = Ensemble(trees=[build_tree(spec)], learning_rate=1.0, num_features=1)
+    save_model(ensemble, str(model))
+    data.write_text("".join(f"0 qid:{i // 4} 1:{i}\n" for i in range(len(outputs))))
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+    assert run(["predict", "--model", str(model), "--data", str(data),
+                "--out", str(scores)]) == 0
+    expected = predict_ensemble_matrix(ensemble, np.arange(len(outputs), dtype=float)[:, None])
+    assert scores.read_bytes() == "".join(map("{:.17g}\n".format, expected.tolist())).encode()
+
+
 def test_training_is_deterministic_across_thread_flags(tmp_path, train_file):
     out1 = tmp_path / "m1.txt"
     out2 = tmp_path / "m2.txt"

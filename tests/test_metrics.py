@@ -241,3 +241,18 @@ def test_report_rendering():
     assert "ndcg@1=" in kv and "err=" in kv
     fields = dict(part.split("=", 1) for part in kv.splitlines())
     assert float(fields["ndcg@1"]) == pytest.approx(1.0)
+
+
+def test_report_without_err_formats_without_it():
+    """A report made without ERR prints none by default and refuses to print
+    one; a report with ERR prints it unless told not to, as the CLI does."""
+    ds = make_dataset([(1, [(1, {1: 0.0}), (0, {1: 0.0})])])
+    full = evaluate(ds, [1.0, 0.0], [1, 3])
+    bare = evaluate(ds, [1.0, 0.0], [1, 3], include_err=False)
+    for name in ("format_text", "format_keyvalues"):
+        with_err, without = getattr(full, name), getattr(bare, name)
+        assert without() == without(include_err=False) == with_err(include_err=False)
+        assert with_err() == with_err(include_err=True) != without()
+        with pytest.raises(ValidationError, match=r"include_err=True"):
+            without(include_err=True)
+    assert "ERR" not in bare.format_text() and "err=" not in bare.format_keyvalues()

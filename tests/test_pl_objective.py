@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -14,7 +15,7 @@ from plrank import (
     log_likelihood,
     pseudo_response,
 )
-from plrank.pl_objective import MAX_LEAF_OUTPUT, newton_leaf_outputs
+from plrank.pl_objective import MAX_LEAF_OUTPUT, newton_leaf_outputs, response_from_workspace
 
 from helpers import make_dataset
 from pl_reference import context_entries, leaf_newton_value, permutation_set
@@ -285,3 +286,52 @@ def test_newton_step_improves_likelihood():
         if after >= log_likelihood(scores, pset) - 1e-12:
             improved += 1
     assert improved >= 0.99 * trials
+
+
+def kernel_problem():
+    """Four ragged queries under K = 5 and three samples each: a two-document
+    query whose second and third samples repeat the first's one context, so
+    they keep none and are dropped; a query shorter than K; and two longer
+    ones with tied grades. Scores are moderate, or 800 apart between grades."""
+    rng = np.random.default_rng(32)
+    grades = [[1, 0], [2, 1, 1, 0], rng.integers(0, 3, 9).tolist(),
+              rng.integers(0, 4, 40).tolist()]
+    ds = make_dataset([(qid, [(g, {1: 0.0}) for g in query])
+                       for qid, query in enumerate(grades, start=1)])
+    psets = [build_permutations(group, 5, 3, np.random.default_rng([32, group.query_id]))
+             for group in ds.groups]
+    assert psets[0].kept.sum(axis=1).tolist() == [1, 0, 0]
+    noise = rng.normal(scale=3.0, size=ds.num_documents)
+    top = np.concatenate(grades) > 1
+    return QueryContexts.stack(psets), [noise, noise + np.where(top, 800.0, 0.0)]
+
+
+# SHA-256 of the likelihood kernels' outputs on kernel_problem(), both score
+# vectors in turn: the refresh workspace, the gradient, and the curvature
+# under two leaf assignments (one with an empty leaf).
+KERNEL_BITS = {
+    "refresh": "640cef32b30f3adca36b44f0659f30599325069d5bac5e9d4691bc63501b9ea8",
+    "response": "8fa25a66c9dbc6d21abea7c3b275c9ca30d9249e99b39b6b8f7266033b09d547",
+    "curvature": "ff161811324a5d8185c38602dfbc7c13e7ec936366e78d6e7a76f88ba3622312",
+}
+
+
+def kernel_bits():
+    table, score_sets = kernel_problem()
+    n = score_sets[0].size
+    assigns = [(np.arange(n) % 3, 3), ((np.arange(n) * 7) % 5 + (np.arange(n) > 30), 7)]
+    digests = {name: hashlib.sha256() for name in ("refresh", "response", "curvature")}
+    for scores in score_sets:
+        workspace = table.refresh(scores)
+        for name in ("highs", "totals", "head_probs", "tail_weights", "tail_exp"):
+            digests["refresh"].update(getattr(workspace, name).tobytes())
+        digests["response"].update(response_from_workspace(workspace, table).tobytes())
+        for assign, n_leaves in assigns:
+            digests["curvature"].update(table.curvature(assign, n_leaves).tobytes())
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+def test_likelihood_kernel_bits_pinned():
+    """The kernels' bits, not only the bound the oracle holds them to: a
+    rewrite that only moves work must leave every one as it is."""
+    assert kernel_bits() == KERNEL_BITS

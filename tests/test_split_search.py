@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plrank import tree as tree_module
 from plrank.model_io import dumps_ensemble
 from plrank.tree import (
     Ensemble, Split, SortedColumns, _best_split, apply_tree, bin_columns, fit_tree,
@@ -201,3 +202,70 @@ def test_column_with_many_values_keeps_its_ranks():
     assert columns.ranks.max(axis=1).tolist() == [2, n - 1, 1]
     assert_tree_is_the_reference(X, y, 3, 4)
     assert_tree_is_the_reference(X, y, 3, 4, bins=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems())
+def test_binned_columns_count_every_row_once(problem):
+    X, _, _, bins = problem
+    columns = bin_columns(X, max(bins, 2))
+    expected = np.bincount(columns.keys.ravel(), minlength=columns.thresholds.size)
+    assert columns.counts.dtype == expected.dtype
+    np.testing.assert_array_equal(columns.counts, expected)
+    assert not columns.counts.flags.writeable
+    with pytest.raises(ValueError):
+        columns.counts[0] = 1
+
+
+def peel_problem(seed):
+    """Eight rows with extreme responses of sizes 20 * 3**k, which
+    best-first splitting peels off the large node one at a time, largest
+    first: column 0 sets the positive ones above every other row, larger
+    higher (a small right child), and column 1 the negative ones below,
+    larger lower (a small left child); the two signs alternate. Column 2
+    has six tied levels and column 3 one value per row."""
+    rng = np.random.default_rng(seed)
+    n = 240
+    y = rng.normal(scale=0.01, size=n)
+    peel = rng.choice(n, 8, replace=False)
+    up, down = peel[1::2], peel[0::2]
+    y[peel] = 20.0 * 3.0 ** np.arange(8) * np.where(np.isin(peel, up), 1.0, -1.0)
+    X = np.zeros((n, 4))
+    X[up, 0] = np.arange(1.0, 5.0)
+    X[down, 1] = -np.arange(1.0, 5.0)
+    X[:, 2] = rng.integers(0, 6, n)
+    X[:, 3] = rng.permutation(n)
+    return X, y
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("min_leaf", [1, 3])
+@pytest.mark.parametrize("bins", [2, 3, 64])
+def test_peeled_nodes_count_and_split_as_the_oracle(monkeypatch, seed, min_leaf, bins):
+    """Every node of a histogram fit gets the counts of its own rows, whether
+    counted or taken as its parent's minus its sibling's, and splits as the
+    per-feature oracle does, bit for bit; both children take each role."""
+    X, y = peel_problem(seed)
+    columns = bin_columns(X, bins)
+    calls = []
+
+    def checked(y_, idx, columns_, min_leaf_docs, counts=None, keys=None):
+        own_keys = columns.keys[:, idx].ravel()
+        if keys is not None:
+            np.testing.assert_array_equal(keys, own_keys)
+        np.testing.assert_array_equal(
+            counts, np.bincount(own_keys, minlength=columns.thresholds.size))
+        found = _best_split(y_, idx, columns_, min_leaf_docs, counts, keys)
+        assert bits(found) == bits(reference_best_split(X, y, idx, min_leaf_docs, bins))
+        calls.append((keys is not None, idx.size))
+        return found
+
+    monkeypatch.setattr(tree_module, "_best_split", checked)
+    fit_tree(X, y, 16, min_leaf, bins, columns=columns)
+    # The root, then each split's left and right child: the counted one, given
+    # its gathered keys, is the smaller (the left one on a tie).
+    assert calls[0] == (True, X.shape[0])
+    pairs = list(zip(calls[1::2], calls[2::2]))
+    assert [left[0] for left, _ in pairs] == [left[1] <= right[1] for left, right in pairs]
+    assert [left[0] != right[0] for left, right in pairs] == [True] * len(pairs)
+    assert len({left[0] for left, _ in pairs}) == 2
