@@ -368,15 +368,24 @@ def bin_columns(X: np.ndarray, bins: int) -> BinnedColumns:
     return BinnedColumns(keys, thresholds, bins)
 
 
-def _sse_gains(
+def _strongest(
     left_sum: np.ndarray, left_cnt: np.ndarray, total: float, n: int
-) -> np.ndarray:
-    """``left_sum**2 / left_cnt + right_sum**2 / right_cnt - total**2 / n``.
+) -> tuple[float, int] | None:
+    """(gain, index) of the largest gain among candidate cuts given by their
+    left sums and counts, or None when no gain exceeds ``_GAIN_EPS``.
 
-    Computed in place on ``left_sum`` but in that order, so every gain is
-    bit-identical to the formula evaluated for one feature at a time. The
-    counts are float64, so no division casts them.
+    The gain is ``left_sum**2 / left_cnt + right_sum**2 / right_cnt -
+    total**2 / n``, computed in place on ``left_sum`` but in that order, so
+    every gain is bit-identical to the formula evaluated for one feature at a
+    time; ``total`` is a Python float, which rounds as float64 does, and the
+    counts are float64, so no division casts them. Candidates come feature by
+    feature in increasing threshold order, so ties go to the lowest feature,
+    then the lowest threshold. A NaN gain (an overflowed inf - inf) counts as
+    +inf; argmax stops at the first NaN, so only then are the NaNs capped and
+    the search run again.
     """
+    if not left_sum.size:
+        return None
     right = total - left_sum
     np.square(left_sum, out=left_sum)
     left_sum /= left_cnt
@@ -384,28 +393,12 @@ def _sse_gains(
     right /= n - left_cnt
     left_sum += right
     left_sum -= total * total / n
-    return left_sum
-
-
-def _strongest(
-    left_sum: np.ndarray, left_cnt: np.ndarray, total: float, n: int
-) -> tuple[float, int] | None:
-    """(gain, index) of the largest gain among candidate cuts given by their
-    left sums and counts, or None when no gain exceeds ``_GAIN_EPS``.
-
-    Candidates come feature by feature in increasing threshold order, so ties
-    go to the lowest feature, then the lowest threshold. A NaN gain (an
-    overflowed inf - inf) counts as +inf; argmax stops at the first NaN, so
-    only then are the NaNs capped and the search run again.
-    """
-    if not left_sum.size:
-        return None
-    gains = _sse_gains(left_sum, left_cnt, total, n)
-    best = int(np.argmax(gains))
-    if math.isnan(gains[best]):
-        np.fmin(gains, np.inf, out=gains)
-        best = int(np.argmax(gains))
-    gain = float(gains[best])
+    best = int(left_sum.argmax())
+    gain = left_sum.item(best)
+    if gain != gain:
+        np.fmin(left_sum, np.inf, out=left_sum)
+        best = int(left_sum.argmax())
+        gain = left_sum.item(best)
     return None if gain <= _GAIN_EPS else (gain, best)
 
 
@@ -428,9 +421,11 @@ def _best_split(
     the whole of :func:`bin_columns`. The node's ``keys`` (its rows' slots,
     feature by feature, as ``keys.take(idx, axis=1).ravel()``) and its
     ``counts`` of rows per (feature, bin) are taken here when not given; one
-    ``bincount`` of the keys adds the responses per slot, in row order. A
-    cut follows each bin the node fills, at the largest training value in
-    the bins up to it.
+    ``bincount`` of the keys adds the responses per slot, in row order, and
+    one cumulative pass over the counts and sums, stacked, gives each slot's
+    left count and left sum. A cut follows each bin the node fills, at the
+    largest training value in the bins up to it. Both modes score their cuts
+    with :func:`_strongest`.
     """
     n = idx.size
     if n < 2 * min_leaf_docs:
@@ -438,7 +433,7 @@ def _best_split(
     ysub = y[idx]
     if ysub.max() == ysub.min():
         return None
-    total = ysub.sum()
+    total = float(ysub.sum())
     if columns.bins:
         m, width = columns.thresholds.shape
         if keys is None:
@@ -446,12 +441,16 @@ def _best_split(
         if counts is None:
             counts = np.bincount(keys, minlength=m * width)
         sums = np.bincount(keys, weights=ysub[None].repeat(m, 0).ravel(), minlength=m * width)
-        # Slot f * width + b cuts feature f after bin b.
-        left_cnt = np.cumsum(counts.reshape(m, width), axis=1, dtype=np.float64).ravel()
-        left_sum = np.cumsum(sums.reshape(m, width), axis=1).ravel()
-        cuts = np.flatnonzero(
-            (counts > 0) & (left_cnt >= min_leaf_docs) & (n - left_cnt >= min_leaf_docs)
-        )
+        # Slot f * width + b cuts feature f after bin b. One cumulative pass
+        # (cumsum's ufunc, without its wrapper) runs along each feature's
+        # slots: the counts' rows, exact in float64, then the sums' rows.
+        left_cnt, left_sum = np.add.accumulate(
+            np.concatenate((counts, sums)).reshape(2 * m, width), axis=1
+        ).reshape(2, m * width)
+        mask = (counts > 0) & (left_cnt <= n - min_leaf_docs)
+        if min_leaf_docs > 1:  # a filled bin's left count is at least 1
+            mask &= left_cnt >= min_leaf_docs
+        cuts = mask.nonzero()[0]
         found = _strongest(left_sum.take(cuts), left_cnt.take(cuts), total, n)
         if found is None:
             return None
@@ -467,15 +466,16 @@ def _best_split(
     changed = np.empty(columns.ranks.shape, dtype=bool)
     np.not_equal(ranks[1:], ranks[:-1], out=changed.ravel()[:-1])
     changed[:, hi:] = False
-    changed[:, :lo] = False
-    cuts = np.flatnonzero(changed)
+    if lo:
+        changed[:, :lo] = False
+    cuts = changed.ravel().nonzero()[0]
     # Cut f * n + j puts j + 1 documents left: the cuts of feature f are
     # ends[f]:ends[f + 1], and each takes f * n - 1 off as a float.
     firsts = np.arange(0, changed.size + 1, n)
     ends = cuts.searchsorted(firsts)
     left_cnt = cuts - (firsts[:-1] - 1.0).repeat(ends[1:] - ends[:-1])
     left_sum = y.take(columns.order)
-    np.cumsum(left_sum, axis=1, out=left_sum)
+    np.add.accumulate(left_sum, axis=1, out=left_sum)
     left_sum = left_sum.ravel().take(cuts)
     found = _strongest(left_sum, left_cnt, total, n)
     if found is None:

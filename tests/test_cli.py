@@ -3,12 +3,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import plrank
 from plrank import TrainConfig, evaluate, load_dataset, train
+from plrank import data
 from plrank.data import dense_features
+from plrank.errors import ValidationError
 from plrank import cli
 from plrank.cli import main
 from plrank.model_io import save_model
@@ -290,6 +297,66 @@ def test_exit_code_score_with_underscore_or_non_ascii_digit(tmp_path, train_file
     scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["evaluate", "--data", train_file, "--scores", str(scores)]) == 3
     assert f"line 3: bad score {text!r}" in capsys.readouterr().err
+
+
+# Score lines as predict writes them, and mutations of them that the line
+# loop skips, refuses or reads with a message of its own.
+SCORES = st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format)
+MUTATED_SCORES = st.sampled_from(
+    ["", "  ", "1 2", "1_0", "\u0663", "0.\uff15", "nan", "inf", "-inf", "1e999", "abc"])
+# ASCII whitespace that float() strips, ASCII whitespace only str.strip()
+# strips, and Unicode whitespace.
+SCORE_PADS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\u2003", "\u3000"])
+
+
+@st.composite
+def score_files(draw):
+    """(text, plain): ``plain`` when every line is a bare score."""
+    lines = draw(st.lists(SCORES, max_size=40))
+    plain = not draw(st.booleans())
+    if not plain:
+        for _ in range(draw(st.integers(1, 4))):
+            pad = st.one_of(st.just(""), SCORE_PADS)
+            line = draw(pad) + draw(st.one_of(MUTATED_SCORES, SCORES)) + draw(pad)
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines), plain
+
+
+def _scores_or_error(path):
+    try:
+        return cli._load_scores(path).tobytes()
+    except ValidationError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(file=score_files(), block=st.sampled_from([1, 3, 40, 200, data._BLOCK_CHARS]))
+@example(file=("0.5\n1_0\n", False), block=data._BLOCK_CHARS)
+@example(file=("0.5\n-inf\n", False), block=data._BLOCK_CHARS)
+@example(file=("1 2\n\n", False), block=data._BLOCK_CHARS)
+@example(file=("0.5\x1c\n\u20030.25\n", False), block=1)
+def test_score_blocks_read_as_the_line_loop(file, block):
+    """A score file read a block at a time gives the line loop's array, or
+    its error, message and line; a file of bare scores is read in blocks only."""
+    text, plain = file
+    refused, read_scores = [], cli._read_scores
+
+    def counted(lines):
+        scores = read_scores(lines)
+        refused.append(scores is None)
+        return scores
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scores.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        with mock.patch.object(data, "_BLOCK_CHARS", block):
+            with mock.patch.object(cli, "_read_scores", lambda lines: None):
+                expected = _scores_or_error(path)
+            with mock.patch.object(cli, "_read_scores", counted):
+                assert _scores_or_error(path) == expected
+    if plain:
+        assert not any(refused)
 
 
 @pytest.mark.parametrize("flag", ["--train", "--data", "--scores", "--model"])

@@ -253,24 +253,31 @@ def test_split_between_extreme_neighbours_cuts_at_lower_value(low, high):
     assert tree_sse(tree, X, y) == 0.0
 
 
-def test_overflowing_gains_take_the_first_infinite_cut():
+@pytest.mark.parametrize("bins, cuts", [(0, [2.5, 2.5, 3.5]), (8, [2.0, 2.0, 3.0])])
+def test_overflowing_gains_take_the_first_infinite_cut(bins, cuts):
     """Responses near 1e200 overflow the gains. A NaN gain (an overflowed
     inf - inf) counts as +inf, ties go to the lowest feature, then the lowest
-    threshold, and equal gains in the frontier to the node created first."""
+    threshold, and equal gains in the frontier to the node created first.
+    Each value is a bin of its own, so both modes cut at the same places:
+    exact search at midpoints, histogram search at the largest value left."""
     X = np.column_stack([np.arange(6.0), [3.0, 2.0, 5.0, 4.0, 0.0, 1.0]])
     y = np.array([1e154, 1.0, 1e154, 1e200, -1e200, 1e154])
+
+    def columns(n):  # what a node of the first n rows reads
+        return bin_columns(X, bins) if bins else sort_columns(X[:n])
+
     with np.errstate(over="ignore", invalid="ignore"):
         # The root totals 1e154: its gains are finite until a left sum of
         # 2e154 squares to +inf, at feature 0's third cut.
-        assert _best_split(y, np.arange(6), sort_columns(X), 1) == (math.inf, 0, 2.5)
+        assert _best_split(y, np.arange(6), columns(6), 1) == (math.inf, 0, cuts[0])
         # Rows 0-2 total 2e154, whose square overflows: each gain is -inf or
         # NaN, and the first NaN is feature 1's first cut.
-        assert _best_split(y, np.arange(3), sort_columns(X[:3]), 1) == (math.inf, 1, 2.5)
-        three, four = fit_tree(X, y, 3), fit_tree(X, y, 4)
+        assert _best_split(y, np.arange(3), columns(3), 1) == (math.inf, 1, cuts[1])
+        three, four = fit_tree(X, y, 3, bins=bins), fit_tree(X, y, 4, bins=bins)
     # Both children of the root gain +inf; rows 0-2, created first, split first.
     assert three.feature.tolist() == [0, 1, -1, -1, -1]
     assert four.feature.tolist() == [0, 1, -1, -1, 0, -1, -1]
-    assert four.threshold[four.feature >= 0].tolist() == [2.5, 2.5, 3.5]
+    assert four.threshold[four.feature >= 0].tolist() == cuts
 
 
 def test_predict_matrix_matches_scalar():
