@@ -12,11 +12,12 @@ import functools
 import math
 import os
 import sys
+from array import array
 
 import numpy as np
 
 from .booster import TrainConfig, train
-from .data import Dataset, _ascii, _blocks, dense_features, load_dataset
+from .data import Dataset, _ascii, dense_features, load_dataset
 from .errors import ConfigError, PLRankError, ValidationError, _open_text
 from .linear import LinearModel, train_linear
 from .metrics import evaluate
@@ -192,43 +193,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_scores(block: list[str]) -> np.ndarray | None:
-    """A block's scores read at once, or None unless every line is one finite
-    ASCII number without ``_``; ``float`` refuses a blank line or two tokens."""
-    text = "".join(block)
-    if not text.isascii() or "_" in text:
-        return None
-    try:
-        scores = np.fromiter(map(float, block), np.float64, len(block))
-    except ValueError:
-        return None
-    return scores if np.isfinite(scores).all() else None
-
-
 def _load_scores(path: str) -> np.ndarray:
-    """One score per non-blank line, read a block at a time. A block that
-    :func:`_read_scores` refuses is read line by line, to name its first bad line."""
+    """One score per non-blank line, each stored as 8 bytes while it is read."""
     to_float = _ascii(float)
-    parts = []
+    scores = array("d")
     with _open_text(path) as lines:
-        for first, block in _blocks(lines):
-            scores = _read_scores(block)
-            if scores is None:
-                values = []
-                for lineno, line in enumerate(block, start=first):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        value = to_float(line)
-                    except ValueError:
-                        raise ValidationError(f"bad score {line!r}", lineno) from None
-                    if not math.isfinite(value):
-                        raise ValidationError(f"non-finite score {line!r}", lineno)
-                    values.append(value)
-                scores = np.array(values, dtype=np.float64)
-            parts.append(scores)
-    return np.concatenate(parts) if parts else np.empty(0)
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = to_float(line)
+            except ValueError:
+                raise ValidationError(f"bad score {line!r}", lineno) from None
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite score {line!r}", lineno)
+            scores.append(value)
+    return np.frombuffer(scores, dtype=np.float64)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -30,8 +30,8 @@ A file is read in one walk over its lines (:func:`parse_ensemble`). It
 reads the header, each ``tree`` record and ``end`` once, and reads the node
 lines of a run of whole trees (about ``_BLOCK_LINES`` lines) at once
 (:func:`_read_run`): it splits all leaf lines and all split lines of the
-run, converts each number column with one call (each distinct spelling
-once), and builds the run's trees from the stacked columns with one check.
+run, converts each number column with one call, and builds the run's
+trees from the stacked columns with one check.
 It checks each line against its saved form token by token, rather than
 writing the model again, and only the run being read holds its tokens. A
 run it refuses is read again one tree at a time (:func:`_parse_tree`), which
@@ -252,16 +252,12 @@ def _tokens(lines: list[str], kind: str, width: int) -> list[str] | None:
 
 def _numbers(tokens: list[str], key: str, kind: type) -> list:
     """The numbers the tokens spell after ``key``; ValueError unless each token
-    is ``key`` and then the number as ``repr`` spells it. Each distinct
-    spelling is converted once."""
+    is ``key`` and then the number as ``repr`` spells it."""
     texts = f" {' '.join(tokens)}".split(" " + key)[1:]  # tokens hold no space
-    spellings = list(dict.fromkeys(texts))
-    numbers = list(map(kind, spellings))
-    if len(texts) != len(tokens) or list(map(repr, numbers)) != spellings:
+    numbers = list(map(kind, texts))
+    if len(texts) != len(tokens) or list(map(repr, numbers)) != texts:
         raise ValueError(f"not {key}<number> tokens")
-    if len(spellings) == len(texts):  # no spelling repeats: they are the texts
-        return numbers
-    return list(map(dict(zip(spellings, numbers)).__getitem__, texts))
+    return numbers
 
 
 def _require_canonical(text: str, canonical: str, form: str) -> None:

@@ -1,24 +1,21 @@
+import functools
 import os
 import subprocess
 import sys
-from pathlib import Path
-
 import tempfile
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plrank
 from plrank import TrainConfig, evaluate, load_dataset, train
-from plrank import data
 from plrank.data import dense_features
-from plrank.errors import ValidationError
 from plrank import cli
 from plrank.cli import main
-from plrank.model_io import save_model
+from plrank.model_io import dumps_ensemble, dumps_linear, save_model
 from plrank.tree import Ensemble, predict_ensemble_matrix
 
 from helpers import letor_text, one_leaf_model, separable_dataset
@@ -288,75 +285,44 @@ def test_exit_code_unreadable_score(tmp_path, train_file, capsys):
     assert "line 3: bad score 'abc'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["1_0", "\u0663", "0.\uff15"])
-def test_exit_code_score_with_underscore_or_non_ascii_digit(tmp_path, train_file, capsys, text):
+# The first lines of a score file, and the error evaluate names for them; None
+# where it reads them. The rest of the file is one bare score a document.
+@pytest.mark.parametrize("head, message", [
     # float reads "1_0" as 10.0 and "\u0663" as 3.0.
-    lines = ["0.5"] * len(Path(train_file).read_text().splitlines())
-    lines[0], lines[2] = "\u20030.25", text  # Unicode whitespace still strips
-    scores = tmp_path / "scores.txt"
-    scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert run(["evaluate", "--data", train_file, "--scores", str(scores)]) == 3
-    assert f"line 3: bad score {text!r}" in capsys.readouterr().err
-
-
-# Score lines as predict writes them, and mutations of them that the line
-# loop skips, refuses or reads with a message of its own.
-SCORES = st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format)
-MUTATED_SCORES = st.sampled_from(
-    ["", "  ", "1 2", "1_0", "\u0663", "0.\uff15", "nan", "inf", "-inf", "1e999", "abc"])
-# ASCII whitespace that float() strips, ASCII whitespace only str.strip()
-# strips, and Unicode whitespace.
-SCORE_PADS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\u2003", "\u3000"])
-
-
-@st.composite
-def score_files(draw):
-    """(text, plain): ``plain`` when every line is a bare score."""
-    lines = draw(st.lists(SCORES, max_size=40))
-    plain = not draw(st.booleans())
-    if not plain:
-        for _ in range(draw(st.integers(1, 4))):
-            pad = st.one_of(st.just(""), SCORE_PADS)
-            line = draw(pad) + draw(st.one_of(MUTATED_SCORES, SCORES)) + draw(pad)
-            lines.insert(draw(st.integers(0, len(lines))), line)
-    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines), plain
-
-
-def _scores_or_error(path):
-    try:
-        return cli._load_scores(path).tobytes()
-    except ValidationError as exc:
-        return type(exc), exc.line, str(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(file=score_files(), block=st.sampled_from([1, 3, 40, 200, data._BLOCK_CHARS]))
-@example(file=("0.5\n1_0\n", False), block=data._BLOCK_CHARS)
-@example(file=("0.5\n-inf\n", False), block=data._BLOCK_CHARS)
-@example(file=("1 2\n\n", False), block=data._BLOCK_CHARS)
-@example(file=("0.5\x1c\n\u20030.25\n", False), block=1)
-def test_score_blocks_read_as_the_line_loop(file, block):
-    """A score file read a block at a time gives the line loop's array, or
-    its error, message and line; a file of bare scores is read in blocks only."""
-    text, plain = file
-    refused, read_scores = [], cli._read_scores
-
-    def counted(lines):
-        scores = read_scores(lines)
-        refused.append(scores is None)
-        return scores
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "scores.txt")
-        with open(path, "wb") as fh:
-            fh.write(text.encode())
-        with mock.patch.object(data, "_BLOCK_CHARS", block):
-            with mock.patch.object(cli, "_read_scores", lambda lines: None):
-                expected = _scores_or_error(path)
-            with mock.patch.object(cli, "_read_scores", counted):
-                assert _scores_or_error(path) == expected
-    if plain:
-        assert not any(refused)
+    ("\u20030.25\n0.5\n1_0\n", "line 3: bad score '1_0'"),
+    ("\u20030.25\n0.5\n\u0663\n", "line 3: bad score '\u0663'"),
+    ("\u20030.25\n0.5\n0.\uff15\n", "line 3: bad score '0.\uff15'"),
+    ("\u20030.25\n0.5\n1 2\n", "line 3: bad score '1 2'"),
+    ("\u20030.25\n0.5\nabc\n", "line 3: bad score 'abc'"),
+    ("\u20030.25\n0.5\ninf\n", "line 3: non-finite score 'inf'"),
+    ("\u20030.25\n0.5\n-inf\n", "line 3: non-finite score '-inf'"),
+    ("\u20030.25\n0.5\nnan\n", "line 3: non-finite score 'nan'"),
+    ("\u20030.25\n0.5\n1e999\n", "line 3: non-finite score '1e999'"),
+    ("\u20030.25\n0.5\n\x1c0.5\x1c\n", None),
+    ("\u20030.25\n0.5\n\u30000.5\u3000\n", None),
+    ("0.5\n1_0\n", "line 2: bad score '1_0'"),
+    ("0.5\n-inf\n", "line 2: non-finite score '-inf'"),
+    ("1 2\n\n", "line 1: bad score '1 2'"),
+    ("0.5\x1c\n\u20030.25\n", None),
+], ids=["underscore", "arabic-indic-digit", "fullwidth-digit", "two-tokens", "letters", "inf",
+        "-inf", "nan", "overflow", "x1c-padded", "ideographic-space-padded", "line2-underscore",
+        "line2-inf", "two-tokens-then-blank", "x1c-then-em-space"])
+def test_exit_code_score_line(tmp_path, train_file, capsys, head, message):
+    """A bad or non-finite score exits 3 naming its line; a score padded with
+    whitespace that ``str.strip`` removes reads as the bare score."""
+    count = len(Path(train_file).read_text().splitlines())
+    lines = [line.strip() for line in head.split("\n") if line.strip()]
+    scores, plain = tmp_path / "scores.txt", tmp_path / "plain.txt"
+    scores.write_text(head + "0.5\n" * (count - len(lines)), encoding="utf-8")
+    code = run(["evaluate", "--data", train_file, "--scores", str(scores)])
+    out, err = capsys.readouterr()
+    if message is not None:
+        assert code == 3 and f"{message}\n" in err
+        return
+    assert code == 0 and err == ""
+    plain.write_text("\n".join(lines) + "\n" + "0.5\n" * (count - len(lines)))
+    assert run(["evaluate", "--data", train_file, "--scores", str(plain)]) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("flag", ["--train", "--data", "--scores", "--model"])
@@ -806,3 +772,116 @@ def test_allocator_policy_does_nothing_without_mallopt(monkeypatch, tmp_path, tr
                     "--out", str(tmp_path / "model.txt")]) == 0
     finally:
         cli._set_allocator_policy.cache_clear()
+
+
+# The mutation guard: valid input files with one to three byte edits, under
+# odd flag values. Each data line lists one feature, indexed 1-3, with a
+# one-decimal value, so no three edits make a feature index past four digits
+# or a table past a few MB.
+_FUZZ_DATA = "".join(
+    f"{grade} qid:{qid} {doc % 3 + 1}:{(3 * qid + 7 * doc) % 10 / 10}\n"
+    for qid in (1, 2, 3, 4) for doc, grade in enumerate((2, 0, 1, 0, 1))
+)
+_EDIT_BYTES = b"0123456789.-+e:= \n\r\tqidLNfvtnrlw[]_x\xff"
+# Each flag's (valid, odd) values. --trees and --iterations are always given,
+# and no value is large enough to make a run slow.
+_FLAGS = {
+    "--trees": (["1", "3"], ["0", "-1", "x", "1e1"]),
+    "--iterations": (["3"], ["0", "-4", "2.5"]),
+    "--loss": (["plrank", "mart1", "mart2", "cmart1", "listmle-linear"], ["bogus"]),
+    "--leaves": (["2", "4", str(HUGE)], ["1", "0", "x"]),
+    "--lr": (["0.3", "1", "1e-300"], ["0", "-1", "nan", "inf", "1.5"]),
+    "--topk": (["3", str(HUGE)], ["0", "-2"]),
+    "--objectives": (["1", "2"], ["0", "-5", str(HUGE)]),
+    "--seed": (["0", "7", str(HUGE)], ["-1"]),
+    "--min-leaf": (["1", "50", str(HUGE)], ["0"]),
+    "--bins": (["0", "2", "16", str(HUGE)], ["1", "-3"]),
+    "--threads": (["1", "2"], ["0", "x"]),
+    "--ndcg": (["1,3,10", "5", "1,,2", str(HUGE)], ["0", "a"]),
+    "--gmax": (["1", "1024"], ["0", "-1", "x"]),
+    "--degenerate": (["zero", "one", "skip"], ["bad"]),
+    "--format": (["text", "kv"], ["json"]),
+}
+_OPTIONAL = {
+    "train": ["--loss", "--leaves", "--lr", "--topk", "--objectives", "--seed", "--min-leaf",
+              "--bins", "--threads"],
+    "predict": ["--threads"],
+    "evaluate": ["--ndcg", "--gmax", "--degenerate", "--format"],
+}
+
+
+@functools.cache
+def _fuzz_inputs():
+    """The valid files the guard mutates: data, a tree model, a linear model
+    and the tree model's scores."""
+    dataset = plrank.parse_dataset(_FUZZ_DATA)
+    ensemble, _ = train(dataset, TrainConfig(trees=2, leaves=3))
+    scores = predict_ensemble_matrix(ensemble, dense_features(dataset, 3))
+    return {
+        "data": _FUZZ_DATA.encode(),
+        "model": dumps_ensemble(ensemble).encode(),
+        "linear": dumps_linear(plrank.train_linear(dataset, iterations=3)).encode(),
+        "scores": "".join(f"{s:.17g}\n" for s in scores.tolist()).encode(),
+    }
+
+
+@st.composite
+def mutated_commands(draw):
+    """(argv, files): a command line naming files by key, and each file's
+    bytes, one of the files the command reads edited."""
+    command = draw(st.sampled_from(["train", "predict", "evaluate"]))
+    if command == "train":
+        argv = ["train", "--train", "data", "--trees", "", "--iterations", ""]
+        argv += draw(st.sampled_from([[], ["--valid", "data"], ["--init-model", "model"],
+                                      ["--init-model", "linear"]]))
+    elif command == "predict":
+        argv = ["predict", "--model", draw(st.sampled_from(["model", "linear"])),
+                "--data", "data", *draw(st.sampled_from([[], ["--strict"]]))]
+    else:
+        argv = ["evaluate", "--data", "data", "--scores", "scores",
+                *draw(st.sampled_from([[], ["--err"]]))]
+    for flag in _OPTIONAL[command]:
+        if draw(st.booleans()):
+            argv += [flag, ""]
+    # At most one flag takes an odd value, so runs that pass every check are drawn too.
+    flags = [arg for arg in argv if arg in _FLAGS]
+    odd = draw(st.sampled_from([None, *flags]))
+    for i, flag in enumerate(argv[:-1]):
+        if flag in _FLAGS:
+            argv[i + 1] = draw(st.sampled_from(_FLAGS[flag][flag == odd]))
+    if command != "evaluate":
+        argv += ["--out", "out"]
+    files = dict(_fuzz_inputs())
+    name = draw(st.sampled_from(sorted(set(argv) & set(files))))
+    text = bytearray(files[name])
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(_EDIT_BYTES))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            text.insert(at, byte)
+        elif at < len(text):
+            text[at : at + 1] = b"" if edit == "delete" else bytes([byte])
+    files[name] = bytes(text)
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mutated_commands())
+def test_mutated_inputs_end_with_a_documented_exit_code(case):
+    """Exit 0, 2, 3 or 4 and no exception; after exit 0 the model written
+    loads and the scores written are finite, one a document."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in [*files, "out"]}
+        for name, text in files.items():
+            with open(paths[name], "wb") as fh:
+                fh.write(text)
+        code = main([paths.get(arg, arg) for arg in argv])
+        assert code in (0, 2, 3, 4)
+        if code == 0 and argv[0] == "train":
+            plrank.load_model(paths["out"])
+        elif code == 0 and argv[0] == "predict":
+            scores = cli._load_scores(paths["out"])
+            assert scores.size == load_dataset(paths["data"]).num_documents
+            assert np.isfinite(scores).all()
