@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pl_objective
 from .data import Dataset, dense_features
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_count
 from .metrics import dcg_at_k, evaluate
 from .permutation import build_permutations
 from .pl_objective import QueryContexts, newton_leaf_outputs, response_from_workspace
@@ -52,24 +52,18 @@ class TrainConfig:
     def validate(self) -> None:
         if self.loss not in TREE_LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.trees < 1:
-            raise ConfigError(f"tree count must be >= 1, got {self.trees}")
-        if self.leaves < 2:
-            raise ConfigError(f"leaf count must be >= 2, got {self.leaves}")
+        check_count(self.trees, "tree count", 1, ConfigError)
+        check_count(self.leaves, "leaf count", 2, ConfigError)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError(
                 f"learning rate must be in (0, 1], got {self.learning_rate}"
             )
-        if self.top_k < 1:
-            raise ConfigError(f"top-K must be >= 1, got {self.top_k}")
-        if self.objectives < 1:
-            raise ConfigError(f"objective count must be >= 1, got {self.objectives}")
-        if self.min_leaf_docs < 1:
-            raise ConfigError(f"min leaf docs must be >= 1, got {self.min_leaf_docs}")
-        if self.histogram_bins < 0 or self.histogram_bins == 1:
-            raise ConfigError(
-                f"histogram bins must be 0 (exact) or >= 2, got {self.histogram_bins}"
-            )
+        check_count(self.top_k, "top-K", 1, ConfigError)
+        check_count(self.objectives, "objective count", 1, ConfigError)
+        check_count(self.min_leaf_docs, "min leaf docs", 1, ConfigError)
+        check_count(self.histogram_bins, "histogram bins", 0, ConfigError)
+        if self.histogram_bins == 1:
+            raise ConfigError("histogram bins must be 0 (exact) or >= 2, got 1")
 
 
 @dataclass
@@ -125,8 +119,7 @@ def sample_contexts(dataset: Dataset, k: int, objectives: int, seed: int) -> Que
     contexts. Query ``q`` samples from ``default_rng([seed, q])``, which
     takes no negative number, so a negative seed or qid raises ConfigError.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_count(seed, "seed", 0, ConfigError)
     psets = []
     for group in dataset.groups:
         if group.query_id < 0:

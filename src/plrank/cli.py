@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import math
 import os
@@ -18,7 +19,7 @@ import numpy as np
 
 from .booster import TrainConfig, train
 from .data import Dataset, _ascii, dense_features, load_dataset
-from .errors import ConfigError, PLRankError, ValidationError, _open_text
+from .errors import ConfigError, PLRankError, ValidationError, _open_text, check_count
 from .linear import LinearModel, train_linear
 from .metrics import evaluate
 from .model_io import load_model, save_model
@@ -140,8 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # Each loss reads only some of these flags, but every value given is
     # checked: a linear run checks the tree settings as a plrank run would.
     config.validate()
-    if args.iterations < 1:
-        raise ConfigError(f"iteration cap must be >= 1, got {args.iterations}")
+    check_count(args.iterations, "iteration cap", 1, ConfigError)
     if linear:
         for flag, value in (("--valid", args.valid), ("--init-model", args.init_model)):
             if value is not None:
@@ -222,10 +222,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         g_max=args.gmax,
         degenerate_policy=args.degenerate,
     )
-    if args.format == "kv":
-        _emit(report.format_keyvalues(include_err=args.err))
-    else:
-        _emit(report.format_text(include_err=args.err))
+    if not args.err:  # computed all the same, so --gmax is checked
+        report = dataclasses.replace(report, err=None)
+    _emit(report.format_keyvalues() if args.format == "kv" else report.format_text())
     return EXIT_OK
 
 

@@ -289,15 +289,16 @@ def dense_features(rows: Dataset | QueryGroup, m: int) -> np.ndarray:
 
     Columns past the dataset's ``max_feature_index`` read as 0.0. A whole
     dataset at its own width is its table itself, as a read-only view, so no
-    copy is made.
+    copy is made; wider, its table is copied once, into the padded matrix.
     """
     width = rows.features.shape[1]
     if m < width:
         raise ValidationError(f"matrix width {m} is smaller than max feature index {width}")
-    if m == width and isinstance(rows, Dataset):
+    whole = isinstance(rows, Dataset)
+    if m == width and whole:
         table = rows.features.view()
         table.flags.writeable = False
         return table
     out = np.zeros((len(rows.doc_ids), m), dtype=np.float64)
-    out[:, :width] = rows.features[rows.doc_ids]
+    out[:, :width] = rows.features if whole else rows.features[rows.doc_ids]
     return out

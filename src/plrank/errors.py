@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit, and the reader of input files."""
+"""Exception types shared across the toolkit, its count check, and the reader of input files."""
 
 import codecs
 from typing import IO
+
+import numpy as np
 
 # Bytes the UTF-8 check reads at a time.
 _BLOCK = 1 << 18
@@ -27,6 +29,16 @@ class ValidationError(PLRankError):
 
 class ConfigError(PLRankError):
     """Training configuration that cannot be executed."""
+
+
+def check_count(value: object, name: str, floor: int,
+                error: type[PLRankError] = ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is an integer (an ``int`` or numpy
+    integer, not a ``bool``) of at least ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise error(f"{name} must be >= {floor}, got {value}")
 
 
 def _check_utf8(path: str) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .booster import sample_contexts
 from .data import Dataset, dense_features
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_count
 from .permutation import build_permutations  # noqa: F401  (perfbench/layers.py hooks it)
 from .pl_objective import QueryContexts, log_likelihood, pseudo_response
 from .tree import _feature_rows
@@ -117,8 +117,7 @@ def train_linear(
     ranking information (single document) contribute only the prior, which
     keeps their pull at w = 0.
     """
-    if iterations < 1:
-        raise ConfigError(f"iteration cap must be >= 1, got {iterations}")
+    check_count(iterations, "iteration cap", 1, ConfigError)
     width = dataset.max_feature_index
     # Rows of queries without contexts meet only zero gradient entries.
     X = _feature_rows(dense_features(dataset, width))

@@ -8,21 +8,21 @@ probability (2^g - 1) / 2^g_max.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 DEGENERATE_POLICIES = ("zero", "one", "skip")
 
 
 def dcg_at_k(grades_in_rank_order: Sequence[int], k: int) -> float:
     """Discounted cumulative gain of the first min(k, n) positions."""
-    if k < 1:
-        raise ValidationError(f"cutoff k must be >= 1, got {k}")
+    check_count(k, "cutoff k", 1)
     total = 0.0
     for pos, grade in enumerate(grades_in_rank_order[:k], start=1):
         total += (2.0 ** grade - 1.0) / math.log2(pos + 1)
@@ -54,15 +54,14 @@ def ndcg_at_k(
 
 def err(grades_in_model_order: Sequence[int], g_max: int) -> float:
     """Expected reciprocal rank under the cascade user model."""
-    if g_max < 1:
-        raise ValidationError(f"g_max must be >= 1, got {g_max}")
+    check_count(g_max, "g_max", 1)
     total = 0.0
     not_stopped = 1.0
     for pos, grade in enumerate(grades_in_model_order, start=1):
         if grade > g_max:
             raise ValidationError(f"grade {grade} exceeds g_max {g_max}")
         # (2**grade - 1) / 2**g_max; neither power is a float from 1024 on.
-        stop = math.ldexp(1.0 - 2.0 ** -grade, grade - g_max)
+        stop = math.ldexp(1.0 - 2.0 ** -grade, operator.index(grade - g_max))
         total += not_stopped * stop / pos
         not_stopped *= 1.0 - stop
     return total
@@ -70,41 +69,29 @@ def err(grades_in_model_order: Sequence[int], g_max: int) -> float:
 
 @dataclass
 class EvalReport:
-    """Per-query means of one :func:`evaluate` call.
-
-    The formatters print the ERR when ``include_err`` is true, which by
-    default it is exactly when the report holds one; asking for the ERR of a
-    report made without it raises :class:`ValidationError`.
-    """
+    """Per-query means of one :func:`evaluate` call. The formatters print
+    what it holds: the ERR only where ``err`` is not None."""
 
     ndcg_at: dict[int, float]
     err: float | None  # None when evaluate was told not to compute it
     degenerate_query_count: int
     query_count: int
 
-    def _prints_err(self, include_err: bool | None) -> bool:
-        if include_err is None:
-            return self.err is not None
-        if include_err and self.err is None:
-            raise ValidationError("this report holds no ERR; evaluate(..., include_err=True) "
-                                  "computes it")
-        return include_err
-
-    def format_text(self, include_err: bool | None = None) -> str:
+    def format_text(self) -> str:
         rows = [("queries", str(self.query_count)),
                 ("degenerate queries", str(self.degenerate_query_count))]
         for k in sorted(self.ndcg_at):
             rows.append((f"NDCG@{k}", f"{self.ndcg_at[k]:.6f}"))
-        if self._prints_err(include_err):
+        if self.err is not None:
             rows.append(("ERR", f"{self.err:.6f}"))
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}} : {value}" for name, value in rows)
 
-    def format_keyvalues(self, include_err: bool | None = None) -> str:
+    def format_keyvalues(self) -> str:
         parts = [f"queries={self.query_count}",
                  f"degenerate={self.degenerate_query_count}"]
         parts += [f"ndcg@{k}={self.ndcg_at[k]!r}" for k in sorted(self.ndcg_at)]
-        if self._prints_err(include_err):
+        if self.err is not None:
             parts.append(f"err={self.err!r}")
         return "\n".join(parts)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import QueryGroup
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, check_count
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,8 @@ def build_permutations(
     probability is identically 1), and duplicates across samples are kept
     once, at their first occurrence with the champion of that occurrence.
     """
-    if k < 1:
-        raise ValidationError(f"top-K cutoff must be >= 1, got {k}")
-    if num_objectives < 1:
-        raise ValidationError(f"objective count must be >= 1, got {num_objectives}")
+    check_count(k, "top-K cutoff", 1)
+    check_count(num_objectives, "objective count", 1)
 
     relevances = group.relevances()
     n = relevances.shape[0]

@@ -125,6 +125,9 @@ class QueryContexts:
         self.response_keys = np.concatenate(
             [self.context_head.ravel(), self.tail, self.champions]
         )
+        # A score vector must reach the highest document id held.
+        self.id_bound = 1 + int(max(self.tail.max(initial=-1),
+                                    self.head.max(initial=-1, where=~self.head_pad)))
         self.workspace: PLWorkspace | None = None
 
     @property
@@ -146,11 +149,17 @@ class QueryContexts:
 
         Called again with equal scores, it returns the kept workspace: the
         log-likelihood that ends one boosting iteration hands its softmax to
-        the gradient of the next.
+        the gradient of the next. Other scores raise :class:`ValidationError`
+        unless they are finite and 1-D with an entry for every document id held.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if self.workspace is not None and np.array_equal(self.workspace.scores, scores):
             return self.workspace
+        if scores.ndim != 1 or scores.size < self.id_bound:
+            raise ValidationError(f"scores must be 1-D with at least {self.id_bound} "
+                                  f"entries, got shape {scores.shape}")
+        if not np.isfinite(scores).all():
+            raise ValidationError("scores must be finite")
         self.workspace = None  # frees the old softmax before the new one exists
         tail_exp = scores.take(self.tail)
         tail_high = np.maximum.reduceat(tail_exp, self.tail_starts)
@@ -216,9 +225,9 @@ class QueryContexts:
         return head + workspace.tail_weights.reshape(-1, 1) * sums[self.context_sample]
 
 
-def _as_contexts(scores: np.ndarray, contexts: PermutationSet | QueryContexts) -> QueryContexts:
+def _as_contexts(contexts: PermutationSet | QueryContexts) -> QueryContexts:
     if isinstance(contexts, PermutationSet):
-        return QueryContexts.create(np.arange(np.asarray(scores).shape[0]), contexts)
+        return QueryContexts.create(np.arange(contexts.orders.shape[1]), contexts)
     return contexts
 
 
@@ -228,7 +237,7 @@ def log_likelihood(scores: np.ndarray, contexts: PermutationSet | QueryContexts)
     ``scores`` are query-local for a :class:`PermutationSet` and global for a
     :class:`QueryContexts`.
     """
-    contexts = _as_contexts(scores, contexts)
+    contexts = _as_contexts(contexts)
     workspace = contexts.refresh(scores)
     terms = workspace.scores[contexts.champions] - workspace.highs
     terms -= np.log(workspace.totals)
@@ -237,7 +246,7 @@ def log_likelihood(scores: np.ndarray, contexts: PermutationSet | QueryContexts)
 
 def pseudo_response(scores: np.ndarray, contexts: PermutationSet | QueryContexts) -> np.ndarray:
     """Ascent-direction gradient of the log-likelihood per document score."""
-    contexts = _as_contexts(scores, contexts)
+    contexts = _as_contexts(contexts)
     return response_from_workspace(contexts.refresh(scores), contexts)
 
 

@@ -44,7 +44,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 # Gains at or below this are treated as no reduction (guards float dust on
 # constant responses).
@@ -253,11 +253,8 @@ class Ensemble:
         width = self.split_width
         if self.num_features is None:
             object.__setattr__(self, "num_features", width)
-        for key, number, floor in (("topk", self.top_k, 1), ("features", self.num_features, 0)):
-            if isinstance(number, bool) or not isinstance(number, (int, np.integer)):
-                raise ValidationError(f"{key} must be an integer, got {number!r}")
-            if number < floor:
-                raise ValidationError(f"{key} must be >= {floor}, got {number}")
+        check_count(self.top_k, "topk", 1)
+        check_count(self.num_features, "features", 0)
         if width > self.num_features:
             routing = self._routing
             i = int(np.argmax(routing.split & (routing.column >= self.num_features)))
@@ -540,12 +537,11 @@ def fit_tree(
     """
     X = _feature_rows(features)
     y = np.asarray(responses, dtype=np.float64)
-    if leaf_limit < 2:
-        raise ValidationError(f"leaf limit must be >= 2, got {leaf_limit}")
-    if min_leaf_docs < 1:
-        raise ValidationError(f"min_leaf_docs must be >= 1, got {min_leaf_docs}")
-    if bins < 0 or bins == 1:
-        raise ValidationError(f"bins must be 0 (exact) or >= 2, got {bins}")
+    check_count(leaf_limit, "leaf limit", 2)
+    check_count(min_leaf_docs, "min_leaf_docs", 1)
+    check_count(bins, "bins", 0)
+    if bins == 1:
+        raise ValidationError("bins must be 0 (exact) or >= 2, got 1")
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValidationError("features and responses must align")
     if X.shape[0] < 2:

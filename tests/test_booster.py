@@ -8,6 +8,9 @@ from plrank import (
     Ensemble,
     ValidationError,
     TrainConfig,
+    build_permutations,
+    dcg_at_k,
+    err,
     evaluate,
     mart_response,
     train,
@@ -69,6 +72,59 @@ def test_config_validation():
         small_config(learning_rate=1.5).validate()
     with pytest.raises(ConfigError):
         small_config(loss="lambdamart").validate()
+
+
+def _query():
+    return make_dataset([(1, [(2, {1: 0.5}), (1, {1: 0.25}), (0, {1: 0.0}), (0, {1: 1.0})])])
+
+
+_X = np.arange(12.0).reshape(6, 2)
+_Y = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 3.0])
+
+# Each count a caller passes: a call at one value, the name its message
+# gives, and the error it raises.
+COUNTS = {
+    "trees": (lambda v: small_config(trees=v).validate(), "tree count", ConfigError),
+    "leaves": (lambda v: small_config(leaves=v).validate(), "leaf count", ConfigError),
+    "top_k": (lambda v: small_config(top_k=v).validate(), "top-K", ConfigError),
+    "objectives": (lambda v: small_config(objectives=v).validate(), "objective count",
+                   ConfigError),
+    "min_leaf_docs": (lambda v: small_config(min_leaf_docs=v).validate(), "min leaf docs",
+                      ConfigError),
+    "histogram_bins": (lambda v: small_config(histogram_bins=v).validate(), "histogram bins",
+                       ConfigError),
+    "seed": (lambda v: train(_query(), small_config(trees=1, seed=v)), "seed", ConfigError),
+    "fit_tree-leaf_limit": (lambda v: fit_tree(_X, _Y, v), "leaf limit", ValidationError),
+    "fit_tree-min_leaf_docs": (lambda v: fit_tree(_X, _Y, 3, v), "min_leaf_docs",
+                               ValidationError),
+    "fit_tree-bins": (lambda v: fit_tree(_X, _Y, 3, 1, v), "bins", ValidationError),
+    "build_permutations-k": (
+        lambda v: build_permutations(_query().groups[0], v, 1, np.random.default_rng(0)),
+        "top-K cutoff", ValidationError),
+    "build_permutations-objectives": (
+        lambda v: build_permutations(_query().groups[0], 2, v, np.random.default_rng(0)),
+        "objective count", ValidationError),
+    "dcg_at_k": (lambda v: dcg_at_k([2, 1, 0], v), "cutoff k", ValidationError),
+    "err": (lambda v: err([2, 1, 0], v), "g_max", ValidationError),
+    "evaluate": (lambda v: evaluate(_query(), [0.0, 1.0, 2.0, 3.0], [v]), "cutoff k",
+                 ValidationError),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3"],
+                         ids=["float", "bool", "float64", "str"])
+@pytest.mark.parametrize("count", COUNTS)
+def test_a_count_that_is_no_integer_raises_a_plrank_error(count, value):
+    """Each once truncated the value, took True as 1 or raised a bare TypeError."""
+    call, name, error = COUNTS[count]
+    with pytest.raises(error) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_a_count_may_be_a_numpy_integer(count):
+    COUNTS[count][0](np.int64(3))
 
 
 def test_single_tree_contract():

@@ -180,6 +180,24 @@ def test_dense_features_of_a_dataset_at_its_width_is_its_table_read_only():
     assert not np.shares_memory(dense_features(ds.groups[0], 2), ds.features)
 
 
+def test_dense_features_pads_a_dataset_with_one_copy_of_its_table():
+    """A dataset read wider than its table is copied once, into the result,
+    not first gathered through its row ids."""
+    rng = np.random.default_rng(11)
+    lines = [f"{i % 3} qid:{i // 20} " + " ".join(f"{j}:{v!r}" for j, v in
+                                                  enumerate(rng.normal(size=40).tolist(), 1))
+             for i in range(2000)]
+    ds = parse_dataset("\n".join(lines))
+    tracemalloc.start()
+    try:
+        wider = dense_features(ds, 41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wider[:, :40].tobytes() == ds.features.tobytes() and not wider[:, 40].any()
+    assert peak <= 1.2 * wider.nbytes
+
+
 def test_load_dataset_reads_universal_newlines(tmp_path):
     path = tmp_path / "data.txt"
     path.write_bytes(b"1 qid:1 1:1.0\r\n0 qid:1 2:2.0\r0 qid:2 1:3.0\n")

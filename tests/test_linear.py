@@ -296,7 +296,15 @@ def test_iteration_cap_validated():
 @pytest.mark.parametrize("kwargs, error, message", [
     (dict(seed=-1), ConfigError, "seed must be >= 0, got -1"),
     (dict(k=0), ValidationError, "top-K cutoff must be >= 1, got 0"),
-], ids=["seed", "topk"])
+    (dict(seed=1.5), ConfigError, "seed must be an integer, got 1.5"),
+    (dict(k=2.5), ValidationError, "top-K cutoff must be an integer, got 2.5"),
+    (dict(objectives=True), ValidationError, "objective count must be an integer, got True"),
+    (dict(iterations=2.5), ConfigError, "iteration cap must be an integer, got 2.5"),
+    (dict(iterations=np.float64(3.0)), ConfigError,
+     r"iteration cap must be an integer, got np\.float64\(3\.0\)"),
+    (dict(iterations="3"), ConfigError, "iteration cap must be an integer, got '3'"),
+], ids=["seed", "topk", "seed-float", "topk-float", "objectives-bool", "iterations-float",
+        "iterations-float64", "iterations-str"])
 def test_fit_checks_its_options_whatever_the_width(features, kwargs, error, message):
     """Data listing no feature once returned empty weights before any check."""
     ds = make_dataset([(1, [(1, features), (0, {})])])

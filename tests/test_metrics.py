@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -244,15 +245,14 @@ def test_report_rendering():
 
 
 def test_report_without_err_formats_without_it():
-    """A report made without ERR prints none by default and refuses to print
-    one; a report with ERR prints it unless told not to, as the CLI does."""
+    """The formatters print what the report holds: a report made without ERR
+    prints none, one with ERR prints it, and one whose ERR is cleared (as the
+    CLI clears it without ``--err``) prints as the bare one."""
     ds = make_dataset([(1, [(1, {1: 0.0}), (0, {1: 0.0})])])
     full = evaluate(ds, [1.0, 0.0], [1, 3])
     bare = evaluate(ds, [1.0, 0.0], [1, 3], include_err=False)
+    cleared = dataclasses.replace(full, err=None)
     for name in ("format_text", "format_keyvalues"):
-        with_err, without = getattr(full, name), getattr(bare, name)
-        assert without() == without(include_err=False) == with_err(include_err=False)
-        assert with_err() == with_err(include_err=True) != without()
-        with pytest.raises(ValidationError, match=r"include_err=True"):
-            without(include_err=True)
+        assert getattr(bare, name)() == getattr(cleared, name)() != getattr(full, name)()
     assert "ERR" not in bare.format_text() and "err=" not in bare.format_keyvalues()
+    assert "ERR" in full.format_text() and "err=" in full.format_keyvalues()

@@ -250,12 +250,16 @@ def test_unknown_loss_rejected():
     ({"top_k": 0}, "topk must be >= 1, got 0"),
     ({"top_k": 2.5}, "topk must be an integer, got 2.5"),
     ({"top_k": True}, "topk must be an integer, got True"),
+    ({"top_k": np.float64(3.0)}, "topk must be an integer, got np.float64(3.0)"),
+    ({"top_k": "3"}, "topk must be an integer, got '3'"),
     ({"num_features": -1}, "features must be >= 0, got -1"),
+    ({"num_features": 2.5}, "features must be an integer, got 2.5"),
+    ({"num_features": True}, "features must be an integer, got True"),
     ({"learning_rate": float("nan")}, "alpha must be finite, got nan"),
     ({"init_score": float("inf")}, "init must be finite, got inf"),
     ({"init_score": float("-inf")}, "init must be finite, got -inf"),
-], ids=["loss", "topk-0", "topk-2.5", "topk-True", "features", "alpha-nan", "init-inf",
-        "init--inf"])
+], ids=["loss", "topk-0", "topk-2.5", "topk-True", "topk-float64", "topk-str", "features",
+        "features-2.5", "features-True", "alpha-nan", "init-inf", "init--inf"])
 def test_ensemble_rejects_a_header_no_model_file_holds(fields, message):
     # Each of these once built and saved a file that did not load.
     with pytest.raises(ValidationError) as info:

@@ -141,6 +141,30 @@ def test_pseudo_response_empty_pset():
     assert pseudo_response(np.zeros(5), pset).tolist() == [0.0] * 5
 
 
+@pytest.mark.parametrize("scores, message", [
+    ([math.nan, 0.0, 0.0, 0.0], "scores must be finite"),
+    ([0.0, math.inf, 0.0, 0.0], "scores must be finite"),
+    ([0.0], r"scores must be 1-D with at least 4 entries, got shape \(1,\)"),
+    ([[0.0] * 4], r"scores must be 1-D with at least 4 entries, got shape \(1, 4\)"),
+], ids=["nan", "inf", "short", "2-D"])
+@pytest.mark.parametrize("entry", [log_likelihood, pseudo_response])
+def test_likelihood_rejects_scores_it_cannot_read(entry, scores, message):
+    """These once gave nan, nan with overflow warnings, or a bare IndexError."""
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        entry(np.array(scores), toy_pset())
+
+
+def test_refresh_needs_a_score_for_the_highest_document_id():
+    # Document 9 leads the order, so it is held in the head, not the tail.
+    query = QueryContexts.create([9, 5, 7, 6], toy_pset())
+    query.refresh(np.zeros(10))
+    with pytest.raises(ValidationError, match="at least 10 entries, got shape \\(9,\\)"):
+        query.refresh(np.zeros(9))
+    empty = QueryContexts.create([], permutation_set([], k=3, raw_term_count=0,
+                                                     objective_count=1))
+    assert empty.refresh(np.zeros(0)).totals.size == 0
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     step = 1e-5
