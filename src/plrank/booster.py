@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -54,12 +55,15 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         check_count(self.trees, "tree count", 1, ConfigError)
         check_count(self.leaves, "leaf count", 2, ConfigError)
+        if not isinstance(self.learning_rate, Real):
+            raise ConfigError(f"learning rate must be a real number, got {self.learning_rate!r}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError(
                 f"learning rate must be in (0, 1], got {self.learning_rate}"
             )
         check_count(self.top_k, "top-K", 1, ConfigError)
         check_count(self.objectives, "objective count", 1, ConfigError)
+        check_count(self.seed, "seed", 0, ConfigError)
         check_count(self.min_leaf_docs, "min leaf docs", 1, ConfigError)
         check_count(self.histogram_bins, "histogram bins", 0, ConfigError)
         if self.histogram_bins == 1:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .booster import TrainConfig, train
 from .data import Dataset, _ascii, dense_features, load_dataset
-from .errors import ConfigError, PLRankError, ValidationError, _open_text, check_count
+from .errors import (ConfigError, PLRankError, ValidationError, _open_output, _open_text,
+                     check_count)
 from .linear import LinearModel, train_linear
 from .metrics import evaluate
 from .model_io import load_model, save_model
@@ -187,7 +188,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.data)
     scores = _dataset_scores(model, dataset, args.strict)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(args.out) as fh:
         for start in range(0, scores.size, _WRITE_BLOCK):
             fh.writelines(map("{:.17g}\n".format, scores[start : start + _WRITE_BLOCK].tolist()))
     return EXIT_OK

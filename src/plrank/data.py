@@ -28,7 +28,7 @@ from typing import IO, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, _open_text
+from .errors import ParseError, ValidationError, _open_text, check_count
 
 # Gains are 2^grade - 1; grades above this would lose exactness in float64.
 MAX_GRADE = 31
@@ -291,6 +291,7 @@ def dense_features(rows: Dataset | QueryGroup, m: int) -> np.ndarray:
     dataset at its own width is its table itself, as a read-only view, so no
     copy is made; wider, its table is copied once, into the padded matrix.
     """
+    check_count(m, "matrix width", 0)
     width = rows.features.shape[1]
     if m < width:
         raise ValidationError(f"matrix width {m} is smaller than max feature index {width}")

@@ -1,7 +1,11 @@
-"""Exception types shared across the toolkit, its count check, and the reader of input files."""
+"""Exception types shared across the toolkit, its count check, and the
+reader of input files and writer of output files."""
 
 import codecs
-from typing import IO
+import contextlib
+import os
+import stat
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -87,3 +91,41 @@ def _open_text(path: str, newline: str | None = None) -> IO[str]:
     """
     _check_utf8(path)
     return open(path, encoding="utf-8", newline=newline)
+
+
+@contextlib.contextmanager
+def _open_output(path: str) -> Iterator[IO[str]]:
+    """A UTF-8 text stream (``\n`` line ends) whose content replaces ``path``
+    all at once, when the ``with`` block ends without an exception.
+
+    The stream writes a new file beside the one it replaces, which
+    ``os.replace`` then moves onto it; on any exception the new file is
+    removed, so ``path`` is as it was. A replaced file keeps its permission
+    bits, a new one gets those ``open`` gives, and a symbolic link's target is
+    replaced, not the link. A path that names a stream is written directly,
+    as ``open`` writes it: an existing file that is not a regular one (a
+    terminal, a pipe, a FIFO), or any path under ``/dev`` or ``/proc``.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if (mode is not None and not stat.S_ISREG(mode)) or os.path.abspath(path).startswith(
+            ("/dev/", "/proc/")):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise

@@ -58,6 +58,7 @@ def err(grades_in_model_order: Sequence[int], g_max: int) -> float:
     total = 0.0
     not_stopped = 1.0
     for pos, grade in enumerate(grades_in_model_order, start=1):
+        check_count(grade, "grade", 0)
         if grade > g_max:
             raise ValidationError(f"grade {grade} exceeds g_max {g_max}")
         # (2**grade - 1) / 2**g_max; neither power is a float from 1024 on.
@@ -101,6 +102,15 @@ def rank_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's sums of its first 0..n terms, added to 0.0 one at a time
+    and in order, as :func:`dcg_at_k` and :func:`err` add them (never
+    pairwise, as ``.sum`` adds)."""
+    sums = np.zeros((terms.shape[0], terms.shape[1] + 1))
+    sums[:, 1:] = terms
+    return np.add.accumulate(sums, axis=1, out=sums)
+
+
 def evaluate(
     dataset: Dataset,
     scores: Sequence[float],
@@ -116,6 +126,14 @@ def evaluate(
     dataset's original line order (one entry per document ordinal, from 0).
     With ``include_err`` false no ERR is computed and the report's ``err`` is
     None; the NDCG values do not change.
+
+    The arguments are checked before any query is scored: the scores, then
+    the degenerate policy, each cutoff, ``g_max`` when ERR is computed, and
+    last a grade above ``g_max`` (the first in query order, then rank order).
+    Queries of one length are ranked together, one row each, with one stable
+    sort; every value is bit-identical to :func:`rank_order`,
+    :func:`ndcg_at_k` and :func:`err` applied query by query, and the means
+    average the per-query values in query order.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (dataset.num_documents,):
@@ -127,30 +145,65 @@ def evaluate(
         raise ValidationError(f"non-finite score {float(scores[i])!r} for document {i}")
     if g_max is None:
         g_max = max(dataset.max_grade, 1)
+    if degenerate_policy not in DEGENERATE_POLICIES:
+        raise ValidationError(f"unknown degenerate policy {degenerate_policy!r}")
+    cutoffs = list(cutoffs)
+    for k in cutoffs:
+        check_count(k, "cutoff k", 1)
 
-    ndcg_values: dict[int, list[float]] = {k: [] for k in cutoffs}
-    err_values: list[float] = []
-    degenerate = 0
-    for group in dataset.groups:
-        rel = group.relevances()
-        order = rank_order(scores[group.doc_ids])
-        ranked = rel[order].tolist()
-        if not any(ranked):
-            degenerate += 1
+    # Query q is rows[starts[q] : starts[q] + sizes[q]] of the flat row list.
+    groups = dataset.groups
+    sizes = np.array([group.doc_ids.size for group in groups], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    rows = np.concatenate([np.empty(0, np.intp)] + [group.doc_ids for group in groups])
+    grades = dataset.grades.take(rows)
+    if include_err:
+        check_count(g_max, "g_max", 1)
+        top = int(grades.max(initial=0))
+        if top > g_max:
+            group = groups[int(np.searchsorted(starts, np.argmax(grades > g_max), "right")) - 1]
+            ranked = group.relevances()[rank_order(scores[group.doc_ids])]
+            raise ValidationError(f"grade {ranked[ranked > g_max][0]} exceeds g_max {g_max}")
+        # A stop probability 2**-1100 of its grade's is 0.0 (the smallest
+        # double is 2**-1074), so a g_max further above the grades changes
+        # no bit and the exponents stay small.
+        g_max = min(g_max, top + 1100)
+
+    discounts = np.array([math.log2(pos + 1) for pos in range(1, sizes.max(initial=0) + 1)])
+    ndcg = {k: np.empty(len(groups)) for k in cutoffs}
+    err_values = np.empty(len(groups))
+    # All grades 0: no ideal ordering, and an ideal DCG of 0 at every cutoff.
+    degenerate = np.zeros(len(groups), dtype=bool)
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
+        queries = np.flatnonzero(sizes == n)
+        at = starts[queries, None] + np.arange(n)
+        order = np.argsort(-scores.take(rows.take(at)), axis=1, kind="stable")
+        ranked = np.take_along_axis(grades.take(at), order, axis=1)
+        zero = degenerate[queries] = ~ranked.any(axis=1)
+        gains = np.ldexp(1.0, ranked) - 1.0
+        dcg = _running_sums(gains / discounts[:n])
+        ideal = _running_sums(np.sort(gains, axis=1)[:, ::-1] / discounts[:n])
         for k in cutoffs:
-            value = ndcg_at_k(ranked, k, degenerate_policy)
-            if value is not None:
-                ndcg_values[k].append(value)
+            with np.errstate(invalid="ignore"):
+                value = dcg[:, min(k, n)] / ideal[:, min(k, n)]
+            value[zero] = 1.0 if degenerate_policy == "one" else 0.0
+            ndcg[k][queries] = value
         if include_err:
-            err_values.append(err(ranked, g_max))
+            stop = np.ldexp(1.0 - np.ldexp(1.0, -ranked), ranked - g_max)
+            not_stopped = np.ones((queries.size, n))
+            np.multiply.accumulate(1.0 - stop[:, :-1], axis=1, out=not_stopped[:, 1:])
+            err_values[queries] = _running_sums(not_stopped * stop / np.arange(1, n + 1))[:, -1]
 
+    # Each cutoff averages one value per query and listing, as the per-query loop appended them.
+    kept = ~degenerate if degenerate_policy == "skip" else np.ones(len(groups), dtype=bool)
     ndcg_means = {
-        k: (float(np.mean(vals)) if vals else 0.0) for k, vals in ndcg_values.items()
+        k: float(np.mean(values[kept].repeat(cutoffs.count(k)))) if kept.any() else 0.0
+        for k, values in ndcg.items()
     }
-    err_mean = float(np.mean(err_values)) if err_values else 0.0
+    err_mean = float(np.mean(err_values)) if len(groups) else 0.0
     return EvalReport(
         ndcg_at=ndcg_means,
         err=err_mean if include_err else None,
-        degenerate_query_count=degenerate,
-        query_count=len(dataset.groups),
+        degenerate_query_count=int(np.count_nonzero(degenerate)),
+        query_count=len(groups),
     )

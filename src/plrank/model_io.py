@@ -52,7 +52,7 @@ import re
 from itertools import compress, zip_longest
 from operator import itemgetter
 
-from .errors import ParseError, ValidationError, _open_text
+from .errors import ParseError, ValidationError, _open_output, _open_text
 from .linear import LinearModel
 from .tree import Ensemble, RegressionTree, _stacked_trees
 
@@ -348,7 +348,7 @@ def parse_linear(text: str) -> LinearModel:
 
 def save_model(model: Ensemble | LinearModel, path: str) -> None:
     text = dumps_linear(model) if isinstance(model, LinearModel) else dumps_ensemble(model)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.write(text)
 
 

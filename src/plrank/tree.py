@@ -280,11 +280,12 @@ class SortedColumns:
     """Rows of a feature matrix sorted per column: what exact split search reads.
 
     ``values`` is the (features x rows) float64 matrix, a view of the table,
-    and ``order`` each column's row ids sorted by value, ties by row id, as
-    int32. ``ranks`` holds each column's dense int32 value ranks in that
-    sorted order, so two sorted neighbours tie exactly when their ranks are
-    equal. Each tree partitions its own copy of ``order`` and ``ranks``
-    (:func:`fit_tree`).
+    and ``order`` each column's row ids sorted by value, ties by row id.
+    ``ranks`` holds each column's dense value ranks in that sorted order, so
+    two sorted neighbours tie exactly when their ranks are equal. Both are
+    ``uint16`` when the table has at most 65,536 rows, so that every row id
+    and rank fits, and ``int32`` otherwise. Each tree partitions its own copy
+    of ``order`` and ``ranks`` (:func:`fit_tree`).
     """
 
     values: np.ndarray
@@ -302,12 +303,13 @@ def sort_columns(X: np.ndarray) -> SortedColumns:
     """
     values = np.asarray(X, dtype=np.float64).T
     m, n = values.shape
-    order = np.empty((m, n), dtype=np.int32)
-    ranks = np.zeros((m, n), dtype=np.int32)
+    index = np.uint16 if n <= 1 << 16 else np.int32
+    order = np.empty((m, n), dtype=index)
+    ranks = np.zeros((m, n), dtype=index)
     for f, column in enumerate(values):
         order[f] = np.argsort(column, kind="stable")
         ordered = column.take(order[f])
-        np.cumsum(ordered[1:] != ordered[:-1], dtype=np.int32, out=ranks[f, 1:])
+        np.cumsum(ordered[1:] != ordered[:-1], dtype=index, out=ranks[f, 1:])
     return SortedColumns(values, order, ranks)
 
 

@@ -74,6 +74,26 @@ def test_config_validation():
         small_config(loss="lambdamart").validate()
 
 
+def test_a_negative_seed_is_refused_by_every_loss():
+    """A square loss samples nothing, and once trained with any seed."""
+    for loss in ("mart1", "mart2", "cmart1", "plrank"):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            small_config(loss=loss, seed=-1).validate()
+
+
+@pytest.mark.parametrize("rate", [np.array([0.1, 0.2]), np.array([]), "0.1", None, [0.1]],
+                         ids=["array", "empty-array", "str", "none", "list"])
+def test_a_learning_rate_that_is_no_number_raises_a_config_error(rate):
+    """Each once raised a bare ValueError or TypeError from the range check."""
+    with pytest.raises(ConfigError, match=r"^learning rate must be a real number, got "):
+        small_config(learning_rate=rate).validate()
+
+
+@pytest.mark.parametrize("rate", [np.float64(0.5), np.float32(0.5), 1, np.int64(1)])
+def test_a_learning_rate_may_be_any_real_number_in_range(rate):
+    small_config(learning_rate=rate).validate()
+
+
 def _query():
     return make_dataset([(1, [(2, {1: 0.5}), (1, {1: 0.25}), (0, {1: 0.0}), (0, {1: 1.0})])])
 
@@ -94,6 +114,9 @@ COUNTS = {
     "histogram_bins": (lambda v: small_config(histogram_bins=v).validate(), "histogram bins",
                        ConfigError),
     "seed": (lambda v: train(_query(), small_config(trees=1, seed=v)), "seed", ConfigError),
+    # The square losses sample nothing, so only the check of the config sees the seed.
+    "seed-mart1": (lambda v: small_config(loss="mart1", seed=v).validate(), "seed",
+                   ConfigError),
     "fit_tree-leaf_limit": (lambda v: fit_tree(_X, _Y, v), "leaf limit", ValidationError),
     "fit_tree-min_leaf_docs": (lambda v: fit_tree(_X, _Y, 3, v), "min_leaf_docs",
                                ValidationError),
@@ -106,6 +129,8 @@ COUNTS = {
         "objective count", ValidationError),
     "dcg_at_k": (lambda v: dcg_at_k([2, 1, 0], v), "cutoff k", ValidationError),
     "err": (lambda v: err([2, 1, 0], v), "g_max", ValidationError),
+    "err-grade": (lambda v: err([2, v, 0], 4), "grade", ValidationError),
+    "dense_features": (lambda v: dense_features(_query(), v), "matrix width", ValidationError),
     "evaluate": (lambda v: evaluate(_query(), [0.0, 1.0, 2.0, 3.0], [v]), "cutoff k",
                  ValidationError),
 }

@@ -206,6 +206,17 @@ def test_exit_code_negative_seed_or_query_id(tmp_path, train_file, capsys, loss,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loss", ["mart1", "mart2", "cmart1"])
+def test_exit_code_negative_seed_for_a_loss_that_does_not_sample(tmp_path, train_file,
+                                                                  capsys, loss):
+    """These losses read no seed, and once exited 0 where plrank exits 3."""
+    model = tmp_path / "model.txt"
+    assert run(["train", "--train", train_file, "--loss", loss, "--trees", "1",
+                "--seed", "-1", "--out", str(model)]) == 3
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("text", ["1 qid:1\n0 qid:1\n", "1 qid:1 1:1\n0 qid:1\n"],
                          ids=["featureless", "one-feature"])
 def test_linear_fit_checks_the_seed_whatever_the_width(tmp_path, capsys, text):
@@ -704,6 +715,89 @@ def test_closed_standard_output_ends_no_command(tmp_path, train_file, capsys):
     assert (tmp_path / "cut.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
     done = to_closed_pipe("evaluate", "--data", train_file, "--scores", scores)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+# Bytes a command may write before its next write to a regular file fails
+# with EFBIG (a file size limit on that process alone).
+WRITE_LIMIT = 100
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX resource limits")
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_a_failed_write_leaves_the_old_file(tmp_path, train_file, command):
+    """A write that fails part-way exits 4 and leaves the file it was to
+    replace byte for byte, and no new file beside it. It once left the
+    first 100 bytes of a warm start's own model in place of the model."""
+    model, scores = tmp_path / "model.txt", tmp_path / "scores.txt"
+    assert run(["train", "--train", train_file, "--trees", "3", "--leaves", "4",
+                "--out", str(model)]) == 0
+    assert run(["predict", "--model", str(model), "--data", train_file,
+                "--out", str(scores)]) == 0
+    if command == "train":
+        argv, target = ["train", "--train", train_file, "--trees", "3", "--leaves", "4",
+                        "--init-model", str(model), "--out", str(model)], model
+    else:
+        argv, target = ["predict", "--model", str(model), "--data", train_file,
+                        "--out", str(scores)], scores
+    old = target.read_bytes()
+    assert len(old) > WRITE_LIMIT
+    listing = sorted(tmp_path.iterdir())
+    script = (
+        "import resource, signal, sys\n"
+        "from plrank.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({WRITE_LIMIT}, {WRITE_LIMIT}))\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(plrank.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 4, done.stderr
+    assert "i/o error:" in done.stderr
+    assert target.read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+def test_an_output_replaces_the_target_of_a_link_and_keeps_its_mode(tmp_path, train_file):
+    model, link = tmp_path / "model.txt", tmp_path / "link.txt"
+    model.write_text("old\n")
+    model.chmod(0o640)
+    link.symlink_to(model.name)
+    assert run(["train", "--train", train_file, "--trees", "2", "--leaves", "4",
+                "--out", str(link)]) == 0
+    assert link.is_symlink() and model.read_text().startswith("plrank-model v1\n")
+    assert model.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "model.txt", "train.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_an_output_that_is_a_stream_is_written_directly(tmp_path, train_file):
+    """A FIFO is written as it is, not replaced by a regular file."""
+    model, fifo = tmp_path / "model.txt", tmp_path / "scores.fifo"
+    assert run(["train", "--train", train_file, "--trees", "2", "--leaves", "4",
+                "--out", str(model)]) == 0
+    os.mkfifo(fifo)
+    with subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE) as reader:
+        try:
+            assert run(["predict", "--model", str(model), "--data", train_file,
+                        "--out", str(fifo)]) == 0
+            out = reader.communicate(timeout=30)[0]
+        finally:
+            reader.kill()  # still waiting for a writer if the FIFO was replaced
+    assert len(out.splitlines()) == load_dataset(train_file).num_documents
+    assert fifo.is_fifo()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_a_model_written_to_standard_output_follows_the_iteration_lines(train_file):
+    """``--out /dev/stdout`` writes the model into the pipe, as ``open`` would."""
+    env = {**os.environ, "PYTHONPATH": str(Path(plrank.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "plrank", "train", "--train", train_file,
+                           "--trees", "2", "--leaves", "4", "--out", "/dev/stdout"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("iter=1 ") and lines[2] == "plrank-model v1"
 
 
 def python_with_plrank(script):

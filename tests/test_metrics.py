@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from plrank import ValidationError, dcg_at_k, err, evaluate, ndcg_at_k
 from plrank.metrics import rank_order
 
 from helpers import make_dataset
+from metrics_reference import reference_evaluate
 
 
 # Frozen from direct evaluation of the definitions.
@@ -256,3 +258,119 @@ def test_report_without_err_formats_without_it():
         assert getattr(bare, name)() == getattr(cleared, name)() != getattr(full, name)()
     assert "ERR" not in bare.format_text() and "err=" not in bare.format_keyvalues()
     assert "ERR" in full.format_text() and "err=" in full.format_keyvalues()
+
+
+def _report_bits(report):
+    return ({k: v.hex() for k, v in report.ndcg_at.items()},
+            None if report.err is None else report.err.hex(),
+            report.degenerate_query_count, report.query_count)
+
+
+@st.composite
+def mixed_queries(draw):
+    """Queries of mixed lengths, several often of one length, some sharing a
+    qid across the file, with scores that tie often (-0.0 with 0.0 too)."""
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 5, 8]) | st.integers(1, 14),
+                            max_size=9))
+    top = draw(st.integers(0, 6))
+    queries = []
+    for n in lengths:
+        qid = draw(st.integers(0, 5))
+        grades = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        queries.append((qid, [(g, {1: 0.0}) for g in grades]))
+    ds = make_dataset(queries)
+    scores = draw(st.lists(TIED_SCORES, min_size=ds.num_documents,
+                           max_size=ds.num_documents))
+    return ds, np.array(scores, dtype=np.float64)
+
+
+def _outcome(evaluator, *args, **kwargs):
+    """The report's bits and its cutoffs in order, or the error's message."""
+    try:
+        report = evaluator(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return _report_bits(report), list(report.ndcg_at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_queries(),
+       st.lists(st.integers(0, 20), min_size=0, max_size=4),
+       st.sampled_from(["zero", "one", "skip", "nope"]),
+       st.booleans(),
+       st.none() | st.integers(0, 40) | st.sampled_from([1023, 1100, 5000, 10**30]))
+def test_evaluate_matches_the_per_query_reference(problem, cutoffs, policy, include_err,
+                                                  g_max):
+    """The 2-D pass gives the per-query loop's report to the bit, or its
+    error: cutoffs past a query's length, repeated cutoffs, every policy,
+    with and without ERR, and a g_max below, at and far past the grades."""
+    ds, scores = problem
+    args = (ds, scores, cutoffs, g_max, policy)
+    assert (_outcome(evaluate, *args, include_err=include_err)
+            == _outcome(reference_evaluate, *args, include_err=include_err))
+
+
+def test_evaluate_averages_a_repeated_cutoff_as_often_as_it_is_listed():
+    """The per-query loop appended each query's NDCG@2 once per listing, and
+    a mean of [a, a, b, b, c, c] is not always the bits of one of [a, b, c]."""
+    ds = make_dataset([(0, [(0, {1: 0.0}), (0, {1: 0.0}), (2, {1: 0.0})]),
+                       (1, [(1, {1: 0.0}), (1, {1: 0.0}), (1, {1: 0.0})]),
+                       (2, [(2, {1: 0.0}), (1, {1: 0.0}), (0, {1: 0.0})])])
+    scores = [2.0, 7.0, 6.0, 0.0, 1.0, 5.0, 4.0, 8.0, 3.0]
+    twice = evaluate(ds, scores, [2, 3, 2]).ndcg_at[2]
+    assert twice.hex() == reference_evaluate(ds, scores, [2, 3, 2]).ndcg_at[2].hex()
+    assert twice != evaluate(ds, scores, [2]).ndcg_at[2]
+
+
+# Two queries; the first ranks grade 4 above grade 3, the second holds a 5.
+PRECEDENCE_DATA = [(1, [(3, {1: 0.0}), (4, {1: 0.0}), (0, {1: 0.0})]),
+                   (2, [(5, {1: 0.0}), (0, {1: 0.0})])]
+PRECEDENCE_SCORES = [1.0, 2.0, 0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(scores=[1.0], cutoffs=[0], degenerate_policy="nope", g_max=0),
+     "got 1 scores for 5 documents"),
+    (dict(scores=[1.0, 2.0, math.nan, 0.0, 0.0], cutoffs=[0], degenerate_policy="nope"),
+     "non-finite score nan for document 2"),
+    (dict(cutoffs=[2.5, 0], degenerate_policy="nope", g_max=0),
+     "unknown degenerate policy 'nope'"),
+    (dict(cutoffs=[], degenerate_policy="nope"), "unknown degenerate policy 'nope'"),
+    (dict(cutoffs=[3, 2.5, 0], g_max=0), "cutoff k must be an integer, got 2.5"),
+    (dict(cutoffs=[3, 0, 2.5], g_max=0), "cutoff k must be >= 1, got 0"),
+    (dict(cutoffs=[3], g_max=0), "g_max must be >= 1, got 0"),
+    (dict(cutoffs=[3], g_max=2), "grade 4 exceeds g_max 2"),
+    (dict(cutoffs=[3], g_max=4), "grade 5 exceeds g_max 4"),
+])
+def test_evaluate_checks_its_arguments_in_order_before_any_query(kwargs, message):
+    """Scores, policy, cutoffs in order, g_max, then the first grade above
+    g_max in query order and then rank order, as the per-query loop met them."""
+    ds = make_dataset(PRECEDENCE_DATA)
+    kwargs = {"scores": PRECEDENCE_SCORES, **kwargs}
+    for evaluator in (evaluate, reference_evaluate):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluator(ds, **kwargs)
+
+
+def test_evaluate_without_err_reads_no_g_max():
+    ds = make_dataset(PRECEDENCE_DATA)
+    for g_max in (0, 2, 2.5):
+        report = evaluate(ds, PRECEDENCE_SCORES, [3], g_max, include_err=False)
+        assert report.err is None and report.query_count == 2
+
+
+def test_evaluate_checks_cutoffs_without_queries():
+    """A dataset with no queries once reported NDCG@2.5 and NDCG@0 as 0.0."""
+    ds = make_dataset([])
+    with pytest.raises(ValidationError, match=r"^cutoff k must be an integer, got 2\.5$"):
+        evaluate(ds, [], cutoffs=[2.5, 0])
+    with pytest.raises(ValidationError, match=r"^unknown degenerate policy 'nope'$"):
+        evaluate(ds, [], degenerate_policy="nope")
+    report = evaluate(ds, [], cutoffs=[3])
+    assert (report.ndcg_at, report.err, report.query_count) == ({3: 0.0}, 0.0, 0)
+
+
+def test_err_refuses_a_grade_that_is_no_integer():
+    """err([1.5], 3) once raised a bare TypeError."""
+    with pytest.raises(ValidationError, match=r"^grade must be an integer, got 1\.5$"):
+        err([1.5], 3)

@@ -204,6 +204,22 @@ def test_column_with_many_values_keeps_its_ranks():
     assert_tree_is_the_reference(X, y, 3, 4, bins=64)
 
 
+@pytest.mark.parametrize("n, index", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)])
+def test_index_tables_are_16_bit_up_to_65536_rows(n, index):
+    """At 65,536 rows the last row id and the top rank are 65,535, the most
+    uint16 holds; one row more takes int32. Either way the fit is the oracle's."""
+    rng = np.random.default_rng(n)
+    X = np.column_stack([rng.permutation(n) * 0.5, rng.integers(0, 4, n),
+                         rng.normal(size=n)]).astype(np.float64)
+    y = np.where(X[:, 0] > n * 0.3, 1.0, 0.0) + X[:, 1] + rng.normal(scale=0.1, size=n)
+    columns = sort_columns(X)
+    assert columns.order.dtype == columns.ranks.dtype == index
+    assert columns.ranks.max(axis=1).tolist() == [n - 1, 3, n - 1]
+    np.testing.assert_array_equal(np.sort(columns.order, axis=1),
+                                  np.broadcast_to(np.arange(n), (3, n)))
+    assert_tree_is_the_reference(X, y, 2, 6)
+
+
 @settings(max_examples=100, deadline=None)
 @given(problems())
 def test_binned_columns_count_every_row_once(problem):
