@@ -12,6 +12,7 @@ through the new tree.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from numbers import Real
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import pl_objective
 from .data import Dataset, dense_features
-from .errors import ConfigError, ValidationError, check_count
-from .metrics import dcg_at_k, evaluate
+from .errors import ConfigError, ValidationError, check_count, check_name, float_array
+from .metrics import dcg_at_k, evaluate, gain_grades
 from .permutation import build_permutations
 from .pl_objective import QueryContexts, newton_leaf_outputs, response_from_workspace
 from .tree import (
@@ -51,8 +52,7 @@ class TrainConfig:
     init_model: Ensemble | None = None
 
     def validate(self) -> None:
-        if self.loss not in TREE_LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}")
+        check_name(self.loss, TREE_LOSSES, "loss", ConfigError)
         check_count(self.trees, "tree count", 1, ConfigError)
         check_count(self.leaves, "leaf count", 2, ConfigError)
         if not isinstance(self.learning_rate, Real):
@@ -100,18 +100,31 @@ def mart_response(
     mart2 targets the raw grades, mart1 the exponential gains, and cmart1 the
     gains scaled by ``query_norm`` (the DCG of the query's ground-truth
     permutation). A zero norm means an all-zero-gain query: targets are 0.
+    The grades follow :func:`~plrank.metrics.gain_grades`' rule, the scores
+    are finite numbers, one per grade, and ``query_norm`` is a finite number;
+    a residual past the largest double raises ValidationError too.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    grades = np.asarray(grades)
-    if variant == "mart2":
-        target = grades.astype(np.float64)
-    elif variant == "mart1":
-        target = gain(grades)
-    elif variant == "cmart1":
-        target = gain(grades) / query_norm if query_norm > 0.0 else np.zeros(len(grades))
-    else:
-        raise ValidationError(f"unknown square-loss variant {variant!r}")
-    return target - scores
+    check_name(variant, ("mart1", "mart2", "cmart1"), "square-loss variant")
+    grades = np.array(gain_grades(grades), dtype=np.int64)
+    scores = float_array(scores, "scores")
+    if scores.shape != grades.shape:
+        raise ValidationError(f"scores must be 1-D with {grades.size} entries, "
+                              f"got shape {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise ValidationError("scores must be finite")
+    if not isinstance(query_norm, Real) or not abs(query_norm) <= sys.float_info.max:
+        raise ValidationError(f"query norm must be a finite number, got {query_norm!r}")
+    with np.errstate(over="ignore"):
+        if variant == "mart2":
+            target = grades.astype(np.float64)
+        elif variant == "mart1":
+            target = gain(grades)
+        else:
+            target = gain(grades) / query_norm if query_norm > 0.0 else np.zeros(len(grades))
+        residual = target - scores
+    if not np.isfinite(residual).all():
+        raise ValidationError("a residual exceeds the largest double")
+    return residual
 
 
 # The name tests/test_acceptance.py imports.

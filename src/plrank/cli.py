@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import functools
 import math
 import os
@@ -22,12 +21,11 @@ from .data import Dataset, _ascii, dense_features, load_dataset
 from .errors import (ConfigError, PLRankError, ValidationError, _open_output, _open_text,
                      check_count)
 from .linear import LinearModel, train_linear
-from .metrics import evaluate
+from .metrics import DEGENERATE_POLICIES, evaluate
 from .model_io import load_model, save_model
-from .tree import Ensemble, predict_ensemble_matrix
+from .tree import TREE_LOSSES, Ensemble, predict_ensemble_matrix
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
@@ -71,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--loss",
         default="plrank",
-        choices=["plrank", "mart1", "mart2", "cmart1", "listmle-linear"],
+        choices=[*TREE_LOSSES, "listmle-linear"],
     )
     p_train.add_argument("--trees", type=int, default=1000)
     p_train.add_argument("--leaves", type=int, default=30)
@@ -107,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="K1,K2,...")
     p_eval.add_argument("--err", action="store_true", help="also report ERR")
     p_eval.add_argument("--gmax", type=int, default=None)
-    p_eval.add_argument("--degenerate", default="zero",
-                        choices=["zero", "one", "skip"])
+    p_eval.add_argument("--degenerate", default="zero", choices=DEGENERATE_POLICIES)
     p_eval.add_argument("--format", default="text", choices=["text", "kv"])
     p_eval.set_defaults(func=cmd_evaluate)
     return parser
@@ -222,9 +219,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         cutoffs=args.ndcg,
         g_max=args.gmax,
         degenerate_policy=args.degenerate,
+        include_err=args.err,
     )
-    if not args.err:  # computed all the same, so --gmax is checked
-        report = dataclasses.replace(report, err=None)
     _emit(report.format_keyvalues() if args.format == "kv" else report.format_text())
     return EXIT_OK
 

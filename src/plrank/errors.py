@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, its count check, and the
-reader of input files and writer of output files."""
+"""Exception types shared across the toolkit, its checks of counts, names
+and number arrays, and the reader of input files and writer of output files."""
 
 import codecs
 import contextlib
@@ -43,6 +43,23 @@ def check_count(value: object, name: str, floor: int,
         raise error(f"{name} must be an integer, got {value!r}")
     if value < floor:
         raise error(f"{name} must be >= {floor}, got {value}")
+
+
+def check_name(value: object, names: tuple[str, ...], what: str,
+               error: type[PLRankError] = ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is one of the strings ``names``."""
+    if not isinstance(value, str) or value not in names:
+        raise error(f"unknown {what} {value!r}")
+
+
+def float_array(values: object, name: str) -> np.ndarray:
+    """``values`` as a float64 array, or ValidationError where numpy reads no
+    number from it (a string that is none, a ragged nesting, an integer past
+    the float range). Shape and finiteness are the caller's to check."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be numbers: {exc}") from None
 
 
 def _check_utf8(path: str) -> None:

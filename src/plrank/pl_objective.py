@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, float_array
 from .permutation import ContextSet, PermutationSet
 
 # Raw Newton steps blow up as contexts become near-deterministic (curvature
@@ -51,12 +51,27 @@ CURVATURE_EPS = 1e-12
 
 
 def conditional_probs(scores: np.ndarray, context: ContextSet) -> np.ndarray:
-    """p(d | context) for every member, aligned with ``member_indices``."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
+    """p(d | context) for every member, aligned with ``member_indices``.
+
+    The context needs a member, each member index is a count from 0, and the
+    scores are finite numbers, 1-D, with an entry at every member index;
+    anything else raises :class:`ValidationError`.
+    """
+    scores = float_array(scores, "scores")
+    members = list(context.member_indices)
+    if not members:
+        raise ValidationError("a context needs at least one member")
+    for index in members:
+        check_count(index, "member index", 0)
+    bound = int(max(members)) + 1
+    if scores.ndim != 1 or scores.size < bound:
+        raise ValidationError(f"scores must be 1-D with at least {bound} entries, "
+                              f"got shape {scores.shape}")
+    if not np.isfinite(scores).all():
         raise ValidationError("scores must be finite")
-    shifted = scores[np.asarray(context.member_indices, dtype=np.intp)]
-    shifted -= shifted.max()
+    shifted = scores[np.asarray(members, dtype=np.intp)]
+    with np.errstate(over="ignore"):  # a gap past the largest double is -inf: exp gives 0
+        shifted -= shifted.max()
     exps = np.exp(shifted)
     return exps / exps.sum()
 
@@ -152,7 +167,7 @@ class QueryContexts:
         the gradient of the next. Other scores raise :class:`ValidationError`
         unless they are finite and 1-D with an entry for every document id held.
         """
-        scores = np.asarray(scores, dtype=np.float64)
+        scores = float_array(scores, "scores")
         if self.workspace is not None and np.array_equal(self.workspace.scores, scores):
             return self.workspace
         if scores.ndim != 1 or scores.size < self.id_bound:

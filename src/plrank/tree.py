@@ -44,7 +44,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, check_name
 
 # Gains at or below this are treated as no reduction (guards float dust on
 # constant responses).
@@ -241,8 +241,7 @@ class Ensemble:
     _routing: _Routing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.loss not in TREE_LOSSES:
-            raise ValidationError(f"unknown loss {self.loss!r}")
+        check_name(self.loss, TREE_LOSSES, "loss")
         for key, number in (("alpha", self.learning_rate), ("init", self.init_score)):
             if not math.isfinite(number):
                 raise ValidationError(f"{key} must be finite, got {number!r}")

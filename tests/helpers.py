@@ -40,6 +40,16 @@ def make_dataset(queries) -> Dataset:
     return parse_dataset(letor_text(queries))
 
 
+def dataset_with_grades(grades) -> Dataset:
+    """A parsed dataset of one query per list in ``grades``, its int64 grade
+    array then overwritten in place with them: the parser itself caps grades
+    at 31 and refuses negative ones, but a program may build any."""
+    ds = make_dataset([(q, [(0, {1: 0.0})] * len(query)) for q, query in enumerate(grades)])
+    ds.grades[:] = [grade for query in grades for grade in query]
+    ds.max_grade = int(ds.grades.max(initial=0))
+    return ds
+
+
 def random_query(rng: np.random.Generator, n_docs: int, n_features: int,
                  max_grade: int = 4):
     docs = []

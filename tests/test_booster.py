@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,6 +61,22 @@ def test_cmart1_equals_mart1_at_unit_norm():
     a = mart_response(scores, grades, "mart1")
     b = mart_response(scores, grades, "cmart1", query_norm=1.0)
     assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("args, message", [
+    (([math.nan], [1], "mart1"), "scores must be finite"),
+    (([0.0], [1], "cmart1", math.nan), "query norm must be a finite number, got nan"),
+    (([0.0, 0.0], [1, 2, 3], "mart1"), "scores must be 1-D with 3 entries, got shape (2,)"),
+    (([0.0], [1, 2, 3], "mart2"), "scores must be 1-D with 3 entries, got shape (1,)"),
+    ((["a"], [1], "mart2"), "scores must be numbers: could not convert string to float: 'a'"),
+    (([0.0], [1], "cmart1", 1e-320), "a residual exceeds the largest double"),
+    (([-1.7e308], [1023], "mart1"), "a residual exceeds the largest double"),
+])
+def test_mart_response_refuses_scores_and_norms_it_cannot_use(args, message):
+    """Once [nan], [0.0] for a nan norm, a bare ValueError for two scores and
+    three grades, and one score broadcast over three grades."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        mart_response(*args)
 
 
 def test_config_validation():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plrank import ValidationError, dcg_at_k, err, evaluate, ndcg_at_k
-from plrank.metrics import rank_order
+from plrank import ValidationError, dcg_at_k, err, evaluate, mart_response, ndcg_at_k
+from plrank.metrics import DCG_OVERFLOW, rank_order
 
-from helpers import make_dataset
+from helpers import dataset_with_grades, make_dataset
 from metrics_reference import reference_evaluate
 
 
@@ -37,6 +37,28 @@ def test_dcg_single_unit_gain():
 def test_dcg_rejects_zero_cutoff():
     with pytest.raises(ValidationError):
         dcg_at_k([1], 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dcg_at_k([2000], 1), "grade must be <= 1023, got 2000"),
+    (lambda: ndcg_at_k([1024, 0], 1), "grade must be <= 1023, got 1024"),
+    (lambda: ndcg_at_k([1.5, 0], 2), "grade must be an integer, got 1.5"),
+    (lambda: dcg_at_k([-1], 1), "grade must be >= 0, got -1"),
+    (lambda: ndcg_at_k([-1, 0], 2), "grade must be >= 0, got -1"),
+    (lambda: dcg_at_k([True, 0], 2), "grade must be an integer, got True"),
+    (lambda: dcg_at_k([0, 1024], 1), "grade must be <= 1023, got 1024"),
+    (lambda: mart_response([0.0], [1024], "mart1"), "grade must be <= 1023, got 1024"),
+    (lambda: mart_response([0.0, 0.0], [2, 1.5], "mart2"), "grade must be an integer, got 1.5"),
+    (lambda: dcg_at_k([1023] * 3, 3), DCG_OVERFLOW),
+    (lambda: ndcg_at_k([0, 0, 1023, 1023, 1023], 5), DCG_OVERFLOW),
+])
+def test_dcg_based_metrics_take_integer_grades_from_0_to_1023(call, message):
+    """Once a bare OverflowError from 2.0 ** grade, or a value for a grade
+    that is no count (1.0 for [1.5, 0], -0.5 for [-1], 1.585 for [-1, 0]).
+    Every grade given is checked, also past the cutoff, and a DCG past the
+    largest double is refused, not returned as inf."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_dcg_nondecreasing_in_k():
@@ -123,11 +145,13 @@ def test_err_matches_the_quotient_below_the_float_range():
         assert err(grades, g_max) == total
 
 
-@pytest.mark.parametrize("g_max", [1024, 5000])
+@pytest.mark.parametrize("g_max", [1024, 5000, 10**30])
 def test_err_past_the_float_range(g_max):
-    """2.0 ** 1024 once raised OverflowError."""
+    """2.0 ** 1024 once raised OverflowError, and a numpy grade against a
+    g_max past int64 did too."""
     # Grade 2 stops with probability 3 / 2**g_max and grade 1 at rank 3 adds a third of 1 / 2**g_max.
     assert err([2, 0, 1], g_max) == pytest.approx(math.ldexp(10 / 3, -g_max), rel=1e-9, abs=0)
+    assert err([np.int64(2), 0, np.uint64(1)], g_max) == err([2, 0, 1], g_max)
 
 
 def test_err_grades_past_the_float_range():
@@ -248,8 +272,8 @@ def test_report_rendering():
 
 def test_report_without_err_formats_without_it():
     """The formatters print what the report holds: a report made without ERR
-    prints none, one with ERR prints it, and one whose ERR is cleared (as the
-    CLI clears it without ``--err``) prints as the bare one."""
+    prints none, one with ERR prints it, and one whose ERR is cleared prints
+    as the bare one."""
     ds = make_dataset([(1, [(1, {1: 0.0}), (0, {1: 0.0})])])
     full = evaluate(ds, [1.0, 0.0], [1, 3])
     bare = evaluate(ds, [1.0, 0.0], [1, 3], include_err=False)
@@ -352,11 +376,19 @@ def test_evaluate_checks_its_arguments_in_order_before_any_query(kwargs, message
             evaluator(ds, **kwargs)
 
 
-def test_evaluate_without_err_reads_no_g_max():
+@pytest.mark.parametrize("g_max, message", [
+    (0, "g_max must be >= 1, got 0"),
+    (2, "grade 4 exceeds g_max 2"),
+    (2.5, "g_max must be an integer, got 2.5"),
+])
+def test_evaluate_checks_g_max_with_and_without_err(g_max, message):
+    """Without ERR a g_max of 0, 2 or 2.5 once passed unchecked."""
     ds = make_dataset(PRECEDENCE_DATA)
-    for g_max in (0, 2, 2.5):
-        report = evaluate(ds, PRECEDENCE_SCORES, [3], g_max, include_err=False)
-        assert report.err is None and report.query_count == 2
+    for include_err in (True, False):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate(ds, PRECEDENCE_SCORES, [3], g_max, include_err=include_err)
+    report = evaluate(ds, PRECEDENCE_SCORES, [3], include_err=False)
+    assert report.err is None and report.query_count == 2
 
 
 def test_evaluate_checks_cutoffs_without_queries():
@@ -374,3 +406,56 @@ def test_err_refuses_a_grade_that_is_no_integer():
     """err([1.5], 3) once raised a bare TypeError."""
     with pytest.raises(ValidationError, match=r"^grade must be an integer, got 1\.5$"):
         err([1.5], 3)
+
+
+@pytest.mark.parametrize("grades, kwargs, message", [
+    ([[0, 1024]], {}, "grade must be <= 1023, got 1024"),
+    ([[3], [2000, 1500]], {}, "grade must be <= 1023, got 1500"),
+    ([[2, -1, -5]], {"cutoffs": []}, "grade must be >= 0, got -5"),
+    ([[1024, -1]], {"g_max": 5}, "grade must be >= 0, got -1"),
+    ([[0], [1023, 1023, 1023]], {"include_err": False}, DCG_OVERFLOW),
+    ([[1023, 1023, 1023]], {"cutoffs": [1]}, None),
+    ([[1024], [2**63 - 1]], {"cutoffs": [], "g_max": 10**30}, None),
+])
+def test_evaluate_applies_the_grade_rules_before_any_query(grades, kwargs, message):
+    """Grade 1024 once gave an NDCG of nan and a RuntimeWarning. Grades past
+    1023 are refused only where an NDCG is computed, as the per-query
+    reference refuses them, and never with a warning."""
+    ds = dataset_with_grades(grades)
+    scores = np.arange(ds.num_documents, dtype=np.float64)  # a query's last line ranks first
+    if message is None:
+        assert _outcome(evaluate, ds, scores, **kwargs) == _outcome(
+            reference_evaluate, ds, scores, **kwargs)
+        report = evaluate(ds, scores, **kwargs)
+        assert all(math.isfinite(v) for v in [*report.ndcg_at.values(), report.err])
+        return
+    for evaluator in (evaluate, reference_evaluate):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluator(ds, scores, **kwargs)
+
+
+ODD_GRADE = st.integers(0, 6) | st.sampled_from([-1, 1022, 1023, 1024, 2000, 2**63 - 1, -2**63])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(ODD_GRADE, min_size=1, max_size=6), max_size=5),
+       st.lists(TIED_SCORES, min_size=30, max_size=30),
+       st.lists(st.integers(1, 8), max_size=3),
+       st.none() | st.integers(1, 8) | st.sampled_from([1023, 1100, 2**63 - 1, 10**30]),
+       st.booleans())
+def test_evaluate_matches_the_reference_on_odd_grades(grades, scores, cutoffs, g_max,
+                                                      include_err):
+    """Negative grades, grades past 1023 and past any float's exponent, as a
+    program that builds its own dataset can hold: the report or the error of
+    the per-query reference, never a warning."""
+    ds = dataset_with_grades(grades)
+    args = (ds, np.array(scores[:ds.num_documents]), cutoffs, g_max)
+    assert (_outcome(evaluate, *args, include_err=include_err)
+            == _outcome(reference_evaluate, *args, include_err=include_err))
+
+
+def test_evaluate_refuses_scores_that_are_no_numbers():
+    """Once a bare ValueError from numpy."""
+    ds = make_dataset([(1, [(1, {1: 0.0}), (0, {1: 0.0})])])
+    with pytest.raises(ValidationError, match="^scores must be numbers: "):
+        evaluate(ds, ["a", "b"])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,11 +72,27 @@ def test_conditional_probs_rejects_nonfinite():
         conditional_probs(np.array([np.nan, 0.0]), ctx)
 
 
+@pytest.mark.parametrize("scores, members, message", [
+    (np.zeros(1), (0, 1, 2), "scores must be 1-D with at least 3 entries, got shape (1,)"),
+    (np.zeros(3), (), "a context needs at least one member"),
+    (np.zeros(3), (0, -1), "member index must be >= 0, got -1"),
+    (np.zeros((1, 3)), (0, 1), "scores must be 1-D with at least 2 entries, got shape (1, 3)"),
+    (["a", "b"], (0, 1), "scores must be numbers: could not convert string to float: 'a'"),
+    (np.zeros(3), (0, 1.0), "member index must be an integer, got 1.0"),
+])
+def test_conditional_probs_refuses_scores_that_miss_a_member(scores, members, message):
+    """Once a bare IndexError or ValueError, the last score read for index
+    -1, and a 2-D table returned for 2-D scores."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        conditional_probs(scores, ContextSet(members, 0))
+
+
 def test_conditional_probs_overflow_guard():
     ctx = ContextSet(member_indices=(0, 1), champion_index=0)
     probs = conditional_probs(np.array([900.0, 880.0]), ctx)
     assert np.isfinite(probs).all()
     assert probs.sum() == pytest.approx(1.0)
+    assert conditional_probs(np.array([1.7e308, -1.7e308]), ctx).tolist() == [1.0, 0.0]
 
 
 def test_workspace_probs_sum_to_one():
